@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, EstimationError, SchemaError
+from .errors import DatasetError, SchemaError
 from .schema import ExperimentSchema, ParameterIndex, build_parameter_index, effects_code
 
 __all__ = [
@@ -468,37 +468,9 @@ class CodedPanel:
     def task_sizes(self) -> np.ndarray:
         return np.diff(self.task_ptr)
 
-    @property
-    def chosen_pos(self) -> np.ndarray:
-        """Chosen alternative's position within its task."""
-        return self.chosen_row - self.task_ptr[:-1]
-
     def null_loglik(self) -> float:
         """Log likelihood of equal shares: -sum over tasks of ln(task size)."""
         return float(-np.sum(np.log(self.task_sizes)))
-
-    def as_rectangular(self):
-        """Reshape to (R, T, J, K) features and (R, T) chosen positions.
-
-        Requires every respondent to face the same number of tasks and every
-        task the same number of alternatives.
-        """
-        sizes = self.task_sizes
-        if self.n_tasks == 0:
-            raise EstimationError("panel_not_rectangular", "empty panel")
-        n_alts = int(sizes[0])
-        if not np.all(sizes == n_alts):
-            raise EstimationError("panel_not_rectangular",
-                                  "tasks have differing alternative counts")
-        counts = np.bincount(self.task_respondent, minlength=self.n_respondents)
-        n_tasks = int(counts[0]) if len(counts) else 0
-        if not np.all(counts == n_tasks) or n_tasks == 0:
-            raise EstimationError("panel_not_rectangular",
-                                  "respondents have differing task counts")
-        k = self.X.shape[1]
-        features = self.X.reshape(self.n_respondents, n_tasks, n_alts, k)
-        chosen = self.chosen_pos.reshape(self.n_respondents, n_tasks)
-        return features, chosen
 
 
 def code_dataset(dataset: ChoiceDataset, index: ParameterIndex | None = None) -> CodedPanel:

@@ -86,12 +86,6 @@ class BlockedDesign:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, run_index: int) -> int:
-        for b, members in enumerate(self.blocks):
-            if run_index in members:
-                return b
-        raise DesignError("bad_blocks", f"run {run_index} in no block")
-
 
 # ---------------------------------------------------------------------------
 # Slots: the unit the search permutes

@@ -4,35 +4,27 @@ Random coefficients are normal with a mean taken from the fixed-part entry
 and a standard deviation carried in a trailing ``sd:<name>`` column. For each
 respondent and draw, the probabilities of the respondent's tasks multiply
 before averaging over draws; draws come from a shared Halton matrix that is
-held fixed across optimizer iterations.
+held fixed across optimizer iterations. The likelihood and its score are
+evaluated by the panel logit kernel in ``mnl.py``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import estimate_mnl, mnl_probabilities
+from .mnl import _inference, _MslWork, estimate_mnl, mnl_probabilities
 from .numerics import (HaltonConfig, OptimizerOptions, bfgs_minimize,
                        hessian_from_grad, normal_draws)
-from .results import (EstimationResult, MixingInfo, implied_base_levels,
-                      two_sided_p)
+from .results import EstimationResult, MixingInfo, implied_base_levels
 from .schema import ParameterIndex, build_parameter_index
 
 __all__ = ["MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
            "msl_loglik", "msl_gradient", "estimate_mmnl", "mmnl_predict"]
-
-# fixed chunk width so the reduction order never depends on the thread count
-_CHUNK = 64
-
-# per-task log-probability floor; exp(-700) stays normal in float64
-_LOG_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -40,14 +32,10 @@ class MixingSpec:
     """Which coefficients are random, and how their draws are generated."""
 
     random_params: tuple[str, ...] = ("asc_drone", "asc_truck")
-    distribution: str = "normal"
     halton: HaltonConfig = field(default_factory=HaltonConfig)
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.distribution != "normal":
-            raise EstimationError("unsupported_distribution",
-                                  f"distribution {self.distribution!r} not supported")
         object.__setattr__(self, "random_params", tuple(self.random_params))
         if len(set(self.random_params)) != len(self.random_params):
             raise EstimationError("duplicate_random_param",
@@ -115,157 +103,19 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _split_params(params, panel: CodedPanel, mixing: MixingSpec):
-    params = np.asarray(params, dtype=np.float64).reshape(-1)
-    k = panel.X.shape[1]
-    m = mixing.n_random
-    if params.shape[0] != k + m:
-        raise EstimationError(
-            "parameter_mismatch",
-            f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
-    rp = panel.index.positions(mixing.random_params)
-    return params[:k], params[k:], rp
-
-
-class _MslWork:
-    """Shared buffers for one (panel, draws) pair, reused across evaluations."""
-
-    def __init__(self, panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray,
-                 n_threads: int):
-        draws = np.asarray(draws, dtype=np.float64)
-        if draws.ndim != 3 or draws.shape[0] != panel.n_respondents \
-                or draws.shape[2] != mixing.n_random:
-            raise EstimationError(
-                "draw_shape_mismatch",
-                f"draws must be (n_respondents, n_draws, {mixing.n_random}), "
-                f"got {draws.shape}")
-        self.panel = panel
-        self.mixing = mixing
-        self.z = draws
-        self.n_threads = max(1, n_threads)
-        self.n_draws = draws.shape[1]
-        self.sizes = panel.task_sizes
-        self.row_resp = np.repeat(panel.task_respondent, self.sizes)
-        self.resp_ptr = np.searchsorted(
-            panel.task_respondent, np.arange(panel.n_respondents + 1))
-        self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
-                       for c0 in range(0, self.n_draws, _CHUNK)]
-        self.chosen_X = panel.X[panel.chosen_row]
-        # per-draw row probabilities, filled on gradient evaluations
-        self._sp = None
-
-    def _chunk_logprobs(self, base, dev_scale, rp, c0, c1, store):
-        """Per-respondent log simulated-product for draw columns [c0, c1)."""
-        panel = self.panel
-        if dev_scale is None:
-            u = np.repeat(base[:, None], c1 - c0, axis=1)
-        else:
-            dev = self.z[:, c0:c1, :] * dev_scale
-            u = base[:, None] + np.einsum("nm,ncm->nc", panel.X[:, rp],
-                                          dev[self.row_resp])
-        if not np.all(np.isfinite(u)):
-            raise EstimationError("non_finite_utility",
-                                  "utilities are not finite; check parameters")
-        m = np.maximum.reduceat(u, panel.task_ptr[:-1], axis=0)
-        np.subtract(u, np.repeat(m, self.sizes, axis=0), out=u)
-        e = np.exp(u)
-        denom = np.add.reduceat(e, panel.task_ptr[:-1], axis=0)
-        logp_task = u[panel.chosen_row] - np.log(denom)
-        np.maximum(logp_task, _LOG_FLOOR, out=logp_task)
-        if store is not None:
-            store[:, c0:c1] = e / np.repeat(denom, self.sizes, axis=0)
-        return np.add.reduceat(logp_task, self.resp_ptr[:-1], axis=0)
-
-    def _map_chunks(self, worker):
-        if self.n_threads == 1 or len(self.chunks) == 1:
-            return [worker(c0, c1) for c0, c1 in self.chunks]
-        with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-            futs = [pool.submit(worker, c0, c1) for c0, c1 in self.chunks]
-            return [f.result() for f in futs]
-
-    def loglik_parts(self, params, need_probs: bool):
-        """Per-respondent-by-draw log products; optionally keep row probs."""
-        mean, sds, rp = _split_params(params, self.panel, self.mixing)
-        base = self.panel.X @ mean
-        dev_scale = sds if self.mixing.n_random else None
-        store = None
-        if need_probs:
-            if self._sp is None:
-                self._sp = np.empty((self.panel.n_rows, self.n_draws))
-            store = self._sp
-        log_pr = np.empty((self.panel.n_respondents, self.n_draws))
-        parts = self._map_chunks(
-            lambda c0, c1: self._chunk_logprobs(base, dev_scale, rp, c0, c1, store))
-        for (c0, c1), part in zip(self.chunks, parts):
-            log_pr[:, c0:c1] = part
-        return log_pr, rp
-
-    def respondent_ll(self, log_pr):
-        """log mean over draws, pairing antithetic columns first for exact
-        invariance under sd sign flips."""
-        if self.mixing.antithetic and self.n_draws % 2 == 0:
-            paired = np.logaddexp(log_pr[:, 0::2], log_pr[:, 1::2])
-            return logsumexp(paired, axis=1) - np.log(self.n_draws)
-        return logsumexp(log_pr, axis=1) - np.log(self.n_draws)
-
-    def loglik(self, params) -> float:
-        log_pr, _ = self.loglik_parts(params, need_probs=False)
-        ll_i = self.respondent_ll(log_pr)
-        if not np.all(np.isfinite(ll_i)):
-            raise EstimationError("simulated_underflow",
-                                  "simulated likelihood underflowed for a respondent")
-        return float(ll_i.sum())
-
-    def loglik_and_gradient(self, params):
-        panel = self.panel
-        log_pr, rp = self.loglik_parts(params, need_probs=True)
-        ll_i = self.respondent_ll(log_pr)
-        if not np.all(np.isfinite(ll_i)):
-            raise EstimationError("simulated_underflow",
-                                  "simulated likelihood underflowed for a respondent")
-        w = softmax(log_pr, axis=1)
-        sp = self._sp
-        m_dims = self.mixing.n_random
-
-        def accumulate(c0, c1):
-            wc = w[:, c0:c1]
-            wc_rows = wc[self.row_resp]
-            s_rows = np.einsum("nc,nc->n", sp[:, c0:c1], wc_rows)
-            if m_dims:
-                zc = self.z[:, c0:c1, :]
-                wz = np.einsum("rc,rcm->rm", wc, zc)
-                sz_rows = np.einsum("nc,ncm->nm", sp[:, c0:c1] * wc_rows,
-                                    zc[self.row_resp])
-            else:
-                wz = np.zeros((panel.n_respondents, 0))
-                sz_rows = np.zeros((panel.n_rows, 0))
-            return s_rows, wz, sz_rows
-
-        s_rows = np.zeros(panel.n_rows)
-        wz_resp = np.zeros((panel.n_respondents, m_dims))
-        sz_rows = np.zeros((panel.n_rows, m_dims))
-        for part in self._map_chunks(accumulate):
-            s_rows += part[0]
-            wz_resp += part[1]
-            sz_rows += part[2]
-
-        grad_fixed = self.chosen_X.sum(axis=0) - panel.X.T @ s_rows
-        if m_dims:
-            a_resp = np.add.reduceat(self.chosen_X[:, rp], self.resp_ptr[:-1], axis=0)
-            grad_sd = np.einsum("rm,rm->m", a_resp, wz_resp) \
-                - np.einsum("nm,nm->m", panel.X[:, rp], sz_rows)
-        else:
-            grad_sd = np.zeros(0)
-        return float(ll_i.sum()), np.concatenate([grad_fixed, grad_sd])
+def _work(panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray | None,
+          n_threads: int) -> _MslWork:
+    if draws is None:
+        draws = make_draws(mixing, panel.n_respondents)
+    return _MslWork(panel, panel.index.positions(mixing.random_params),
+                    mixing.antithetic, draws, n_threads)
 
 
 def msl_loglik(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
                draws: np.ndarray | None = None, n_threads: int | None = None) -> float:
     """Simulated log likelihood: sum over respondents of the log of the
     draw-averaged product of task probabilities."""
-    if draws is None:
-        draws = make_draws(mixing, panel.n_respondents)
-    work = _MslWork(panel, mixing, draws, n_threads or _default_threads())
+    work = _work(panel, mixing, draws, n_threads or _default_threads())
     return work.loglik(params_with_sds)
 
 
@@ -274,26 +124,8 @@ def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
                  n_threads: int | None = None) -> np.ndarray:
     """Analytic simulated-likelihood gradient, sd columns via the chain rule
     through sd*z. Exact score of the unfloored objective."""
-    if draws is None:
-        draws = make_draws(mixing, panel.n_respondents)
-    work = _MslWork(panel, mixing, draws, n_threads or _default_threads())
+    work = _work(panel, mixing, draws, n_threads or _default_threads())
     return work.loglik_and_gradient(params_with_sds)[1]
-
-
-def _msl_inference(work: _MslWork, x_hat: np.ndarray):
-    def neg_grad(x):
-        return -work.loglik_and_gradient(x)[1]
-
-    hess = hessian_from_grad(neg_grad, x_hat)
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None, None
-    diag = np.diag(cov)
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        return None, None
-    se = np.sqrt(diag)
-    return se, np.array([two_sided_p(b, s) for b, s in zip(x_hat, se)])
 
 
 def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
@@ -315,8 +147,7 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
         raise EstimationError("parameter_mismatch",
                               "panel was coded against a different index")
 
-    draws = make_draws(mixing, panel.n_respondents)
-    work = _MslWork(panel, mixing, draws, threads)
+    work = _work(panel, mixing, None, threads)
 
     if start is not None:
         x0 = np.asarray(start, dtype=np.float64).reshape(-1).copy()
@@ -339,7 +170,8 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     x_hat = res.x.copy()
     x_hat[k:] = np.abs(x_hat[k:])
     ll_final = work.loglik(x_hat)
-    se, pvals = _msl_inference(work, x_hat)
+    hess = hessian_from_grad(lambda x: -work.loglik_and_gradient(x)[1], x_hat)
+    se, pvals = _inference(hess, x_hat)
     halton = mixing.halton
     trace = SimulatedLikelihoodTrace(
         ll=tuple(trace_ll), n_draws=work.n_draws,
@@ -391,8 +223,7 @@ def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
         raise EstimationError("missing_index",
                               "a parameter index is needed to place random parameters")
     rp = index.positions(mixing.random_params)
-    spec = MixingSpec(mixing.random_params, mixing.distribution,
-                      replace(mixing.halton, n_draws=n_draws), mixing.antithetic)
+    spec = replace(mixing, halton=replace(mixing.halton, n_draws=n_draws))
     z = make_draws(spec, 1)[0]  # (n_draws, m)
     dev = z * params[k:]  # (n_draws, m)
     u = (rows @ params[:k])[:, None] + rows[:, rp] @ dev.T  # (J, n_draws)

@@ -92,13 +92,6 @@ class EstimationResult:
         return int(self.params.size)
 
     @property
-    def t_stats(self) -> np.ndarray | None:
-        if self.std_errors is None:
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.params / self.std_errors
-
-    @property
     def rho2(self) -> float:
         return 1.0 - self.ll_final / self.ll_null
 

@@ -1,6 +1,7 @@
 """Mixed logit: simulated likelihood, gradients, estimation."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,10 +46,6 @@ def oracle_toy(design32):
 
 class TestMixingSpec:
     def test_validation_codes(self):
-        with pytest.raises(EstimationError) as err:
-            MixingSpec(distribution="lognormal")
-        assert err.value.code == "unsupported_distribution"
-
         with pytest.raises(EstimationError) as err:
             MixingSpec(random_params=("asc_drone", "asc_drone"))
         assert err.value.code == "duplicate_random_param"
@@ -149,8 +146,9 @@ class TestInvariances:
 
 
 class TestGradient:
-    def test_matches_finite_differences(self, panel50, rng):
-        panel = panel50["panel"]
+    @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
+    def test_matches_finite_differences(self, panel_fixture, request, rng):
+        panel = request.getfixturevalue(panel_fixture)["panel"]
         mixing = small_mixing(n_draws=16)
         for _ in range(10):
             x = np.concatenate([rng.normal(scale=0.4, size=38),
@@ -159,6 +157,21 @@ class TestGradient:
             fd = finite_diff_grad(lambda v: msl_loglik(v, panel, mixing), x)
             denom = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(g - fd)) / denom < 1e-5
+
+    def test_nan_parameter_names_the_task(self, panel50):
+        panel = panel50["panel"]
+        params = np.concatenate([panel50["truth"], [np.nan, 0.5]])
+        with pytest.raises(EstimationError) as err:
+            msl_loglik(params, panel, small_mixing(n_draws=10))
+        assert err.value.code == "non_finite_utility"
+        assert "task index 0" in str(err.value)
+        # a non-finite cell later in the panel is located to its own task
+        X = panel.X.copy()
+        X[panel.task_ptr[13] + 1, 0] = np.nan
+        with pytest.raises(EstimationError) as err:
+            msl_loglik(np.concatenate([panel50["truth"], [0.8, 0.5]]),
+                       replace(panel, X=X), small_mixing(n_draws=10))
+        assert "task index 13" in str(err.value)
 
     def test_parameter_count_checked(self, panel50):
         with pytest.raises(EstimationError) as err:

@@ -59,14 +59,37 @@ class TestLoglik:
         # chosen count minus expected under uniform: 75 - 100/2
         assert g[0] == pytest.approx(25.0, abs=1e-10)
 
-    def test_gradient_matches_finite_differences(self, panel50, rng):
-        panel = panel50["panel"]
+    @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
+    def test_gradient_matches_finite_differences(self, panel_fixture, request, rng):
+        panel = request.getfixturevalue(panel_fixture)["panel"]
         for _ in range(10):
             x = rng.normal(scale=0.5, size=38)
             g = mnl_gradient(x, panel)
             fd = finite_diff_grad(lambda v: mnl_loglik(v, panel), x)
             denom = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(g - fd)) / denom < 1e-6
+
+    @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
+    def test_matches_per_task_probabilities(self, panel_fixture, request, rng):
+        # independent oracle: one mnl_probabilities call per task
+        panel = request.getfixturevalue(panel_fixture)["panel"]
+        x = rng.normal(scale=0.5, size=38)
+        ll, grad = 0.0, np.zeros(38)
+        for t in range(panel.n_tasks):
+            rows = panel.X[panel.task_ptr[t]:panel.task_ptr[t + 1]]
+            p = mnl_probabilities(x, rows)
+            ll += np.log(p[panel.chosen_row[t] - panel.task_ptr[t]])
+            grad += panel.X[panel.chosen_row[t]] - p @ rows
+        assert mnl_loglik(x, panel) == pytest.approx(ll, rel=0, abs=1e-10)
+        np.testing.assert_allclose(mnl_gradient(x, panel), grad, rtol=0, atol=1e-10)
+
+    def test_nan_parameter_names_the_task(self, panel50):
+        params = np.zeros(38)
+        params[0] = np.nan
+        with pytest.raises(EstimationError) as err:
+            mnl_loglik(params, panel50["panel"])
+        assert err.value.code == "non_finite_utility"
+        assert "task index 0" in str(err.value)
 
 
 class TestEstimation:
