@@ -18,7 +18,9 @@ import numpy as np
 from .dataset import CodedPanel
 from .errors import EstimationError
 from .mnl import _inference, _MslWork, estimate_mnl, mnl_probabilities
-from .numerics import (HaltonConfig, OptimizerOptions, bfgs_minimize,
+# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
+# looks the name up in this module when it traces a run
+from .numerics import (HaltonConfig, OptimizerOptions, bfgs_minimize,  # noqa: F401
                        hessian_from_grad, normal_draws)
 from .results import EstimationResult, MixingInfo, implied_base_levels
 from .schema import ParameterIndex, build_parameter_index
@@ -123,7 +125,7 @@ def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
                  draws: np.ndarray | None = None,
                  n_threads: int | None = None) -> np.ndarray:
     """Analytic simulated-likelihood gradient, sd columns via the chain rule
-    through sd*z. Exact score of the unfloored objective."""
+    through sd*z."""
     work = _work(panel, mixing, draws, n_threads or _default_threads())
     return work.loglik_and_gradient(params_with_sds)[1]
 
@@ -137,7 +139,10 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     The Halton draw matrix is built once and held fixed across iterations.
     Unless ``start`` is given, means warm-start at the plain MNL solution and
     sds at 0.5. Sd estimates are reported as absolute values (their sign is
-    not identified). ``n_threads`` defaults to DCE_THREADS or the core count.
+    not identified). Standard errors come from the inverse of the analytic
+    Hessian of the negative simulated log likelihood at the reported point
+    (the observed information); they are None when that matrix is singular.
+    ``n_threads`` defaults to DCE_THREADS or the core count.
     """
     opts = options or OptimizerOptions()
     threads = n_threads or _default_threads()
@@ -170,8 +175,7 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     x_hat = res.x.copy()
     x_hat[k:] = np.abs(x_hat[k:])
     ll_final = work.loglik(x_hat)
-    hess = hessian_from_grad(lambda x: -work.loglik_and_gradient(x)[1], x_hat)
-    se, pvals = _inference(hess, x_hat)
+    se, pvals = _inference(work.hessian(x_hat), x_hat)
     halton = mixing.halton
     trace = SimulatedLikelihoodTrace(
         ll=tuple(trace_ll), n_draws=work.n_draws,
@@ -187,6 +191,7 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
         ll_null=panel.null_loglik(),
         converged=res.converged,
         iterations=res.iterations,
+        status=res.status,
         model="mmnl",
         std_errors=se,
         p_values=pvals,

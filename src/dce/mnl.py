@@ -4,13 +4,10 @@ estimation.
 Utilities are linear in the coded columns; probabilities are max-subtracted
 softmaxes within each task. ``_MslWork`` is the one panel likelihood for both
 models: the mixed logit adds normal deviations ``sd*z`` on its random columns,
-and MNL is the case with no random columns and a single draw. Each task's
-chosen log probability is floored at -700 in both models. Where the floor
-binds, the objective is flat rather than concave and no longer matches the
-gradient, which stays the unfloored score. BFGS's first line-search trial
-on a large panel (a step of the full score, which runs to the thousands)
-can reach such points. Elsewhere the MNL log likelihood is concave, so
-estimation starts from zeros and a converged optimum is the optimum.
+and MNL is the case with no random columns and a single draw. The kernel
+returns the log likelihood, its score and, for standard errors, its Hessian
+in closed form. The MNL log likelihood is concave, so estimation starts from
+zeros and a converged optimum is the optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +19,9 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .numerics import OptimizerOptions, bfgs_minimize, hessian_from_grad
+# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
+# looks the name up in this module when it traces a run
+from .numerics import OptimizerOptions, bfgs_minimize, hessian_from_grad  # noqa: F401
 from .results import EstimationResult, implied_base_levels, two_sided_p
 
 __all__ = [
@@ -35,8 +34,9 @@ __all__ = [
 # fixed chunk width so the reduction order never depends on the thread count
 _CHUNK = 64
 
-# per-task log-probability floor; exp(-700) stays normal in float64
-_LOG_FLOOR = -700.0
+# respondents per Hessian block: with one draw chunk, the block's temporaries
+# stay near 1 MB whatever the panel size, below the likelihood pass's own
+_BLOCK = 8
 
 
 def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
@@ -78,16 +78,35 @@ class _MslWork:
             panel.task_respondent, np.arange(panel.n_respondents + 1))
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
+        self.blocks = [(n0, min(n0 + _BLOCK, panel.n_respondents))
+                       for n0 in range(0, panel.n_respondents, _BLOCK)]
         # per-draw row probabilities, filled on gradient evaluations
         self._sp = None
 
     @cached_property
     def _chosen(self):
         """Chosen rows' coded values: summed over all tasks, and summed per
-        respondent over the random columns; built on the first gradient."""
+        respondent; built on the first gradient."""
         chosen_X = self.panel.X[self.panel.chosen_row]
-        a_resp = np.add.reduceat(chosen_X[:, self.rp], self.resp_ptr[:-1], axis=0)
+        a_resp = np.add.reduceat(chosen_X, self.resp_ptr[:-1], axis=0)
         return chosen_X.sum(axis=0), a_resp
+
+    @cached_property
+    def _padded(self):
+        """Row index of every (respondent, task, alternative) cell of the
+        panel padded to its longest respondent and largest task, and a 0/1
+        mask of the cells that hold a row; padded cells point at row 0."""
+        panel = self.panel
+        task_pos = np.arange(panel.n_tasks) - self.resp_ptr[panel.task_respondent]
+        row_task = np.repeat(np.arange(panel.n_tasks), self.sizes)
+        cell = (self.row_resp, task_pos[row_task],
+                np.arange(panel.n_rows) - panel.task_ptr[row_task])
+        shape = (panel.n_respondents, int(task_pos.max()) + 1, int(self.sizes.max()))
+        idx = np.zeros(shape, dtype=np.intp)
+        live = np.zeros(shape)
+        idx[cell] = np.arange(panel.n_rows)
+        live[cell] = 1.0
+        return idx, live
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -119,16 +138,16 @@ class _MslWork:
         e = np.exp(u)
         denom = np.add.reduceat(e, panel.task_ptr[:-1], axis=0)
         logp_task = u[panel.chosen_row] - np.log(denom)
-        np.maximum(logp_task, _LOG_FLOOR, out=logp_task)
         if store is not None:
             store[:, c0:c1] = e / np.repeat(denom, self.sizes, axis=0)
         return np.add.reduceat(logp_task, self.resp_ptr[:-1], axis=0)
 
-    def _map_chunks(self, worker):
-        if self.n_threads == 1 or len(self.chunks) == 1:
-            return [worker(c0, c1) for c0, c1 in self.chunks]
+    def _map(self, worker, spans):
+        """``worker(lo, hi)`` over ``spans``, results in ``spans`` order."""
+        if self.n_threads == 1 or len(spans) == 1:
+            return [worker(lo, hi) for lo, hi in spans]
         with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-            futs = [pool.submit(worker, c0, c1) for c0, c1 in self.chunks]
+            futs = [pool.submit(worker, lo, hi) for lo, hi in spans]
             return [f.result() for f in futs]
 
     def loglik_parts(self, params, need_probs: bool):
@@ -141,8 +160,8 @@ class _MslWork:
                 self._sp = np.empty((self.panel.n_rows, self.n_draws))
             store = self._sp
         log_pr = np.empty((self.panel.n_respondents, self.n_draws))
-        parts = self._map_chunks(
-            lambda c0, c1: self._chunk_logprobs(base, sds, c0, c1, store))
+        parts = self._map(
+            lambda c0, c1: self._chunk_logprobs(base, sds, c0, c1, store), self.chunks)
         for (c0, c1), part in zip(self.chunks, parts):
             log_pr[:, c0:c1] = part
         return log_pr
@@ -164,14 +183,19 @@ class _MslWork:
         log_pr = self.loglik_parts(params, need_probs=False)
         return float(self.respondent_ll(log_pr).sum())
 
+    @staticmethod
+    def _draw_weights(log_pr):
+        """Each respondent's draw weights: softmax of log_pr over draws."""
+        w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        return w
+
     def loglik_and_gradient(self, params):
         panel = self.panel
         rp = self.rp
         log_pr = self.loglik_parts(params, need_probs=True)
         ll_i = self.respondent_ll(log_pr)
-        # each respondent's draw weights: softmax of log_pr over draws
-        w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
+        w = self._draw_weights(log_pr)
         sp = self._sp
         m_dims = len(rp)
 
@@ -192,7 +216,7 @@ class _MslWork:
         s_rows = np.zeros(panel.n_rows)
         wz_resp = np.zeros((panel.n_respondents, m_dims))
         sz_rows = np.zeros((panel.n_rows, m_dims))
-        for part in self._map_chunks(accumulate):
+        for part in self._map(accumulate, self.chunks):
             s_rows += part[0]
             wz_resp += part[1]
             sz_rows += part[2]
@@ -200,11 +224,96 @@ class _MslWork:
         chosen_sum, a_resp = self._chosen
         grad_fixed = chosen_sum - panel.X.T @ s_rows
         if m_dims:
-            grad_sd = np.einsum("rm,rm->m", a_resp, wz_resp) \
+            grad_sd = np.einsum("rm,rm->m", a_resp[:, rp], wz_resp) \
                 - np.einsum("nm,nm->m", panel.X[:, rp], sz_rows)
         else:
             grad_sd = np.zeros(0)
         return float(ll_i.sum()), np.concatenate([grad_fixed, grad_sd])
+
+    def hessian(self, params) -> np.ndarray:
+        """Hessian of the negative simulated log likelihood, in closed form.
+
+        Utilities are linear in the parameters. Let x~ be a row's derivative
+        of utility: the coded row, with ``x_rp*z_r`` in the sd columns. Under
+        draw r, respondent n's score is S_nr = sum_t (x~_chosen - xbar_ntr),
+        where xbar_ntr = sum_j p_ntjr x~ is the task's expected x~. With draw
+        weights w_nr and score g_n = sum_r w_nr S_nr, the Hessian of n's log
+        likelihood is
+
+            sum_r w_nr (S_nr S_nr' - sum_tj p_ntjr (x~ - xbar)(x~ - xbar)')
+            - g_n g_n'
+
+        (Train, Discrete Choice Methods with Simulation, 2nd ed., ch. 8 and
+        10). The within-task term is summed over draws before it meets the
+        design, as X_t'(diag(q_t) - M_t)X_t with q_t = sum_r w_r p_tr and
+        M_t = sum_r w_r p_tr p_tr' weighted by the draw moments 1, z_d and
+        z_d z_e, so no array is (task, draw, parameter) shaped. Respondent
+        blocks and draw chunks are summed in a fixed order, so the result
+        does not depend on the thread count.
+        """
+        w = self._draw_weights(self.loglik_parts(params, need_probs=True))
+        parts = self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks)
+        h = sum(parts)
+        if not np.all(np.isfinite(h)):
+            raise EstimationError("hessian_non_finite",
+                                  "analytic Hessian contains non-finite entries")
+        return 0.5 * (h + h.T)
+
+    def _hessian_block(self, w, n0, n1):
+        """Respondents [n0, n1)'s share of the Hessian of the negative log
+        likelihood. Padded cells get probability 0 and so add nothing."""
+        rp = self.rp
+        k, m = self.panel.X.shape[1], len(rp)
+        n_par = k + m
+        pairs = [(d, e) for d in range(m) for e in range(d, m)]
+        idx, live = (a[n0:n1] for a in self._padded)
+        nb, n_t, n_j = idx.shape
+        X = self.panel.X[idx]  # (nb, n_t, n_j, k)
+        X_resp = X.reshape(nb, n_t * n_j, k)
+        a = self._chosen[1][n0:n1]
+        diag = np.arange(n_j)
+
+        # Products are taken one respondent at a time: each BLAS call then
+        # stays below OpenBLAS's threading threshold, whereas one product
+        # over the whole block wakes its worker threads, which go on
+        # spinning through the estimator's later single-threaded work.
+        outer = np.zeros((n_par, n_par))
+        score = np.zeros((nb, n_par))
+        # per task, diag(q) - M for each draw moment (last axis)
+        cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
+        for c0, c1 in self.chunks:
+            p = self._sp[idx, c0:c1] * live[..., None]  # (nb, n_t, n_j, c)
+            p_resp = p.reshape(nb, n_t * n_j, -1)
+            wc = w[n0:n1, c0:c1]
+            z = self.z[n0:n1, c0:c1, :]
+            f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
+            s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
+            ws = s * wc[..., None]
+            outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
+            score += ws.sum(axis=1)
+            moments = np.stack([wc] + [wc * z[..., d] for d in range(m)]
+                               + [wc * z[..., d] * z[..., e] for d, e in pairs], axis=2)
+            pp = p[:, :, :, None, :] * p[:, :, None, :, :]
+            cov -= (pp.reshape(nb, n_t * n_j * n_j, -1) @ moments).reshape(cov.shape)
+            cov[:, :, diag, diag, :] += (p_resp @ moments).reshape(nb, n_t, n_j, -1)
+
+        X_task = X.reshape(nb * n_t, n_j, k)
+        X_rp = X_task[:, :, rp]
+        D = np.moveaxis(cov.reshape(nb * n_t, n_j, n_j, -1), -1, 0)
+
+        def quad(d, left, right):
+            """sum over tasks of left_t' d_t right_t"""
+            right = (d @ right).reshape(nb, n_t * n_j, -1)
+            return (left.reshape(nb, n_t * n_j, -1).transpose(0, 2, 1) @ right).sum(axis=0)
+
+        within = np.empty((n_par, n_par))
+        within[:k, :k] = quad(D[0], X_task, X_task)
+        for d in range(m):
+            within[:k, k + d] = within[k + d, :k] = quad(D[1 + d], X_task, X_rp)[:, d]
+        for i, (d, e) in enumerate(pairs):
+            within[k + d, k + e] = within[k + e, k + d] = \
+                quad(D[1 + m + i], X_rp, X_rp)[d, e]
+        return within + score.T @ score - outer
 
 
 def _mnl_work(panel: CodedPanel) -> _MslWork:
@@ -238,10 +347,14 @@ def check_identification(panel: CodedPanel) -> None:
 
 def _inference(hessian_of_negll: np.ndarray, params: np.ndarray):
     """Standard errors and p-values from the observed information matrix;
-    (None, None) when it is singular or not positive definite."""
+    (None, None) when it is singular to working precision (its 1-norm
+    condition number reaches 1 / (n eps)) or not positive definite."""
     try:
         cov = np.linalg.inv(hessian_of_negll)
     except np.linalg.LinAlgError:
+        return None, None
+    cond = np.linalg.norm(hessian_of_negll, 1) * np.linalg.norm(cov, 1)
+    if cond * len(params) * np.finfo(np.float64).eps >= 1.0:
         return None, None
     diag = np.diag(cov)
     if np.any(~np.isfinite(diag)) or np.any(diag <= 0):
@@ -255,10 +368,10 @@ def estimate_mnl(panel: CodedPanel,
                  options: OptimizerOptions | None = None) -> EstimationResult:
     """Maximize the MNL log likelihood from a zero start.
 
-    Standard errors come from the inverse of the finite-difference Hessian of
-    the negative log likelihood (observed information) built on the analytic
-    gradient; they are flagged unavailable (None) when that matrix is
-    singular. Non-convergence is reported through ``converged``, not raised.
+    Standard errors come from the inverse of the analytic Hessian of the
+    negative log likelihood (the observed information); they are flagged
+    unavailable (None) when that matrix is singular. Non-convergence is
+    reported through ``converged`` and ``status``, not raised.
     """
     check_identification(panel)
     options = options or OptimizerOptions()
@@ -271,8 +384,7 @@ def estimate_mnl(panel: CodedPanel,
     k = panel.X.shape[1]
     res = bfgs_minimize(objective, np.zeros(k), options)
 
-    hess = hessian_from_grad(lambda x: -work.loglik_and_gradient(x)[1], res.x)
-    se, p = _inference(hess, res.x)
+    se, p = _inference(work.hessian(res.x), res.x)
 
     return EstimationResult(
         index=panel.index,
@@ -283,6 +395,7 @@ def estimate_mnl(panel: CodedPanel,
         ll_null=panel.null_loglik(),
         converged=res.converged,
         iterations=res.iterations,
+        status=res.status,
         model="mnl",
         base_levels=implied_base_levels(panel.schema, panel.index, res.x),
         n_respondents=panel.n_respondents,

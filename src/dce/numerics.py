@@ -246,8 +246,9 @@ _FINITE_RETRIES = 60  # halvings allowed when a trial point is non-finite
 def _wolfe_search(fun, x, p, f0, g0, opts):
     """Strong Wolfe line search (bracket then zoom).
 
-    Returns (alpha, f, g, evals, ok). Non-finite trial values trigger step
-    backtracking; persistent non-finite values fail the search.
+    Returns (alpha, f, g, evals, ok). Non-finite trial values, and trial
+    points where ``fun`` raises EstimationError "non_finite_utility", trigger
+    step backtracking; persistent non-finite values fail the search.
     """
     c1, c2 = opts.sufficient_decrease, opts.curvature
     dphi0 = float(g0 @ p)
@@ -255,8 +256,13 @@ def _wolfe_search(fun, x, p, f0, g0, opts):
 
     def trial(a):
         nonlocal evals
-        fa, ga = fun(x + a * p)
         evals += 1
+        try:
+            fa, ga = fun(x + a * p)
+        except EstimationError as exc:
+            if exc.code != "non_finite_utility":
+                raise
+            return np.inf, None, np.nan
         ok = np.isfinite(fa) and np.all(np.isfinite(ga))
         return (float(fa), ga, float(ga @ p)) if ok else (np.inf, None, np.nan)
 

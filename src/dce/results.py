@@ -78,6 +78,7 @@ class EstimationResult:
     converged: bool
     iterations: int
     model: str  # "mnl" | "mmnl"
+    status: str | None = None  # optimizer's stopping reason; None when transcribed
     std_errors: np.ndarray | None = None
     p_values: np.ndarray | None = None
     mixing: MixingInfo | None = None
@@ -138,6 +139,7 @@ class EstimationResult:
                 "rho2": float(self.rho2),
                 "rho2_adj": float(self.rho2_adj),
                 "converged": bool(self.converged),
+                "status": self.status,
                 "iterations": int(self.iterations),
             },
             "mixing": None,
@@ -218,6 +220,7 @@ class EstimationResult:
                 ll_null=float(fit["ll_null"]),
                 converged=bool(fit["converged"]),
                 iterations=int(fit["iterations"]),
+                status=fit.get("status"),
                 model=d.get("model", "mnl"),
                 mixing=mixing,
                 base_levels={k: float(v) for k, v in d.get("base_levels", {}).items()},
@@ -274,5 +277,7 @@ def render_table(result: EstimationResult) -> str:
     lines.append(f"{'rho2':<40}{_fmt(result.rho2, 10, 4)}")
     lines.append(f"{'rho2 adjusted':<40}{_fmt(result.rho2_adj, 10, 4)}")
     lines.append(f"{'converged':<40}{str(result.converged):>10}")
+    if result.status is not None:
+        lines.append(f"{'optimizer status':<40}{result.status:>10}")
     lines.append(f"{'iterations':<40}{result.iterations:>10d}")
     return "\n".join(lines) + "\n"

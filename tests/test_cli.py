@@ -80,6 +80,7 @@ class TestPipeline:
         assert r.converged
         assert r.k_params == 38
         assert r.ll_final > r.ll_null
+        assert r.status == "gradient_converged"
         assert r.run_id == manifest_of(pipeline["paths"]["mnl"])["run_id"]
 
     def test_mmnl_result_file(self, pipeline):
@@ -88,6 +89,22 @@ class TestPipeline:
         assert r.converged
         assert r.index.names()[-2:] == ("sd:asc_drone", "sd:asc_truck")
         assert r.mixing.n_draws == 30
+        fit = json.loads(pipeline["paths"]["mmnl"].read_text())["fit"]
+        assert fit["status"] == "gradient_converged"
+
+    def test_fit_summary_shows_status_and_reruns_identically(self, pipeline,
+                                                            workdir, capsys):
+        out_json = workdir / "mnl_again.json"
+        argv = ["estimate", "mnl", "--data", str(pipeline["paths"]["choices"]),
+                "--schema", LABELS_SCHEMA, "-o", str(out_json)]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            assert re.search(r"optimizer status\s+gradient_converged", printed)
+            m = manifest_of(out_json)
+            runs.append((out_json.read_bytes(), m["run_id"], m["outputs"]))
+        assert runs[0] == runs[1]
 
     def test_design_rerun_byte_identical(self, pipeline, workdir):
         first = pipeline["paths"]["design"].read_bytes()

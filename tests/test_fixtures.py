@@ -29,6 +29,7 @@ def assert_results_equal(a: EstimationResult, b: EstimationResult):
     assert a.std_errors is None and b.std_errors is None
     assert (a.ll_final, a.ll_null) == (b.ll_final, b.ll_null)
     assert a.model == b.model
+    assert a.status is None and b.status is None  # transcribed, not fitted
     assert a.base_levels == b.base_levels
     assert (a.n_respondents, a.n_tasks) == (b.n_respondents, b.n_tasks)
     assert a.mixing == b.mixing

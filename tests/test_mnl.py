@@ -83,6 +83,23 @@ class TestLoglik:
         assert mnl_loglik(x, panel) == pytest.approx(ll, rel=0, abs=1e-10)
         np.testing.assert_allclose(mnl_gradient(x, panel), grad, rtol=0, atol=1e-10)
 
+    def test_extreme_point_has_no_log_probability_floor(self, panel50, rng):
+        # at this scale some chosen log probabilities fall below -700; the
+        # log likelihood is still the exact log-softmax sum and its score
+        panel = panel50["panel"]
+        x = rng.normal(scale=100.0, size=38)
+        logp = []
+        for t in range(panel.n_tasks):
+            u = panel.X[panel.task_ptr[t]:panel.task_ptr[t + 1]] @ x
+            top = u.max()
+            log_denom = top + np.log(np.exp(u - top).sum())
+            logp.append(u[panel.chosen_row[t] - panel.task_ptr[t]] - log_denom)
+        assert min(logp) < -700
+        assert mnl_loglik(x, panel) == pytest.approx(sum(logp), rel=1e-12)
+        fd = finite_diff_grad(lambda v: mnl_loglik(v, panel), x)
+        g = mnl_gradient(x, panel)
+        assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-6
+
     def test_nan_parameter_names_the_task(self, panel50):
         params = np.zeros(38)
         params[0] = np.nan

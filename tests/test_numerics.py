@@ -177,6 +177,28 @@ class TestBfgs:
         assert len(seen) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
 
+    @staticmethod
+    def _bowl_raising_beyond(radius, code):
+        # minimum at (1, 1, 1, 1); the first full step from the origin
+        # lands at norm 4, past the radius
+        def f(x):
+            if np.linalg.norm(x) > radius:
+                raise EstimationError(code, "trial point out of range")
+            return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+        return f
+
+    def test_non_finite_utility_trial_backtracks(self):
+        res = bfgs_minimize(self._bowl_raising_beyond(3.0, "non_finite_utility"),
+                            np.zeros(4))
+        assert res.status == "gradient_converged"
+        np.testing.assert_allclose(res.x, np.ones(4), atol=1e-8)
+
+    def test_other_trial_errors_still_raise(self):
+        with pytest.raises(EstimationError) as err:
+            bfgs_minimize(self._bowl_raising_beyond(3.0, "simulated_underflow"),
+                          np.zeros(4))
+        assert err.value.code == "simulated_underflow"
+
     def test_option_validation(self):
         with pytest.raises(ValueError):
             OptimizerOptions(sufficient_decrease=0.9, curvature=0.1)
