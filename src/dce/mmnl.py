@@ -174,8 +174,8 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
 
     x_hat = res.x.copy()
     x_hat[k:] = np.abs(x_hat[k:])
-    ll_final = work.loglik(x_hat)
-    se, pvals = _inference(work.hessian(x_hat), x_hat)
+    ll_final, hessian = work.hessian(x_hat)
+    se, pvals = _inference(hessian, x_hat)
     halton = mixing.halton
     trace = SimulatedLikelihoodTrace(
         ll=tuple(trace_ll), n_draws=work.n_draws,

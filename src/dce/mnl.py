@@ -5,15 +5,17 @@ Utilities are linear in the coded columns; probabilities are max-subtracted
 softmaxes within each task. ``_MslWork`` is the one panel likelihood for both
 models: the mixed logit adds normal deviations ``sd*z`` on its random columns,
 and MNL is the case with no random columns and a single draw. The kernel
-returns the log likelihood, its score and, for standard errors, its Hessian
-in closed form. The MNL log likelihood is concave, so estimation starts from
-zeros and a converged optimum is the optimum.
+holds the panel in one layout, padded to (respondent, task, alternative)
+cells, so that ragged panels need no special case and each 64-draw chunk's
+utilities come from one batched product. It returns the log likelihood, its
+score and, for standard errors, its Hessian in closed form. The MNL log
+likelihood is concave, so estimation starts from zeros and a converged
+optimum is the optimum.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
 
 import numpy as np
 
@@ -49,12 +51,27 @@ def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _row_task(panel: CodedPanel) -> np.ndarray:
+    """Task index of every coded row."""
+    return np.searchsorted(panel.task_ptr, np.arange(panel.n_rows), side="right") - 1
+
+
 class _MslWork:
     """Shared buffers for one (panel, draws) pair, reused across evaluations.
 
     ``rp`` holds the positions of the random columns and ``draws`` is shaped
     (n_respondents, n_draws, len(rp)); parameters are the fixed part followed
     by one sd per random column.
+
+    The panel is padded to ``shape``, (respondent, task, alternative) cells:
+    as many tasks as the longest respondent has and as many alternatives as
+    the largest task. ``cell`` is each coded row's flat cell and
+    ``chosen_cell`` each (respondent, task)'s. ``offset`` is the utility of
+    an empty cell, -inf so that it has probability 0, except in the first
+    cell of a padded task, which is 0 so that the task adds log 1 = 0. Of
+    the design only the random columns are held padded (``Xrp``, zero in
+    empty cells); the Hessian pads the rest one block of respondents at a
+    time.
     """
 
     def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray,
@@ -72,41 +89,36 @@ class _MslWork:
         self.z = draws
         self.n_threads = max(1, n_threads)
         self.n_draws = draws.shape[1]
-        self.sizes = panel.task_sizes
-        self.row_resp = np.repeat(panel.task_respondent, self.sizes)
-        self.resp_ptr = np.searchsorted(
-            panel.task_respondent, np.arange(panel.n_respondents + 1))
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
         self.blocks = [(n0, min(n0 + _BLOCK, panel.n_respondents))
                        for n0 in range(0, panel.n_respondents, _BLOCK)]
-        # per-draw row probabilities, filled on gradient evaluations
+
+        # tasks are grouped by respondent, so searching the respondent column
+        # for itself finds each respondent's first task
+        task_pos = np.arange(panel.n_tasks) \
+            - np.searchsorted(panel.task_respondent, panel.task_respondent)
+        self.shape = (panel.n_respondents, int(task_pos.max()) + 1,
+                      int(panel.task_sizes.max()))
+        n_r, n_t, n_j = self.shape
+        row_task = _row_task(panel)
+        self.cell = (panel.task_respondent * n_t + task_pos)[row_task] * n_j \
+            + np.arange(panel.n_rows) - panel.task_ptr[row_task]
+        self.chosen_cell = np.arange(0, n_r * n_t * n_j, n_j)
+        self.chosen_cell[self.cell[panel.chosen_row] // n_j] = self.cell[panel.chosen_row]
+        self.offset = np.full((n_r * n_t * n_j, 1), -np.inf)
+        self.offset[self.cell] = 0.0
+        self.offset[::n_j] = 0.0
+        Xrp = np.zeros((n_r * n_t * n_j, len(self.rp)))
+        Xrp[self.cell] = panel.X[:, self.rp]
+        self.Xrp = Xrp.reshape(n_r, n_t * n_j, -1)
+        # chosen rows' coded values summed over the panel, and their random
+        # columns summed per respondent
+        self.chosen_X = panel.X[panel.chosen_row].sum(axis=0)
+        self.chosen_rp = Xrp[self.chosen_cell].reshape(n_r, n_t, -1).sum(axis=1)
+        # per-draw cell probabilities, shaped (*shape, n_draws); filled on
+        # gradient and Hessian evaluations
         self._sp = None
-
-    @cached_property
-    def _chosen(self):
-        """Chosen rows' coded values: summed over all tasks, and summed per
-        respondent; built on the first gradient."""
-        chosen_X = self.panel.X[self.panel.chosen_row]
-        a_resp = np.add.reduceat(chosen_X, self.resp_ptr[:-1], axis=0)
-        return chosen_X.sum(axis=0), a_resp
-
-    @cached_property
-    def _padded(self):
-        """Row index of every (respondent, task, alternative) cell of the
-        panel padded to its longest respondent and largest task, and a 0/1
-        mask of the cells that hold a row; padded cells point at row 0."""
-        panel = self.panel
-        task_pos = np.arange(panel.n_tasks) - self.resp_ptr[panel.task_respondent]
-        row_task = np.repeat(np.arange(panel.n_tasks), self.sizes)
-        cell = (self.row_resp, task_pos[row_task],
-                np.arange(panel.n_rows) - panel.task_ptr[row_task])
-        shape = (panel.n_respondents, int(task_pos.max()) + 1, int(self.sizes.max()))
-        idx = np.zeros(shape, dtype=np.intp)
-        live = np.zeros(shape)
-        idx[cell] = np.arange(panel.n_rows)
-        live[cell] = 1.0
-        return idx, live
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -118,29 +130,10 @@ class _MslWork:
                 f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
         return params[:k], params[k:]
 
-    def _chunk_logprobs(self, base, sds, c0, c1, store):
-        """Per-respondent log simulated-product for draw columns [c0, c1)."""
-        panel = self.panel
-        if len(self.rp) == 0:
-            u = np.repeat(base[:, None], c1 - c0, axis=1)
-        else:
-            dev = self.z[:, c0:c1, :] * sds
-            u = base[:, None] + np.einsum("nm,ncm->nc", panel.X[:, self.rp],
-                                          dev[self.row_resp])
-        finite = np.isfinite(u)
-        if not np.all(finite):
-            bad_row = int(np.flatnonzero(~finite.all(axis=1))[0])
-            task = int(np.searchsorted(panel.task_ptr, bad_row, side="right") - 1)
-            raise EstimationError("non_finite_utility",
-                                  f"non-finite utility at task index {task}")
-        m = np.maximum.reduceat(u, panel.task_ptr[:-1], axis=0)
-        np.subtract(u, np.repeat(m, self.sizes, axis=0), out=u)
-        e = np.exp(u)
-        denom = np.add.reduceat(e, panel.task_ptr[:-1], axis=0)
-        logp_task = u[panel.chosen_row] - np.log(denom)
-        if store is not None:
-            store[:, c0:c1] = e / np.repeat(denom, self.sizes, axis=0)
-        return np.add.reduceat(logp_task, self.resp_ptr[:-1], axis=0)
+    def _non_finite(self, row_finite):
+        """Raise for the first coded row whose utility is not finite."""
+        task = _row_task(self.panel)[np.flatnonzero(~row_finite)[0]]
+        raise EstimationError("non_finite_utility", f"non-finite utility at task index {task}")
 
     def _map(self, worker, spans):
         """``worker(lo, hi)`` over ``spans``, results in ``spans`` order."""
@@ -151,20 +144,40 @@ class _MslWork:
             return [f.result() for f in futs]
 
     def loglik_parts(self, params, need_probs: bool):
-        """Per-respondent-by-draw log products; optionally keep row probs."""
+        """Per-respondent-by-draw log products; optionally keep the cells'
+        per-draw probabilities."""
         mean, sds = self._split(params)
         base = self.panel.X @ mean
-        store = None
-        if need_probs:
-            if self._sp is None:
-                self._sp = np.empty((self.panel.n_rows, self.n_draws))
-            store = self._sp
-        log_pr = np.empty((self.panel.n_respondents, self.n_draws))
-        parts = self._map(
-            lambda c0, c1: self._chunk_logprobs(base, sds, c0, c1, store), self.chunks)
-        for (c0, c1), part in zip(self.chunks, parts):
-            log_pr[:, c0:c1] = part
-        return log_pr
+        if not np.isfinite(base).all():
+            self._non_finite(np.isfinite(base))
+        u_base = self.offset.copy()
+        u_base[self.cell, 0] = base
+        if need_probs and self._sp is None:
+            self._sp = np.empty((*self.shape, self.n_draws))
+        store = self._sp if need_probs else None
+
+        def chunk(c0, c1):
+            """Draws [c0, c1): every cell's utility from one batched product,
+            then a log-softmax over each task's alternatives, summed over
+            tasks."""
+            cells = (self.Xrp @ (self.z[:, c0:c1] * sds).transpose(0, 2, 1)).reshape(-1, c1 - c0)
+            cells += u_base
+            u = cells.reshape(*self.shape, c1 - c0)
+            # a loop over the few alternatives is faster than u.max(axis=2)
+            top = u[:, :, 0].copy()
+            for j in range(1, self.shape[2]):
+                np.maximum(top, u[:, :, j], out=top)
+            if not np.isfinite(top).all():
+                self._non_finite(np.isfinite(cells[self.cell]).all(axis=1))
+            u -= top[:, :, None]
+            logp = cells[self.chosen_cell].reshape(top.shape)
+            e = np.exp(u, out=u)
+            denom = e.sum(axis=2)
+            if store is not None:
+                np.divide(e, denom[:, :, None], out=store[..., c0:c1])
+            return (logp - np.log(denom)).sum(axis=1)
+
+        return np.concatenate(self._map(chunk, self.chunks), axis=1)
 
     def respondent_ll(self, log_pr):
         """log mean over draws, pairing antithetic columns first for exact
@@ -183,55 +196,34 @@ class _MslWork:
         log_pr = self.loglik_parts(params, need_probs=False)
         return float(self.respondent_ll(log_pr).sum())
 
-    @staticmethod
-    def _draw_weights(log_pr):
-        """Each respondent's draw weights: softmax of log_pr over draws."""
+    def _loglik_and_weights(self, params):
+        """Log likelihood, keeping the cells' probabilities, and each
+        respondent's draw weights: the softmax of its log products."""
+        log_pr = self.loglik_parts(params, need_probs=True)
         w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
-        return w
+        return float(self.respondent_ll(log_pr).sum()), w
 
     def loglik_and_gradient(self, params):
-        panel = self.panel
-        rp = self.rp
-        log_pr = self.loglik_parts(params, need_probs=True)
-        ll_i = self.respondent_ll(log_pr)
-        w = self._draw_weights(log_pr)
-        sp = self._sp
-        m_dims = len(rp)
+        ll, w = self._loglik_and_weights(params)
+        n_r, n_t, n_j = self.shape
+        sp = self._sp.reshape(n_r, n_t * n_j, self.n_draws)
 
-        def accumulate(c0, c1):
-            wc = w[:, c0:c1]
-            wc_rows = wc[self.row_resp]
-            s_rows = np.einsum("nc,nc->n", sp[:, c0:c1], wc_rows)
-            if m_dims:
-                zc = self.z[:, c0:c1, :]
-                wz = np.einsum("rc,rcm->rm", wc, zc)
-                sz_rows = np.einsum("nc,ncm->nm", sp[:, c0:c1] * wc_rows,
-                                    zc[self.row_resp])
-            else:
-                wz = np.zeros((panel.n_respondents, 0))
-                sz_rows = np.zeros((panel.n_rows, 0))
-            return s_rows, wz, sz_rows
+        def moments(c0, c1):
+            """each cell's probability summed over draws [c0, c1) with the
+            draw moments w and w*z"""
+            wc = w[:, c0:c1, None]
+            return sp[:, :, c0:c1] @ np.concatenate([wc, wc * self.z[:, c0:c1]], axis=2)
 
-        s_rows = np.zeros(panel.n_rows)
-        wz_resp = np.zeros((panel.n_respondents, m_dims))
-        sz_rows = np.zeros((panel.n_rows, m_dims))
-        for part in self._map(accumulate, self.chunks):
-            s_rows += part[0]
-            wz_resp += part[1]
-            sz_rows += part[2]
+        s = sum(self._map(moments, self.chunks))
+        grad_fixed = self.chosen_X - self.panel.X.T @ s[:, :, 0].reshape(-1)[self.cell]
+        grad_sd = np.einsum("rm,rm->m", self.chosen_rp, np.einsum("rc,rcm->rm", w, self.z)) \
+            - np.einsum("rjm,rjm->m", self.Xrp, s[:, :, 1:])
+        return ll, np.concatenate([grad_fixed, grad_sd])
 
-        chosen_sum, a_resp = self._chosen
-        grad_fixed = chosen_sum - panel.X.T @ s_rows
-        if m_dims:
-            grad_sd = np.einsum("rm,rm->m", a_resp[:, rp], wz_resp) \
-                - np.einsum("nm,nm->m", panel.X[:, rp], sz_rows)
-        else:
-            grad_sd = np.zeros(0)
-        return float(ll_i.sum()), np.concatenate([grad_fixed, grad_sd])
-
-    def hessian(self, params) -> np.ndarray:
-        """Hessian of the negative simulated log likelihood, in closed form.
+    def hessian(self, params):
+        """Log likelihood and Hessian of the negative simulated log
+        likelihood, the latter in closed form.
 
         Utilities are linear in the parameters. Let x~ be a row's derivative
         of utility: the coded row, with ``x_rp*z_r`` in the sd columns. Under
@@ -251,26 +243,28 @@ class _MslWork:
         blocks and draw chunks are summed in a fixed order, so the result
         does not depend on the thread count.
         """
-        w = self._draw_weights(self.loglik_parts(params, need_probs=True))
-        parts = self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks)
-        h = sum(parts)
+        ll, w = self._loglik_and_weights(params)
+        h = sum(self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks))
         if not np.all(np.isfinite(h)):
             raise EstimationError("hessian_non_finite",
                                   "analytic Hessian contains non-finite entries")
-        return 0.5 * (h + h.T)
+        return ll, 0.5 * (h + h.T)
 
     def _hessian_block(self, w, n0, n1):
         """Respondents [n0, n1)'s share of the Hessian of the negative log
-        likelihood. Padded cells get probability 0 and so add nothing."""
+        likelihood. Empty cells hold a zero design row and so add nothing."""
         rp = self.rp
         k, m = self.panel.X.shape[1], len(rp)
         n_par = k + m
         pairs = [(d, e) for d in range(m) for e in range(d, m)]
-        idx, live = (a[n0:n1] for a in self._padded)
-        nb, n_t, n_j = idx.shape
-        X = self.panel.X[idx]  # (nb, n_t, n_j, k)
+        _, n_t, n_j = self.shape
+        nb = n1 - n0
+        first = n0 * n_t * n_j
+        lo, hi = np.searchsorted(self.cell, (first, n1 * n_t * n_j))
+        X = np.zeros((nb * n_t * n_j, k))
+        X[self.cell[lo:hi] - first] = self.panel.X[lo:hi]
+        a = X[self.chosen_cell[n0 * n_t:n1 * n_t] - first].reshape(nb, n_t, k).sum(axis=1)
         X_resp = X.reshape(nb, n_t * n_j, k)
-        a = self._chosen[1][n0:n1]
         diag = np.arange(n_j)
 
         # Products are taken one respondent at a time: each BLAS call then
@@ -282,7 +276,7 @@ class _MslWork:
         # per task, diag(q) - M for each draw moment (last axis)
         cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
         for c0, c1 in self.chunks:
-            p = self._sp[idx, c0:c1] * live[..., None]  # (nb, n_t, n_j, c)
+            p = self._sp[n0:n1, :, :, c0:c1]
             p_resp = p.reshape(nb, n_t * n_j, -1)
             wc = w[n0:n1, c0:c1]
             z = self.z[n0:n1, c0:c1, :]
@@ -333,11 +327,7 @@ def mnl_gradient(params: np.ndarray, panel: CodedPanel) -> np.ndarray:
 def check_identification(panel: CodedPanel) -> None:
     """Every coded column must vary within at least one task; a column
     constant within every task cancels out of all probabilities."""
-    starts = panel.task_ptr[:-1]
-    sizes = panel.task_sizes
-    means = np.add.reduceat(panel.X, starts, axis=0) / sizes[:, None]
-    centered = panel.X - np.repeat(means, sizes, axis=0)
-    dead = np.max(np.abs(centered), axis=0) == 0.0
+    dead = np.all(panel.X == panel.X[panel.task_ptr[_row_task(panel)]], axis=0)
     if np.any(dead):
         names = [panel.index.entries[i].name for i in np.flatnonzero(dead)]
         raise EstimationError("degenerate_column",
@@ -384,7 +374,7 @@ def estimate_mnl(panel: CodedPanel,
     k = panel.X.shape[1]
     res = bfgs_minimize(objective, np.zeros(k), options)
 
-    se, p = _inference(work.hessian(res.x), res.x)
+    se, p = _inference(work.hessian(res.x)[1], res.x)
 
     return EstimationResult(
         index=panel.index,

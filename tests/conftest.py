@@ -59,7 +59,7 @@ def ragged_panel(panel50, tmp_path_factory):
     panel = code_dataset(ingested, build_parameter_index(dataset.schema))
     assert np.bincount(panel.task_respondent)[0] == 6
     assert sorted(set(panel.task_sizes)) == [2, 3]
-    return {"panel": panel, "truth": panel50["truth"]}
+    return {"dataset": ingested, "panel": panel, "truth": panel50["truth"]}
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dce import (
     EstimationError,
@@ -99,6 +101,29 @@ class TestDegeneracyOracle:
         assert msl_loglik(params, panel, mixing) == pytest.approx(
             mnl_loglik(truth, panel), abs=1e-12)
 
+    @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
+    def test_matches_per_respondent_loop(self, panel_fixture, request, rng):
+        # independent oracle: for each respondent and draw, the product of
+        # per-task mnl_probabilities with the random columns' coefficients
+        # shifted by sd*z, averaged over draws
+        panel = request.getfixturevalue(panel_fixture)["panel"]
+        mixing = small_mixing(n_draws=20)
+        rp = panel.index.positions(ASC_MIX)
+        z = make_draws(mixing, panel.n_respondents)
+        x = np.concatenate([rng.normal(scale=0.5, size=38), [1.3, 0.7]])
+        want = 0.0
+        for n in range(panel.n_respondents):
+            prod = np.ones(mixing.halton.n_draws)
+            for r, z_nr in enumerate(z[n]):
+                beta = x[:38].copy()
+                beta[rp] += x[38:] * z_nr
+                for t in np.flatnonzero(panel.task_respondent == n):
+                    rows = panel.X[panel.task_ptr[t]:panel.task_ptr[t + 1]]
+                    prod[r] *= mnl_probabilities(beta, rows)[
+                        panel.chosen_row[t] - panel.task_ptr[t]]
+            want += np.log(prod.mean())
+        assert msl_loglik(x, panel, mixing) == pytest.approx(want, rel=1e-10, abs=0)
+
     def test_monte_carlo_oracle(self, oracle_toy):
         panel, truth = oracle_toy["panel"], oracle_toy["truth"]
         mixing = MixingSpec(random_params=ASC_MIX,
@@ -137,6 +162,21 @@ class TestInvariances:
         g4 = msl_gradient(truth, panel, small_mixing(), n_threads=4)
         np.testing.assert_array_equal(g1, g4)
 
+    @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+    @given(order=st.permutations(range(50)))
+    def test_respondent_order_does_not_matter(self, ragged_panel, order):
+        # re-coding the respondents in another order, with their draws
+        # permuted alike, moves the short respondent's padded tasks
+        dataset, panel = ragged_panel["dataset"], ragged_panel["panel"]
+        mixing = small_mixing(n_draws=20)
+        z = make_draws(mixing, panel.n_respondents)
+        x = np.concatenate([ragged_panel["truth"], [1.2, 0.8]])
+        shuffled = code_dataset(
+            replace(dataset, respondents=tuple(dataset.respondents[i] for i in order)),
+            panel.index)
+        assert msl_loglik(x, shuffled, mixing, draws=z[order]) == pytest.approx(
+            msl_loglik(x, panel, mixing, draws=z), rel=1e-12, abs=0)
+
     def test_bad_thread_env(self, mixed_panel40, monkeypatch):
         monkeypatch.setenv("DCE_THREADS", "zero")
         with pytest.raises(EstimationError) as err:
@@ -158,20 +198,25 @@ class TestGradient:
             denom = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(g - fd)) / denom < 1e-5
 
-    def test_nan_parameter_names_the_task(self, panel50):
-        panel = panel50["panel"]
-        params = np.concatenate([panel50["truth"], [np.nan, 0.5]])
-        with pytest.raises(EstimationError) as err:
-            msl_loglik(params, panel, small_mixing(n_draws=10))
-        assert err.value.code == "non_finite_utility"
-        assert "task index 0" in str(err.value)
-        # a non-finite cell later in the panel is located to its own task
-        X = panel.X.copy()
-        X[panel.task_ptr[13] + 1, 0] = np.nan
-        with pytest.raises(EstimationError) as err:
-            msl_loglik(np.concatenate([panel50["truth"], [0.8, 0.5]]),
-                       replace(panel, X=X), small_mixing(n_draws=10))
-        assert "task index 13" in str(err.value)
+    def test_nan_parameter_names_the_task(self, panel50, ragged_panel):
+        for fixture in (panel50, ragged_panel):
+            panel = fixture["panel"]
+            params = np.concatenate([fixture["truth"], [np.nan, 0.5]])
+            with pytest.raises(EstimationError) as err:
+                msl_loglik(params, panel, small_mixing(n_draws=10))
+            assert err.value.code == "non_finite_utility"
+            assert "task index 0" in str(err.value)
+            # a non-finite cell later in the panel (in ragged_panel, after
+            # the respondent with 6 tasks) is located to its own task, and
+            # one in row 0 to task 0, never to a padded (respondent, task)
+            for row, task in ((panel.task_ptr[13] + 1, 13), (0, 0)):
+                X = panel.X.copy()
+                X[row, 0] = np.nan
+                with pytest.raises(EstimationError) as err:
+                    msl_loglik(np.concatenate([fixture["truth"], [0.8, 0.5]]),
+                               replace(panel, X=X), small_mixing(n_draws=10))
+                assert err.value.code == "non_finite_utility"
+                assert f"task index {task}" in str(err.value)
 
     def test_parameter_count_checked(self, panel50):
         with pytest.raises(EstimationError) as err:
