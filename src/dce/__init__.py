@@ -26,7 +26,8 @@ from .mnl import (check_identification, estimate_mnl, mnl_gradient,
                   mnl_loglik, mnl_probabilities)
 from .numerics import (HaltonConfig, OptimizerOptions, OptimResult,
                        bfgs_minimize, finite_diff_grad, halton, halton_matrix,
-                       hessian_from_grad, inv_normal_cdf, normal_draws)
+                       hessian_from_grad, inv_normal_cdf, normal_draws,
+                       trust_newton_minimize)
 from .postest import (CostSlope, ElasticityEntry, ElasticityReport, FitStats,
                       LrTest, WtpEntry, WtpReport, cost_slope, elasticity_grid,
                       fit_stats, lr_test, own_cost_elasticity, render_wtp_table,
@@ -51,7 +52,7 @@ __all__ = [
     # numerics
     "HaltonConfig", "OptimizerOptions", "OptimResult", "bfgs_minimize",
     "finite_diff_grad", "halton", "halton_matrix", "hessian_from_grad",
-    "inv_normal_cdf", "normal_draws",
+    "inv_normal_cdf", "normal_draws", "trust_newton_minimize",
     # design
     "Profile", "DesignDiagnostics", "BlockedDesign", "full_factorial",
     "select_fraction", "block_design", "design_diagnostics",

@@ -18,10 +18,10 @@ import numpy as np
 from .dataset import CodedPanel
 from .errors import EstimationError
 from .mnl import _inference, _MslWork, estimate_mnl, mnl_probabilities
-# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
-# looks the name up in this module when it traces a run
+# bfgs_minimize and hessian_from_grad are unused here but stay importable:
+# benchmarks/spans.py looks the names up in this module when it traces a run
 from .numerics import (HaltonConfig, OptimizerOptions, bfgs_minimize,  # noqa: F401
-                       hessian_from_grad, normal_draws)
+                       hessian_from_grad, normal_draws, trust_newton_minimize)
 from .results import EstimationResult, MixingInfo, implied_base_levels
 from .schema import ParameterIndex, build_parameter_index
 
@@ -138,10 +138,13 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
 
     The Halton draw matrix is built once and held fixed across iterations.
     Unless ``start`` is given, means warm-start at the plain MNL solution and
-    sds at 0.5. Sd estimates are reported as absolute values (their sign is
-    not identified). Standard errors come from the inverse of the analytic
-    Hessian of the negative simulated log likelihood at the reported point
-    (the observed information); they are None when that matrix is singular.
+    sds at 0.5. The optimizer is trust-region Newton on the analytic Hessian
+    (``trust_newton_minimize``), one kernel pass per iteration. Sd estimates
+    are reported as absolute values (their sign is not identified).
+    Standard errors come from the inverse of the analytic Hessian of the
+    negative simulated log likelihood at the reported point (the observed
+    information): the optimizer's last one, recomputed only when an sd's
+    sign was flipped. They are None when that matrix is singular.
     ``n_threads`` defaults to DCE_THREADS or the core count.
     """
     opts = options or OptimizerOptions()
@@ -166,15 +169,18 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     trace_ll: list[float] = []
 
     def fun(x):
-        ll, grad = work.loglik_and_gradient(x)
-        return -ll, -grad
+        ll, grad, hess = work.hessian(x)
+        return -ll, -grad, hess
 
-    res = bfgs_minimize(fun, x0, opts,
-                        callback=lambda it, x, f: trace_ll.append(-f))
+    res = trust_newton_minimize(fun, x0, opts,
+                                callback=lambda it, x, f: trace_ll.append(-f))
 
     x_hat = res.x.copy()
     x_hat[k:] = np.abs(x_hat[k:])
-    ll_final, hessian = work.hessian(x_hat)
+    if np.any(res.x[k:] < 0):
+        ll_final, _, hessian = work.hessian(x_hat)
+    else:
+        ll_final, hessian = -res.fun, res.hess
     se, pvals = _inference(hessian, x_hat)
     halton = mixing.halton
     trace = SimulatedLikelihoodTrace(

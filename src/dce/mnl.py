@@ -21,9 +21,10 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
-# looks the name up in this module when it traces a run
-from .numerics import OptimizerOptions, bfgs_minimize, hessian_from_grad  # noqa: F401
+# bfgs_minimize and hessian_from_grad are unused here but stay importable:
+# benchmarks/spans.py looks the names up in this module when it traces a run
+from .numerics import (OptimizerOptions, bfgs_minimize,  # noqa: F401
+                       hessian_from_grad, trust_newton_minimize)
 from .results import EstimationResult, implied_base_levels, two_sided_p
 
 __all__ = [
@@ -36,9 +37,13 @@ __all__ = [
 # fixed chunk width so the reduction order never depends on the thread count
 _CHUNK = 64
 
-# respondents per Hessian block: with one draw chunk, the block's temporaries
-# stay near 1 MB whatever the panel size, below the likelihood pass's own
-_BLOCK = 8
+# respondent x draw cells per Hessian block and draw chunk (8 respondents x
+# 64 draws), so a one-draw (MNL) kernel takes 512 respondents per block
+# rather than paying Python overhead per 8. With draws the block's
+# temporaries stay near 1 MB, below the likelihood pass's own; a one-draw
+# block's padded design and per-respondent products peak near 8 MB at 264
+# respondents and 15 MB at 512, still below a mixed fit's pass at 264 x 128
+_BLOCK_CELLS = 512
 
 
 def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
@@ -91,8 +96,9 @@ class _MslWork:
         self.n_draws = draws.shape[1]
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
-        self.blocks = [(n0, min(n0 + _BLOCK, panel.n_respondents))
-                       for n0 in range(0, panel.n_respondents, _BLOCK)]
+        block = max(1, _BLOCK_CELLS // min(self.n_draws, _CHUNK))
+        self.blocks = [(n0, min(n0 + block, panel.n_respondents))
+                       for n0 in range(0, panel.n_respondents, block)]
 
         # tasks are grouped by respondent, so searching the respondent column
         # for itself finds each respondent's first task
@@ -222,8 +228,8 @@ class _MslWork:
         return ll, np.concatenate([grad_fixed, grad_sd])
 
     def hessian(self, params):
-        """Log likelihood and Hessian of the negative simulated log
-        likelihood, the latter in closed form.
+        """Log likelihood, its score and the Hessian of the negative
+        simulated log likelihood, the latter in closed form.
 
         Utilities are linear in the parameters. Let x~ be a row's derivative
         of utility: the coded row, with ``x_rp*z_r`` in the sd columns. Under
@@ -241,18 +247,22 @@ class _MslWork:
         M_t = sum_r w_r p_tr p_tr' weighted by the draw moments 1, z_d and
         z_d z_e, so no array is (task, draw, parameter) shaped. Respondent
         blocks and draw chunks are summed in a fixed order, so the result
-        does not depend on the thread count.
+        does not depend on the thread count. The score is the sum of the
+        g_n, so a Newton iteration needs no separate gradient pass.
         """
         ll, w = self._loglik_and_weights(params)
-        h = sum(self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks))
+        parts = self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks)
+        grad = sum(score for score, _ in parts)
+        h = sum(block for _, block in parts)
         if not np.all(np.isfinite(h)):
             raise EstimationError("hessian_non_finite",
                                   "analytic Hessian contains non-finite entries")
-        return ll, 0.5 * (h + h.T)
+        return ll, grad, 0.5 * (h + h.T)
 
     def _hessian_block(self, w, n0, n1):
-        """Respondents [n0, n1)'s share of the Hessian of the negative log
-        likelihood. Empty cells hold a zero design row and so add nothing."""
+        """Respondents [n0, n1)'s share of the score and of the Hessian of
+        the negative log likelihood. Empty cells hold a zero design row and
+        so add nothing."""
         rp = self.rp
         k, m = self.panel.X.shape[1], len(rp)
         n_par = k + m
@@ -283,7 +293,8 @@ class _MslWork:
             f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
             s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
             ws = s * wc[..., None]
-            outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
+            if self.n_draws > 1:
+                outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
             score += ws.sum(axis=1)
             moments = np.stack([wc] + [wc * z[..., d] for d in range(m)]
                                + [wc * z[..., d] * z[..., e] for d, e in pairs], axis=2)
@@ -307,7 +318,9 @@ class _MslWork:
         for i, (d, e) in enumerate(pairs):
             within[k + d, k + e] = within[k + e, k + d] = \
                 quad(D[1 + m + i], X_rp, X_rp)[d, e]
-        return within + score.T @ score - outer
+        if self.n_draws == 1:  # w = 1 and S = g, so the two terms cancel
+            return score.sum(axis=0), within
+        return score.sum(axis=0), within + score.T @ score - outer
 
 
 def _mnl_work(panel: CodedPanel) -> _MslWork:
@@ -358,23 +371,26 @@ def estimate_mnl(panel: CodedPanel,
                  options: OptimizerOptions | None = None) -> EstimationResult:
     """Maximize the MNL log likelihood from a zero start.
 
-    Standard errors come from the inverse of the analytic Hessian of the
-    negative log likelihood (the observed information); they are flagged
-    unavailable (None) when that matrix is singular. Non-convergence is
-    reported through ``converged`` and ``status``, not raised.
+    The optimizer is trust-region Newton on the analytic Hessian
+    (``trust_newton_minimize``); each iteration is one pass of the kernel.
+    Standard errors come from the inverse of that Hessian at the estimate
+    (the observed information), taken from the optimizer's last accepted
+    point; they are flagged unavailable (None) when that matrix is
+    singular. Non-convergence is reported through ``converged`` and
+    ``status``, not raised.
     """
     check_identification(panel)
     options = options or OptimizerOptions()
     work = _mnl_work(panel)
 
     def objective(x):
-        ll, grad = work.loglik_and_gradient(x)
-        return -ll, -grad
+        ll, grad, hess = work.hessian(x)
+        return -ll, -grad, hess
 
     k = panel.X.shape[1]
-    res = bfgs_minimize(objective, np.zeros(k), options)
+    res = trust_newton_minimize(objective, np.zeros(k), options)
 
-    se, p = _inference(work.hessian(res.x)[1], res.x)
+    se, p = _inference(res.hess, res.x)
 
     return EstimationResult(
         index=panel.index,

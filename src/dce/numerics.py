@@ -1,4 +1,12 @@
-"""Numerical kernels: Halton draws, inverse normal CDF, BFGS, finite differences.
+"""Numerical kernels: Halton draws, inverse normal CDF, optimizers, finite
+differences.
+
+Two minimizers share ``OptimizerOptions`` and ``OptimResult``.
+``trust_newton_minimize`` is trust-region Newton on an exact Hessian, with
+the subproblem solved by Moré–Sorensen; both estimators use it.
+``bfgs_minimize`` is BFGS with a strong Wolfe line search, for objectives
+without a Hessian. ``hessian_from_grad`` is the finite-difference Hessian
+that the tests hold the analytic one against.
 
 Everything in this module is deterministic given its inputs; nothing reads
 global RNG state.
@@ -23,6 +31,7 @@ __all__ = [
     "normal_draws",
     "inv_normal_cdf",
     "bfgs_minimize",
+    "trust_newton_minimize",
     "finite_diff_grad",
     "hessian_from_grad",
 ]
@@ -198,13 +207,17 @@ def inv_normal_cdf(u):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for bfgs_minimize.
+    """Settings for bfgs_minimize and trust_newton_minimize.
 
-    gradient_tolerance: infinity-norm convergence threshold on the gradient.
-    step_tolerance: infinity-norm threshold on the accepted step.
-    max_iterations: outer iteration cap.
+    gradient_tolerance: infinity-norm convergence threshold on the gradient
+        (both methods).
+    step_tolerance: bfgs_minimize stops when the accepted step's infinity
+        norm is at or below it; trust_newton_minimize stops when the trust
+        radius falls to it after a rejected step.
+    max_iterations: outer iteration cap (both methods; for
+        trust_newton_minimize every trial step counts, accepted or not).
     sufficient_decrease / curvature: strong Wolfe constants, with
-        0 < sufficient_decrease < curvature < 1.
+        0 < sufficient_decrease < curvature < 1 (bfgs_minimize only).
     """
 
     gradient_tolerance: float = 1e-5
@@ -227,9 +240,12 @@ class OptimResult:
     x: np.ndarray
     fun: float
     grad: np.ndarray
-    status: str  # gradient_converged | step_converged | max_iterations | line_search_failed | non_finite
+    # gradient_converged | step_converged | max_iterations | line_search_failed
+    # (bfgs_minimize only) | non_finite
+    status: str
     iterations: int
     n_evals: int
+    hess: np.ndarray | None = None  # trust_newton_minimize: the Hessian at x
 
     @property
     def converged(self) -> bool:
@@ -376,6 +392,161 @@ def bfgs_minimize(fun: Callable, x0, options: OptimizerOptions | None = None,
     status = ("gradient_converged" if _norm_inf(g) <= opts.gradient_tolerance
               else "max_iterations")
     return OptimResult(x, f, g, status, opts.max_iterations, n_evals)
+
+
+# ---------------------------------------------------------------------------
+# Trust-region Newton
+# ---------------------------------------------------------------------------
+
+# This many ulps of |f| bound the rounding noise of a likelihood summed over
+# a panel: a predicted reduction below it is one the ratio test cannot judge,
+# and the trial's f may read a few ulps high for that noise alone.
+_NOISE_ULPS = 8
+_SUBPROBLEM_ITERATIONS = 50
+
+
+def _all_finite(*values) -> bool:
+    return all(np.all(np.isfinite(v)) for v in values)
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L')^-1 b for a lower-triangular Cholesky factor L."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+
+
+def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> np.ndarray:
+    """Minimize m(p) = g'p + p'Hp/2 subject to ||p|| <= radius (Moré–Sorensen).
+
+    Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 4.3: Newton's
+    method on 1/||p(lam)|| = 1/radius for the lam >= 0 that makes H + lam*I
+    positive definite, with p(lam) = -(H + lam*I)^-1 g from its Cholesky
+    factor; lam is kept inside safeguarding bounds (Moré & Sorensen, 1983).
+    In the hard case, where ||p(lam)|| stays short of the radius however
+    close lam comes to -lambda_min, the step is completed along the
+    near-null direction of H + lam*I found by inverse iteration. Only
+    Cholesky factors and solves with them are used: an eigen-decomposition
+    wakes OpenBLAS's worker threads, which keep spinning afterwards. The
+    solves are numpy's, because loading scipy.linalg's LAPACK wrappers
+    costs about 1 MB of resident memory.
+    """
+    n = g.size
+    eye = np.eye(n)
+    g_norm = float(np.linalg.norm(g))
+    h_norm = float(np.abs(H).sum(axis=0).max())
+    lo = max(0.0, -float(np.min(np.diag(H))), g_norm / radius - h_norm)
+    hi = g_norm / radius + h_norm
+    lam = 0.0
+    p = None
+    best = None  # the step inside the radius with the smallest lam, and its factor
+    for _ in range(_SUBPROBLEM_ITERATIONS):
+        try:
+            L = np.linalg.cholesky(H + lam * eye)
+        except np.linalg.LinAlgError:
+            lo = max(lo, lam)  # H + lam*I is not positive definite: lam* lies above
+            lam = max(np.sqrt(lo * hi), lo + 0.01 * (hi - lo))
+            continue
+        p = -_cho_solve(L, g)
+        p_norm = float(np.linalg.norm(p))
+        if p_norm <= radius and (lam == 0.0 or p_norm >= 0.9 * radius):
+            return p
+        if p_norm > radius:
+            if p_norm <= 1.1 * radius:
+                return p * (radius / p_norm)
+            lo = max(lo, lam)
+        else:
+            hi = min(hi, lam)
+            best = (p, L)
+        q = np.linalg.solve(L, p)
+        lam_next = lam + (p_norm / float(np.linalg.norm(q))) ** 2 * (p_norm - radius) / radius
+        lam = lam_next if lo < lam_next < hi else max(np.sqrt(lo * hi), lo + 0.01 * (hi - lo))
+        if hi - lo <= 1e-12 * hi:
+            break
+    if best is None:
+        if p is None:  # no factor found: fall back to steepest descent
+            return -g * (radius / g_norm)
+        return p * min(1.0, radius / p_norm)
+    # hard case: z is the direction in which H + lam*I is nearly singular
+    p, L = best
+    z = eye[int(np.argmin(np.diag(L)))]
+    for _ in range(3):
+        z = _cho_solve(L, z)
+        z /= np.linalg.norm(z)
+    pz = float(p @ z)
+    tau = np.sqrt(pz * pz + radius * radius - float(p @ p)) - abs(pz)
+    return p + np.copysign(tau, pz) * z
+
+
+def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = None,
+                          callback: Callable | None = None) -> OptimResult:
+    """Minimize fun(x) -> (value, gradient, Hessian) by trust-region Newton.
+
+    Each iteration solves the trust-region subproblem on the exact Hessian
+    (``_trust_region_step``) and evaluates ``fun`` once at the trial point
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 4.1). A trial
+    is accepted when the actual reduction is at least a tenth of the
+    predicted one; the radius shrinks to a quarter of the step below a
+    ratio of 1/4 and doubles when a step on the boundary scores above 3/4.
+    A predicted reduction within ``_NOISE_ULPS`` ulps of |f| is below the
+    value's rounding noise, so such a step counts as a good one unless f
+    rose by more than that noise; an accepted f can therefore exceed the
+    previous one by at most ``_NOISE_ULPS`` ulps. Trial points that are non-finite, or where ``fun``
+    raises EstimationError "non_finite_utility", are rejected like a bad
+    ratio; every other error propagates.
+
+    Reads ``gradient_tolerance`` (the same infinity-norm test as
+    ``bfgs_minimize``), ``step_tolerance`` (stop when the trust radius
+    falls below it) and ``max_iterations`` (trial steps, accepted or not).
+    ``callback(iteration, x, f)`` fires once for the start point and once
+    per accepted step. The result's ``hess`` is the Hessian at ``x``.
+    """
+    opts = options or OptimizerOptions()
+    x = np.array(x0, dtype=np.float64, copy=True)
+    f, g, H = fun(x)
+    f = float(f)
+    g = np.asarray(g, dtype=np.float64)
+    n_evals = 1
+    if not _all_finite(f, g, H):
+        return OptimResult(x, f, g, "non_finite", 0, n_evals, H)
+    if callback is not None:
+        callback(0, x, f)
+
+    radius = 1.0
+    for it in range(1, opts.max_iterations + 1):
+        if _norm_inf(g) <= opts.gradient_tolerance:
+            return OptimResult(x, f, g, "gradient_converged", it - 1, n_evals, H)
+        p = _trust_region_step(g, H, radius)
+        p_norm = float(np.linalg.norm(p))
+        predicted = -float(g @ p + 0.5 * (p @ H @ p))
+        n_evals += 1
+        try:
+            f_new, g_new, H_new = fun(x + p)
+            f_new = float(f_new)
+            finite = _all_finite(f_new, g_new, H_new)
+        except EstimationError as exc:
+            if exc.code != "non_finite_utility":
+                raise
+            finite = False
+        noise = _NOISE_ULPS * np.spacing(abs(f))
+        if not finite:
+            rho = -np.inf
+        elif predicted <= noise:
+            rho = 1.0 if f_new <= f + noise else -np.inf
+        else:
+            rho = (f - f_new) / predicted
+        if rho < 0.25:
+            radius = 0.25 * p_norm
+        elif rho > 0.75 and p_norm >= 0.9 * radius:
+            radius = 2.0 * radius
+        if rho > 0.1:
+            x, f, g, H = x + p, f_new, np.asarray(g_new, dtype=np.float64), H_new
+            if callback is not None:
+                callback(it, x, f)
+        elif radius <= opts.step_tolerance:
+            return OptimResult(x, f, g, "step_converged", it, n_evals, H)
+
+    status = ("gradient_converged" if _norm_inf(g) <= opts.gradient_tolerance
+              else "max_iterations")
+    return OptimResult(x, f, g, status, opts.max_iterations, n_evals, H)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The kernel's analytic Hessian against finite differences of its gradient."""
+"""The kernel's analytic Hessian against finite differences of its gradient,
+and the score it returns against the gradient pass."""
 
 from dataclasses import replace
 
@@ -49,11 +50,23 @@ def test_matches_finite_differences(model, panel_fixture, at, request, optimum):
     x = optimum(model, panel_fixture)
     if at == "away":
         x = x + np.random.default_rng(7).normal(scale=0.3, size=x.size)
-    ll, H = work.hessian(x)
+    ll, _, H = work.hessian(x)
     assert ll == work.loglik(x)
     fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
     np.testing.assert_array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
+@pytest.mark.parametrize("model", MODELS)
+def test_score_matches_gradient_pass(model, panel_fixture, request, optimum):
+    panel = request.getfixturevalue(panel_fixture)["panel"]
+    work = kernel(panel, MODELS[model])
+    x = optimum(model, panel_fixture)
+    x = x + np.random.default_rng(7).normal(scale=0.3, size=x.size)
+    _, grad, _ = work.hessian(x)
+    want = work.loglik_and_gradient(x)[1]
+    assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_thread_count_does_not_change_bits(mixed_panel40):
@@ -63,10 +76,20 @@ def test_thread_count_does_not_change_bits(mixed_panel40):
     one = kernel(panel, mixing, n_threads=1)
     four = kernel(panel, mixing, n_threads=4)
     assert len(one.blocks) > 1 and len(one.chunks) > 1
-    ll_one, h_one = one.hessian(x)
-    ll_four, h_four = four.hessian(x)
-    assert ll_one == ll_four
-    np.testing.assert_array_equal(h_one, h_four)
+    for a, b in zip(one.hessian(x), four.hessian(x)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_fit_does_not_depend_on_thread_count(mixed_panel40):
+    panel = mixed_panel40["panel"]
+    mixing = MixingSpec(halton=HaltonConfig(n_draws=100))
+    one = estimate_mmnl(panel, mixing, n_threads=1)
+    four = estimate_mmnl(panel, mixing, n_threads=4)
+    assert one.converged
+    np.testing.assert_array_equal(one.params, four.params)
+    np.testing.assert_array_equal(one.std_errors, four.std_errors)
+    assert one.ll_final == four.ll_final
+    assert one.trace.ll == four.trace.ll
 
 
 @pytest.mark.parametrize("absent", AGES)

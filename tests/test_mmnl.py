@@ -27,6 +27,8 @@ from dce import (
     msl_loglik,
 )
 
+from dce.mmnl import _work
+from dce.mnl import _inference
 from helpers import simulated_panel
 
 ASC_MIX = ("asc_drone", "asc_truck")
@@ -261,6 +263,25 @@ class TestEstimation:
         sd_hat = fitted.params[-2:]
         se = fitted.std_errors[-2:]
         assert np.all(np.abs(sd_hat - truth[-2:]) <= 3.5 * se)
+
+    def test_negative_sd_estimate_is_reported_at_its_absolute_value(
+            self, fitted, mixed_panel40):
+        # from negative sds the optimizer ends at negative sds; without
+        # antithetic draws the likelihood there differs from the one at the
+        # reported absolute values, so the fit's log likelihood and standard
+        # errors must be recomputed at the reported point
+        panel = mixed_panel40["panel"]
+        mixing = small_mixing(n_draws=100)
+        start = fitted.params.copy()
+        start[-2:] = -start[-2:]
+        flipped = estimate_mmnl(panel, mixing, start=start, n_threads=1)
+        assert flipped.converged
+        assert np.all(flipped.params[-2:] > 0)
+        assert flipped.trace.ll[-1] != flipped.ll_final
+        assert flipped.ll_final == msl_loglik(flipped.params, panel, mixing)
+        work = _work(panel, mixing, None, 1)
+        se, _ = _inference(work.hessian(flipped.params)[2], flipped.params)
+        np.testing.assert_array_equal(flipped.std_errors, se)
 
     def test_index_names_panel_mismatch(self, panel50):
         panel = panel50["panel"]

@@ -12,12 +12,18 @@ from dce import (
     Level,
     Observation,
     RespondentRecord,
+    SimConfig,
+    block_design,
     code_dataset,
     estimate_mnl,
     finite_diff_grad,
     mnl_gradient,
     mnl_loglik,
     mnl_probabilities,
+    select_fraction,
+    simulate_dataset,
+    table4_labels_schema,
+    table4_mnl,
 )
 
 from helpers import binary_asc_dataset
@@ -163,3 +169,17 @@ class TestEstimation:
         assert result.ll_final > result.ll_null
         assert result.model == "mnl"
         assert result.n_respondents == 50
+
+    def test_converges_at_5000_respondents(self):
+        # Near the optimum of a 5,000-respondent fit the reductions fall
+        # below the rounding noise of the log likelihood. On this seed a
+        # BFGS fit with a strong Wolfe line search stops there
+        # line_search_failed at |g| ~ 2e-5.
+        schema = table4_labels_schema()
+        design = block_design(select_fraction(schema, 64, seed=5, iters=100), 8, seed=5)
+        panel = code_dataset(simulate_dataset(SimConfig(
+            schema=schema, design=design, true_params=table4_mnl().params,
+            n_respondents=5000, seed=5)))
+        result = estimate_mnl(panel)
+        assert result.status == "gradient_converged"
+        assert result.std_errors is not None

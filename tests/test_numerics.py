@@ -1,4 +1,5 @@
-"""Halton sequences, inverse normal CDF, BFGS, and finite differences."""
+"""Halton sequences, inverse normal CDF, BFGS, trust-region Newton, and finite
+differences."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from dce import (
     hessian_from_grad,
     inv_normal_cdf,
     normal_draws,
+    trust_newton_minimize,
 )
+from dce.numerics import _trust_region_step
 
 # Reference quantiles frozen from a 50-digit arbitrary-precision evaluation
 # of the inverse error function at the exact double closest to each label.
@@ -202,6 +205,124 @@ class TestBfgs:
     def test_option_validation(self):
         with pytest.raises(ValueError):
             OptimizerOptions(sufficient_decrease=0.9, curvature=0.1)
+
+
+def rosenbrock(x):
+    """Value, gradient and Hessian of the Rosenbrock function."""
+    f = (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+    g = np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                  200 * (x[1] - x[0] ** 2)])
+    H = np.array([[2 - 400 * (x[1] - x[0] ** 2) + 800 * x[0] ** 2, -400 * x[0]],
+                  [-400 * x[0], 200.0]])
+    return f, g, H
+
+
+class TestTrustNewton:
+    def test_quadratic(self):
+        A = np.array([[4.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+
+        def f(x):
+            return 0.5 * x @ A @ x - b @ x, A @ x - b, A
+
+        res = trust_newton_minimize(f, np.zeros(2))
+        assert res.status == "gradient_converged"
+        assert res.iterations == 1
+        np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
+        np.testing.assert_array_equal(res.hess, A)
+
+    def test_rosenbrock(self):
+        seen = []
+        res = trust_newton_minimize(rosenbrock, np.array([-1.2, 1.0]),
+                                    callback=lambda it, x, val: seen.append(val))
+        assert res.status == "gradient_converged"
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+        np.testing.assert_array_equal(res.hess, rosenbrock(res.x)[2])
+        assert all(b < a for a, b in zip(seen, seen[1:]))
+
+    def test_indefinite_start(self):
+        # a double well: at the start the Hessian has a negative eigenvalue,
+        # so the full Newton step would head for the saddle at x0 = 0
+        def f(x):
+            return (x[0] ** 4 / 4 - x[0] ** 2 / 2 + x[1] ** 2,
+                    np.array([x[0] ** 3 - x[0], 2 * x[1]]),
+                    np.array([[3 * x[0] ** 2 - 1, 0.0], [0.0, 2.0]]))
+
+        x0 = np.array([0.1, 1.0])
+        assert f(x0)[2][0, 0] < 0
+        res = trust_newton_minimize(f, x0)
+        assert res.status == "gradient_converged"
+        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-6)
+        assert res.fun == pytest.approx(-0.25)
+
+    def test_hard_case_step_reaches_the_boundary(self):
+        # g is orthogonal to H's negative-curvature direction e0: no lam
+        # with H + lam*I positive definite gives a step on the boundary, so
+        # the step is completed along e0
+        p = _trust_region_step(np.array([0.0, 2.0]), np.diag([-1.0, 2.0]), 1.0)
+        assert np.linalg.norm(p) == pytest.approx(1.0)
+        np.testing.assert_allclose(p, [np.sqrt(5.0) / 3.0, -2.0 / 3.0])
+
+    def test_iteration_cap_reported(self):
+        res = trust_newton_minimize(rosenbrock, np.array([-1.2, 1.0]),
+                                    OptimizerOptions(max_iterations=1))
+        assert res.status == "max_iterations"
+        assert res.iterations == 1
+
+    @staticmethod
+    def _well_raising_beyond(limit, code):
+        # sqrt(1 + (x - 1)^2), minimum at 1, flattens away from it, so from
+        # 0.5 the Newton step, 0.625, lies inside the unit trust radius but
+        # overshoots to 1.125, past the limit where the function raises
+        def f(x):
+            if x[0] > limit:
+                raise EstimationError(code, "trial point out of range")
+            r = np.sqrt(1.0 + (x - 1.0) ** 2)
+            return float(r[0]), (x - 1.0) / r, np.diag(r ** -3)
+        return f
+
+    def test_non_finite_utility_trial_shrinks_the_radius(self):
+        seen = []
+        res = trust_newton_minimize(
+            self._well_raising_beyond(1.1, "non_finite_utility"), np.array([0.5]),
+            callback=lambda it, x, val: seen.append((it, x[0])))
+        assert res.status == "gradient_converged"
+        np.testing.assert_allclose(res.x, [1.0], atol=1e-5)  # |g| ~ |x - 1| here
+        # iteration 1 was rejected; iteration 2 stepped at most a quarter of
+        # its length (the subproblem stops within 10% of the radius)
+        assert seen[1][0] == 2
+        assert 0.9 * 0.25 * 0.625 <= seen[1][1] - 0.5 <= 0.25 * 0.625
+
+    def test_other_trial_errors_still_raise(self):
+        with pytest.raises(EstimationError) as err:
+            trust_newton_minimize(self._well_raising_beyond(1.1, "simulated_underflow"),
+                                  np.array([0.5]))
+        assert err.value.code == "simulated_underflow"
+
+    @pytest.mark.parametrize("ulps_high", [0, 1])
+    def test_reduction_below_rounding_noise_still_converges(self, ulps_high):
+        # the constant dwarfs the reductions near the minimum: there the
+        # predicted reduction is below an ulp of f, so f_new - f is rounding
+        # noise and a plain ratio test rejects good steps until the radius
+        # collapses, with |g| still above the tolerance. With ulps_high the
+        # value also reads an ulp high wherever |g| is within the tolerance,
+        # as a panel sum's rounding can make it.
+        a = 1e4
+
+        def f(x):
+            g = a * (np.exp(x) - 1)
+            value = 1e6 + a * np.sum(np.exp(x) - x)
+            if np.max(np.abs(g)) <= 1e-5:
+                value += ulps_high * np.spacing(value)
+            return value, g, np.diag(a * np.exp(x))
+
+        res = trust_newton_minimize(f, np.full(3, 0.2))
+        assert res.status == "gradient_converged"
+        np.testing.assert_allclose(res.x, np.zeros(3), atol=1e-9)
+
+    def test_non_finite_start(self):
+        res = trust_newton_minimize(lambda x: (np.nan, x, np.eye(1)), np.zeros(1))
+        assert res.status == "non_finite"
 
 
 class TestFiniteDiff:
