@@ -293,8 +293,7 @@ class _MslWork:
             f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
             s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
             ws = s * wc[..., None]
-            if self.n_draws > 1:
-                outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
+            outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
             score += ws.sum(axis=1)
             moments = np.stack([wc] + [wc * z[..., d] for d in range(m)]
                                + [wc * z[..., d] * z[..., e] for d, e in pairs], axis=2)
@@ -318,8 +317,6 @@ class _MslWork:
         for i, (d, e) in enumerate(pairs):
             within[k + d, k + e] = within[k + e, k + d] = \
                 quad(D[1 + m + i], X_rp, X_rp)[d, e]
-        if self.n_draws == 1:  # w = 1 and S = g, so the two terms cancel
-            return score.sum(axis=0), within
         return score.sum(axis=0), within + score.T @ score - outer
 
 

@@ -404,6 +404,10 @@ def bfgs_minimize(fun: Callable, x0, options: OptimizerOptions | None = None,
 _NOISE_ULPS = 8
 _SUBPROBLEM_ITERATIONS = 50
 
+# EstimationError codes that trust_newton_minimize treats as a rejected trial
+# point: the objective's value or its Hessian overflowed there
+_NON_FINITE_CODES = ("non_finite_utility", "hessian_non_finite")
+
 
 def _all_finite(*values) -> bool:
     return all(np.all(np.isfinite(v)) for v in values)
@@ -489,9 +493,10 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
     A predicted reduction within ``_NOISE_ULPS`` ulps of |f| is below the
     value's rounding noise, so such a step counts as a good one unless f
     rose by more than that noise; an accepted f can therefore exceed the
-    previous one by at most ``_NOISE_ULPS`` ulps. Trial points that are non-finite, or where ``fun``
-    raises EstimationError "non_finite_utility", are rejected like a bad
-    ratio; every other error propagates.
+    previous one by at most ``_NOISE_ULPS`` ulps. Trial points that are
+    non-finite, or where ``fun`` raises EstimationError "non_finite_utility"
+    or "hessian_non_finite", are rejected like a bad ratio; every other
+    error propagates.
 
     Reads ``gradient_tolerance`` (the same infinity-norm test as
     ``bfgs_minimize``), ``step_tolerance`` (stop when the trust radius
@@ -523,7 +528,7 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
             f_new = float(f_new)
             finite = _all_finite(f_new, g_new, H_new)
         except EstimationError as exc:
-            if exc.code != "non_finite_utility":
+            if exc.code not in _NON_FINITE_CODES:
                 raise
             finite = False
         noise = _NOISE_ULPS * np.spacing(abs(f))

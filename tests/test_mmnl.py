@@ -12,6 +12,9 @@ from dce import (
     EstimationError,
     HaltonConfig,
     MixingSpec,
+    SimConfig,
+    bfgs_minimize,
+    block_design,
     build_parameter_index,
     code_dataset,
     estimate_mmnl,
@@ -25,6 +28,10 @@ from dce import (
     mnl_probabilities,
     msl_gradient,
     msl_loglik,
+    select_fraction,
+    simulate_dataset,
+    table4_labels_schema,
+    table4_mmnl,
 )
 
 from dce.mmnl import _work
@@ -282,6 +289,34 @@ class TestEstimation:
         work = _work(panel, mixing, None, 1)
         se, _ = _inference(work.hessian(flipped.params)[2], flipped.params)
         np.testing.assert_array_equal(flipped.std_errors, se)
+
+    def test_reaches_the_higher_of_two_maxima(self):
+        # This 40-respondent, 16-draw simulated likelihood has two local
+        # maxima. From the MNL warm start, BFGS with a strong Wolfe line
+        # search stops at the lower one (ll -219.10) and the Newton fit at
+        # the higher one (ll -219.05); the negative Hessian is positive
+        # definite at both.
+        schema = table4_labels_schema()
+        design = block_design(select_fraction(schema, 32, seed=0, iters=50, restarts=2),
+                              4, seed=0)
+        uniform = {a.name: {label: 1.0 / a.n_levels for label in a.level_labels()}
+                   for a in schema.demographic_attributes()}
+        mixing = small_mixing(n_draws=16)
+        panel = code_dataset(simulate_dataset(SimConfig(
+            schema=schema, design=design, true_params=table4_mmnl().params,
+            mixing=mixing, n_respondents=40, seed=1, demographic_weights=uniform)))
+        newton = estimate_mmnl(panel, mixing, n_threads=1)
+        work = _work(panel, mixing, None, 1)
+
+        def fun(x):
+            ll, grad = work.loglik_and_gradient(x)
+            return -ll, -grad
+
+        bfgs = bfgs_minimize(fun, np.concatenate([estimate_mnl(panel).params, [0.5, 0.5]]))
+        assert newton.converged and bfgs.converged
+        assert newton.ll_final > -bfgs.fun + 0.05
+        for x in (newton.params, bfgs.x):
+            np.linalg.cholesky(work.hessian(x)[2])
 
     def test_index_names_panel_mismatch(self, panel50):
         panel = panel50["panel"]

@@ -281,10 +281,11 @@ class TestTrustNewton:
             return float(r[0]), (x - 1.0) / r, np.diag(r ** -3)
         return f
 
-    def test_non_finite_utility_trial_shrinks_the_radius(self):
+    @pytest.mark.parametrize("code", ["non_finite_utility", "hessian_non_finite"])
+    def test_non_finite_trial_shrinks_the_radius(self, code):
         seen = []
         res = trust_newton_minimize(
-            self._well_raising_beyond(1.1, "non_finite_utility"), np.array([0.5]),
+            self._well_raising_beyond(1.1, code), np.array([0.5]),
             callback=lambda it, x, val: seen.append((it, x[0])))
         assert res.status == "gradient_converged"
         np.testing.assert_allclose(res.x, [1.0], atol=1e-5)  # |g| ~ |x - 1| here
