@@ -15,7 +15,14 @@ passthrough when constant within a respondent and dropped otherwise.
 
 Coding produces a panel design matrix with one row per alternative, rows
 grouped by task and tasks grouped by respondent, columns laid out by
-``build_parameter_index``.
+``build_parameter_index``. One walk over the dataset lays out the rows and
+maps each label the columns read to its index in the attribute's
+``level_index``: a demographic's once per respondent, a context attribute's
+once per task, a design attribute's once per row it fills. A label the
+attribute lacks raises DatasetError("unknown_level"). Each column is then
+one gather from its attribute's read-only ``codes`` table over the rows of
+the alternative that owns it (every row a shared block fills); an ASC column
+is 1 on its alternative's rows, and every other entry is 0.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, SchemaError
-from .schema import ExperimentSchema, ParameterIndex, build_parameter_index, effects_code
+from .schema import AttributeDef, ExperimentSchema, ParameterIndex, build_parameter_index
 
 __all__ = [
     "Observation",
@@ -128,6 +135,12 @@ def _read_respondent_table(path: str | Path, demo_columns) -> dict[str, dict[str
     return table
 
 
+def _check_level(attr: AttributeDef, column: str, label: str, row: int) -> None:
+    if label not in attr.level_index:
+        raise DatasetError("unknown_level",
+                           f"column {column!r}: {label!r} is not a level of {attr.name}", row=row)
+
+
 def ingest_choices(path: str | Path, schema: ExperimentSchema,
                    respondents_path: str | Path | None = None) -> ChoiceDataset:
     """Read a long-format choice CSV into a validated dataset.
@@ -161,7 +174,6 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
     # respondent -> task -> accumulated rows; insertion order preserved
     per_resp: dict[str, dict[str, dict]] = {}
     resp_demo: dict[str, dict[str, str]] = {}
-    resp_demo_row: dict[str, int] = {}
     resp_extra: dict[str, dict[str, str | None]] = {}
 
     for n, row in enumerate(rows, start=2):
@@ -191,10 +203,7 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
             val = (row.get(col) or "").strip()
             prev = task["task_values"].get(col)
             if prev is None:
-                if val not in attr.level_labels():
-                    raise DatasetError("unknown_level",
-                                       f"column {col!r}: {val!r} is not a level of "
-                                       f"{attr.name}", row=n)
+                _check_level(attr, col, val, n)
                 task["task_values"][col] = val
             elif prev != val:
                 raise DatasetError("inconsistent_task_value",
@@ -208,10 +217,7 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
             except SchemaError:
                 continue  # column not applicable to this alternative
             val = (row.get(col) or "").strip()
-            if val not in attr.level_labels():
-                raise DatasetError("unknown_level",
-                                   f"column {col!r}: {val!r} is not a level of {attr.name}",
-                                   row=n)
+            _check_level(attr, col, val, n)
             alt_vals[col] = val
         task["alts"][aid] = alt_vals
         if chosen_raw == "1":
@@ -241,13 +247,8 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
 
         if rid not in resp_demo:
             for attr in demo_attrs:
-                val = demo.get(attr.csv_column, "")
-                if val not in attr.level_labels():
-                    raise DatasetError("unknown_level",
-                                       f"column {attr.csv_column!r}: {val!r} is not a level "
-                                       f"of {attr.name}", row=n)
+                _check_level(attr, attr.csv_column, demo.get(attr.csv_column, ""), n)
             resp_demo[rid] = demo
-            resp_demo_row[rid] = n
         elif companion is None and demo != resp_demo[rid]:
             raise DatasetError("demographic_mismatch",
                                f"demographics differ within respondent {rid!r}", row=n)
@@ -396,57 +397,20 @@ def screen_responses(dataset: ChoiceDataset,
 # Coding
 # ---------------------------------------------------------------------------
 
-class _Coder:
-    """Precomputed fill rules mapping one alternative row to feature values."""
-
-    def __init__(self, schema: ExperimentSchema, index: ParameterIndex):
-        self.schema = schema
-        self.codes: dict[str, dict[str, np.ndarray]] = {}
-        for attr in schema.attributes:
-            self.codes[attr.name] = {lv.label: effects_code(attr, lv.label)
-                                     for lv in attr.levels}
-        # one instruction per fixed column: (kind, attr name, csv column, alt, component)
-        self.rules = []
-        for e in index.entries[:index.n_fixed]:
-            if e.kind == "asc":
-                self.rules.append(("asc", None, None, e.alternative, 0))
-                continue
-            attr = schema.attribute(e.attribute)
-            comp = 0
-            if attr.coding == "effects":
-                comp = attr.level_labels().index(e.level)
-            self.rules.append((e.kind, attr.name, attr.csv_column, e.alternative, comp))
-
-    def row(self, alt_id: str, task_values: dict[str, str],
-            alt_values: dict[str, str], demographics: dict[str, str]) -> np.ndarray:
-        out = np.zeros(len(self.rules), dtype=np.float64)
-        for i, (kind, attr_name, column, owner, comp) in enumerate(self.rules):
-            if kind == "asc":
-                out[i] = 1.0 if alt_id == owner else 0.0
-            elif kind == "context" or kind == "demographic":
-                if alt_id == owner:
-                    source = task_values if kind == "context" else demographics
-                    out[i] = self.codes[attr_name][source[column]][comp]
-            elif owner is not None:  # alternative-specific attribute
-                if alt_id == owner:
-                    out[i] = self.codes[attr_name][alt_values[column]][comp]
-            else:  # shared block: every row codes its own level
-                out[i] = self.codes[attr_name][alt_values[column]][comp]
-        return out
-
-
 @dataclass(frozen=True)
 class CodedPanel:
     """Design matrix plus panel bookkeeping.
 
     Rows are alternatives in schema order, grouped by task; tasks grouped by
-    respondent in dataset order. ``task_ptr`` delimits tasks CSR-style.
+    respondent in dataset order. ``task_ptr`` delimits tasks CSR-style and
+    ``row_task`` holds each row's task.
     """
 
     schema: ExperimentSchema
     index: ParameterIndex
     X: np.ndarray
     task_ptr: np.ndarray
+    row_task: np.ndarray
     chosen_row: np.ndarray
     task_respondent: np.ndarray
     respondent_ids: tuple[str, ...]
@@ -472,37 +436,78 @@ class CodedPanel:
         """Log likelihood of equal shares: -sum over tasks of ln(task size)."""
         return float(-np.sum(np.log(self.task_sizes)))
 
+    @classmethod
+    def from_dataset(cls, dataset: ChoiceDataset, index: ParameterIndex) -> "CodedPanel":
+        """Code ``dataset`` against ``index``, as the module docstring sets out."""
+        schema = dataset.schema
+        if not dataset.respondents:
+            raise DatasetError("empty_dataset", "dataset has no respondents")
+        alt_ids = schema.alternative_ids()
+        fixed = index.entries[:index.n_fixed]
+        attrs = {e.attribute: schema.attribute(e.attribute) for e in fixed if e.kind != "asc"}
+        # a design attribute's level is -1 on the rows it does not fill
+        levels = {n: [] if a.scope in ("context", "demographic") else [-1] * dataset.n_rows
+                  for n, a in attrs.items()}
+        per = {scope: [(a, levels[a.name]) for a in attrs.values() if a.scope == scope]
+               for scope in ("context", "demographic")}
+        design = [[(a, levels[a.name]) for a in schema.design_attributes(aid) if a.name in levels]
+                  for aid in alt_ids]
+
+        def level(attr, label, rec, where=""):
+            if label not in attr.level_index:
+                raise DatasetError("unknown_level", f"{label!r} is not a level of {attr.name} "
+                                                    f"(respondent {rec.respondent_id!r}{where})")
+            return attr.level_index[label]
+
+        row_alt, chosen_row, task_ptr, task_respondent = [], [], [0], []
+        for r, rec in enumerate(dataset.respondents):
+            for attr, out in per["demographic"]:
+                out.append(level(attr, rec.demographics.get(attr.csv_column), rec))
+            for obs in rec.observations:
+                where = f", task {obs.task_id!r}"
+                for attr, out in per["context"]:
+                    out.append(level(attr, obs.task_values.get(attr.csv_column), rec, where))
+                for a, aid in enumerate(alt_ids):
+                    values = obs.alt_values.get(aid)
+                    if values is None:
+                        continue
+                    for attr, out in design[a]:
+                        out[len(row_alt)] = level(attr, values.get(attr.csv_column), rec, where)
+                    if aid == obs.chosen:
+                        chosen_row.append(len(row_alt))
+                    row_alt.append(a)
+                task_ptr.append(len(row_alt))
+                task_respondent.append(r)
+
+        # dataset.n_rows also counts alternatives outside the schema; they get no row
+        n_rows = len(row_alt)
+        row_alternative = tuple(alt_ids[a] for a in row_alt)
+        task_ptr = np.asarray(task_ptr, dtype=np.intp)
+        task_respondent = np.asarray(task_respondent, dtype=np.intp)
+        row_task = np.repeat(np.arange(len(task_respondent)), np.diff(task_ptr))
+        to_row = {"context": row_task, "demographic": task_respondent[row_task]}
+        row_levels = {n: np.asarray(levels[n], dtype=np.intp)[to_row.get(a.scope, slice(n_rows))]
+                      for n, a in attrs.items()}
+        row_alt = np.asarray(row_alt, dtype=np.intp)
+        owned = {aid: row_alt == a for a, aid in enumerate(alt_ids)}
+
+        X = np.zeros((n_rows, index.n_fixed))
+        for j, e in enumerate(fixed):
+            if e.kind == "asc":
+                X[owned[e.alternative], j] = 1.0
+                continue
+            attr, lv = attrs[e.attribute], row_levels[e.attribute]
+            rows = owned[e.alternative] if e.alternative is not None else lv >= 0
+            comp = 0 if attr.coding == "linear" else attr.level_index[e.level]
+            X[rows, j] = attr.codes[lv[rows], comp]
+
+        return cls(schema=schema, index=index, X=X, task_ptr=task_ptr, row_task=row_task,
+                   chosen_row=np.asarray(chosen_row, dtype=np.intp),
+                   task_respondent=task_respondent,
+                   respondent_ids=tuple(r.respondent_id for r in dataset.respondents),
+                   row_alternative=row_alternative)
+
 
 def code_dataset(dataset: ChoiceDataset, index: ParameterIndex | None = None) -> CodedPanel:
     """Code a dataset against a parameter index (defaults to the schema's)."""
-    schema = dataset.schema
-    if index is None:
-        index = build_parameter_index(schema)
-    if not dataset.respondents:
-        raise DatasetError("empty_dataset", "dataset has no respondents")
-    coder = _Coder(schema, index)
-
-    rows, ptr, chosen_rows, task_resp, row_alts = [], [0], [], [], []
-    for r_i, rec in enumerate(dataset.respondents):
-        for obs in rec.observations:
-            alts = obs.alternatives(schema)
-            start = ptr[-1]
-            for j, aid in enumerate(alts):
-                rows.append(coder.row(aid, obs.task_values, obs.alt_values[aid],
-                                      rec.demographics))
-                row_alts.append(aid)
-                if aid == obs.chosen:
-                    chosen_rows.append(start + j)
-            ptr.append(start + len(alts))
-            task_resp.append(r_i)
-
-    return CodedPanel(
-        schema=schema,
-        index=index,
-        X=np.vstack(rows),
-        task_ptr=np.asarray(ptr, dtype=np.intp),
-        chosen_row=np.asarray(chosen_rows, dtype=np.intp),
-        task_respondent=np.asarray(task_resp, dtype=np.intp),
-        respondent_ids=tuple(r.respondent_id for r in dataset.respondents),
-        row_alternative=tuple(row_alts),
-    )
+    return CodedPanel.from_dataset(dataset, index or build_parameter_index(dataset.schema))

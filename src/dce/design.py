@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DesignError
-from .schema import AttributeDef, ExperimentSchema, effects_code
+from .schema import AttributeDef, ExperimentSchema
 
 __all__ = [
     "Profile",
@@ -105,11 +105,6 @@ def _slot_name(alt_id: str | None, attr: AttributeDef) -> str:
     return attr.csv_column if alt_id is None else f"{alt_id}:{attr.csv_column}"
 
 
-def _slot_codes(attr: AttributeDef) -> np.ndarray:
-    """Level-index -> coded row, stacked (L, n_columns)."""
-    return np.vstack([effects_code(attr, lv.label) for lv in attr.levels])
-
-
 def full_factorial(schema: ExperimentSchema, alternative_id: str,
                    cap: int = FACTORIAL_CAP) -> list[dict[str, str]]:
     """All level combinations of one alternative's design attributes, in
@@ -140,18 +135,17 @@ def _assignment_matrix(design: BlockedDesign) -> np.ndarray:
         for s, (alt_id, attr) in enumerate(slots):
             label = run.context[attr.csv_column] if alt_id is None \
                 else run.alt_levels[alt_id][attr.csv_column]
-            A[r, s] = attr.level_labels().index(label)
+            A[r, s] = attr.level_index[label]
     return A
 
 
 def _coded_matrix(A: np.ndarray, slots) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Effects-coded run matrix and each slot's column range."""
+    """Coded run matrix and each slot's column range."""
     parts, ranges, start = [], [], 0
     for s, (_, attr) in enumerate(slots):
-        codes = _slot_codes(attr)
-        parts.append(codes[A[:, s]])
-        ranges.append((start, start + codes.shape[1]))
-        start += codes.shape[1]
+        parts.append(attr.codes[A[:, s]])
+        ranges.append((start, start + attr.n_columns))
+        start += attr.n_columns
     return np.hstack(parts), ranges
 
 
@@ -180,11 +174,14 @@ def _max_cross_correlation(X: np.ndarray, ranges) -> float:
 def design_diagnostics(design: BlockedDesign) -> DesignDiagnostics:
     if design.n_runs == 0:
         raise DesignError("empty_design", "design has no runs")
-    slots = _slots(design.schema)
-    A = _assignment_matrix(design)
+    return _diagnostics(_assignment_matrix(design), _slots(design.schema))
+
+
+def _diagnostics(A: np.ndarray, slots) -> DesignDiagnostics:
+    """Diagnostics of the runs whose level indices are A (runs x slots)."""
     X, ranges = _coded_matrix(A, slots)
     balance = {}
-    n = design.n_runs
+    n = A.shape[0]
     for s, (alt_id, attr) in enumerate(slots):
         counts = np.bincount(A[:, s], minlength=attr.n_levels)
         balance[_slot_name(alt_id, attr)] = float(np.max(np.abs(counts - n / attr.n_levels)))
@@ -209,14 +206,6 @@ def within_block_deviation(design: BlockedDesign) -> float:
             counts = np.bincount(sub[:, s], minlength=attr.n_levels)
             worst = max(worst, float(np.max(np.abs(counts - size / attr.n_levels))))
     return worst
-
-
-def _finalize(schema: ExperimentSchema, runs, blocks, seed) -> BlockedDesign:
-    placeholder = DesignDiagnostics({}, 0.0, 0.0)
-    draft = BlockedDesign(schema=schema, runs=runs, blocks=blocks, seed=seed,
-                          diagnostics=placeholder)
-    return BlockedDesign(schema=schema, runs=runs, blocks=blocks, seed=seed,
-                         diagnostics=design_diagnostics(draft))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +341,9 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
         if best is None or d_cur > best[0]:
             best = (d_cur, restart, A.copy())
 
-    runs = _profiles_from_assignment(best[2], slots)
-    return _finalize(schema, runs, (tuple(range(n_runs)),), seed)
+    return BlockedDesign(schema=schema, runs=_profiles_from_assignment(best[2], slots),
+                         blocks=(tuple(range(n_runs)),), seed=seed,
+                         diagnostics=_diagnostics(best[2], slots))
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +478,21 @@ def read_design_csv(path: str | Path, schema: ExperimentSchema) -> BlockedDesign
         missing = [c for c in ("run_id", "block_id", *names) if c not in reader.fieldnames]
         if missing:
             raise DesignError("missing_column", f"{path}: missing columns {missing}")
-        runs, block_keys = [], []
+        assignment, block_keys = [], []
         for n, row in enumerate(reader, start=2):
-            alt_levels: dict[str, dict[str, str]] = {}
-            context: dict[str, str] = {}
-            for (alt_id, attr), col in zip(slots, names):
+            levels = []
+            for (_, attr), col in zip(slots, names):
                 label = (row.get(col) or "").strip()
-                if label not in attr.level_labels():
+                if label not in attr.level_index:
                     raise DesignError("unknown_level",
                                       f"{path} row {n}: {label!r} is not a level of "
                                       f"{attr.name}")
-                if alt_id is None:
-                    context[attr.csv_column] = label
-                else:
-                    alt_levels.setdefault(alt_id, {})[attr.csv_column] = label
-            runs.append(Profile(alt_levels=alt_levels, context=context))
+                levels.append(attr.level_index[label])
+            assignment.append(levels)
             block_keys.append((row.get("block_id") or "").strip())
-    if not runs:
+    if not assignment:
         raise DesignError("empty_design", f"{path}: no runs")
+    A = np.array(assignment, dtype=np.intp)
     unique = list(dict.fromkeys(block_keys))
     try:
         unique.sort(key=int)
@@ -513,4 +500,5 @@ def read_design_csv(path: str | Path, schema: ExperimentSchema) -> BlockedDesign
         unique.sort()
     blocks = tuple(tuple(i for i, k in enumerate(block_keys) if k == key)
                    for key in unique)
-    return _finalize(schema, tuple(runs), blocks, None)
+    return BlockedDesign(schema=schema, runs=_profiles_from_assignment(A, slots),
+                         blocks=blocks, seed=None, diagnostics=_diagnostics(A, slots))

@@ -56,11 +56,6 @@ def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _row_task(panel: CodedPanel) -> np.ndarray:
-    """Task index of every coded row."""
-    return np.searchsorted(panel.task_ptr, np.arange(panel.n_rows), side="right") - 1
-
-
 class _MslWork:
     """Shared buffers for one (panel, draws) pair, reused across evaluations.
 
@@ -107,9 +102,8 @@ class _MslWork:
         self.shape = (panel.n_respondents, int(task_pos.max()) + 1,
                       int(panel.task_sizes.max()))
         n_r, n_t, n_j = self.shape
-        row_task = _row_task(panel)
-        self.cell = (panel.task_respondent * n_t + task_pos)[row_task] * n_j \
-            + np.arange(panel.n_rows) - panel.task_ptr[row_task]
+        self.cell = (panel.task_respondent * n_t + task_pos)[panel.row_task] * n_j \
+            + np.arange(panel.n_rows) - panel.task_ptr[panel.row_task]
         self.chosen_cell = np.arange(0, n_r * n_t * n_j, n_j)
         self.chosen_cell[self.cell[panel.chosen_row] // n_j] = self.cell[panel.chosen_row]
         self.offset = np.full((n_r * n_t * n_j, 1), -np.inf)
@@ -138,7 +132,7 @@ class _MslWork:
 
     def _non_finite(self, row_finite):
         """Raise for the first coded row whose utility is not finite."""
-        task = _row_task(self.panel)[np.flatnonzero(~row_finite)[0]]
+        task = self.panel.row_task[np.flatnonzero(~row_finite)[0]]
         raise EstimationError("non_finite_utility", f"non-finite utility at task index {task}")
 
     def _map(self, worker, spans):
@@ -337,7 +331,7 @@ def mnl_gradient(params: np.ndarray, panel: CodedPanel) -> np.ndarray:
 def check_identification(panel: CodedPanel) -> None:
     """Every coded column must vary within at least one task; a column
     constant within every task cancels out of all probabilities."""
-    dead = np.all(panel.X == panel.X[panel.task_ptr[_row_task(panel)]], axis=0)
+    dead = np.all(panel.X == panel.X[panel.task_ptr[panel.row_task]], axis=0)
     if np.any(dead):
         names = [panel.index.entries[i].name for i in np.flatnonzero(dead)]
         raise EstimationError("degenerate_column",

@@ -198,9 +198,8 @@ def wtp(result: EstimationResult, schema: ExperimentSchema, attribute: str,
 
     if levels is not None:
         to_label, from_label = levels
-        known = attr.level_labels()
         for lab in (to_label, from_label):
-            if lab not in known:
+            if lab not in attr.level_index:
                 raise PostestError("unknown_level",
                                    f"{attribute!r} has no level {lab!r}")
         delta = (_level_coefficient(result, schema, attr, owner, to_label)

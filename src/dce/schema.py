@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,34 +112,42 @@ class AttributeDef:
     def level_labels(self) -> tuple[str, ...]:
         return tuple(l.label for l in self.levels)
 
-    def level(self, label: str) -> Level:
-        for l in self.levels:
-            if l.label == label:
-                return l
-        raise SchemaError("unknown_level",
-                          f"attribute {self.name}: unknown level {label!r}")
+    @cached_property
+    def level_index(self) -> dict[str, int]:
+        """Label -> position in ``levels`` (labels are unique in a valid schema)."""
+        return {l.label: i for i, l in enumerate(self.levels)}
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only code table, (n_levels, n_columns): row i codes level i.
+
+        Effects coding gives level i < L-1 the unit vector e_i and the base
+        (last listed) level -1 in every column; linear coding gives each
+        level its numeric value.
+        """
+        if self.coding == "effects":
+            table = np.vstack([np.eye(self.n_levels - 1), -np.ones(self.n_levels - 1)])
+        else:
+            for l in self.levels:
+                if l.value is None:
+                    raise SchemaError("missing_value", f"attribute {self.name}: level "
+                                                       f"{l.label!r} has no numeric value")
+            table = np.array([[l.value] for l in self.levels], dtype=np.float64)
+        table.flags.writeable = False
+        return table
 
 
 def effects_code(attribute: AttributeDef, label: str) -> np.ndarray:
-    """Code one level of an attribute.
+    """Code one level of an attribute: its read-only row of ``attribute.codes``.
 
     Effects coding returns a length L-1 vector: unit vector for a non-base
     level, all -1 for the base (last listed) level. Linear coding returns the
     level's numeric value as a length-1 vector.
     """
-    lv = attribute.level(label)
-    if attribute.coding == "linear":
-        if lv.value is None:
-            raise SchemaError("missing_value",
-                              f"attribute {attribute.name}: level {label!r} has no numeric value")
-        return np.array([lv.value], dtype=np.float64)
-    pos = attribute.level_labels().index(label)
-    code = np.zeros(attribute.n_levels - 1, dtype=np.float64)
-    if pos == attribute.n_levels - 1:
-        code[:] = -1.0
-    else:
-        code[pos] = 1.0
-    return code
+    if label not in attribute.level_index:
+        raise SchemaError("unknown_level",
+                          f"attribute {attribute.name}: unknown level {label!r}")
+    return attribute.codes[attribute.level_index[label]]
 
 
 @dataclass(frozen=True)
@@ -175,13 +184,8 @@ class ExperimentSchema:
 
     def design_attributes(self, alt_id: str) -> tuple[AttributeDef, ...]:
         """Attributes whose levels vary run-by-run for this alternative."""
-        out = []
-        for a in self.attributes:
-            if a.scope == "alternative_specific" and self.applies(a, alt_id):
-                out.append(a)
-            elif a.scope == "shared" and self.applies(a, alt_id):
-                out.append(a)
-        return tuple(out)
+        return tuple(a for a in self.attributes
+                     if a.scope in ("alternative_specific", "shared") and self.applies(a, alt_id))
 
     def context_attributes(self) -> tuple[AttributeDef, ...]:
         return tuple(a for a in self.attributes if a.scope == "context")

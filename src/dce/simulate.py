@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ChoiceDataset, Observation, RespondentRecord, _Coder, code_dataset
+from .dataset import ChoiceDataset, CodedPanel, Observation, RespondentRecord, code_dataset
 from .design import BlockedDesign
 from .errors import DceError, SimulationError
 from .fixtures import table3_demographic_weights
@@ -101,7 +101,15 @@ _DEMOGRAPHICS, _BLOCK, _DEVIATIONS, _GUMBEL = range(4)
 
 
 def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
-    """Generate a ChoiceDataset from known parameters, deterministic in seed."""
+    """Generate a ChoiceDataset from known parameters, deterministic in seed.
+
+    Each respondent draws a demographic profile, a block and, under mixing,
+    deviations on the random coefficients. ``CodedPanel.from_dataset`` codes
+    each distinct (profile, run) pair once, as a task of all alternatives; a
+    task's utility is that block times the fixed coefficients plus its random
+    columns times the respondent's deviations, and the choice maximizes
+    utility plus standard Gumbel noise.
+    """
     schema = cfg.schema
     random_params = cfg.mixing.random_params if cfg.mixing else ()
     index = build_parameter_index(schema, tuple(random_params))
@@ -115,32 +123,24 @@ def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
     sds = cfg.true_params[k:]
     rp = index.positions(random_params) if random_params else np.zeros(0, dtype=np.intp)
 
-    coder = _Coder(schema, index)
     alt_ids = schema.alternative_ids()
-    n_alts = len(alt_ids)
     demo_tables = _resolve_weights(schema, cfg.demographic_weights)
     n_blocks = cfg.design.n_blocks
-    utility_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def run_utilities(run_idx: int, demo_key: tuple, demographics: dict):
-        cached = utility_cache.get((run_idx, demo_key))
-        if cached is not None:
-            return cached
+    def observation(run_idx: int, block_id: str, chosen: str) -> Observation:
         run = cfg.design.runs[run_idx]
-        rows = np.stack([coder.row(a, run.context, run.alt_levels[a], demographics)
-                         for a in alt_ids])
-        value = (rows @ mean, rows[:, rp])
-        utility_cache[(run_idx, demo_key)] = value
-        return value
+        return Observation(task_id=f"run{run_idx + 1}", block_id=block_id,
+                           task_values=dict(run.context),
+                           alt_values={a: dict(run.alt_levels[a]) for a in alt_ids},
+                           chosen=chosen)
 
-    respondents = []
+    people = []
     for i in range(cfg.n_respondents):
         demographics = {}
         rng_demo = _rng(cfg.seed, i, _DEMOGRAPHICS)
         for column, labels, cum in demo_tables:
             u = rng_demo.random()
             demographics[column] = labels[int(np.searchsorted(cum, u, side="right"))]
-        demo_key = tuple(sorted(demographics.items()))
 
         if cfg.block_assignment == "balanced":
             block = i % n_blocks
@@ -151,21 +151,29 @@ def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
         if len(rp):
             z = _rng(cfg.seed, i, _DEVIATIONS).standard_normal(len(rp))
             dev = z * sds
+        people.append((demographics, tuple(sorted(demographics.items())), block, dev))
 
+    # each distinct (profile, run) pair, coded once as a respondent with one
+    # task; not through code_dataset, whose calls from this module
+    # benchmarks/spans.py times as the coding layer
+    pairs = dict.fromkeys((profile, r) for _, profile, block, _ in people
+                          for r in cfg.design.blocks[block])
+    coded = CodedPanel.from_dataset(ChoiceDataset(schema, tuple(
+        RespondentRecord(str(t), dict(profile), (observation(r, "", alt_ids[0]),))
+        for t, (profile, r) in enumerate(pairs))), index)
+    utilities = {pair: (rows @ mean, rows[:, rp])
+                 for pair, rows in zip(pairs, np.split(coded.X, coded.task_ptr[1:-1]))}
+
+    respondents = []
+    for i, (demographics, profile, block, dev) in enumerate(people):
         rng_gumbel = _rng(cfg.seed, i, _GUMBEL)
         observations = []
         for run_idx in cfg.design.blocks[block]:
-            base, x_rp = run_utilities(run_idx, demo_key, demographics)
+            base, x_rp = utilities[profile, run_idx]
             v = base + x_rp @ dev if len(rp) else base
-            eps = -np.log(-np.log(rng_gumbel.random(n_alts)))
-            chosen = alt_ids[int(np.argmax(v + eps))]
-            run = cfg.design.runs[run_idx]
-            observations.append(Observation(
-                task_id=f"run{run_idx + 1}",
-                block_id=str(block + 1),
-                task_values=dict(run.context),
-                alt_values={a: dict(run.alt_levels[a]) for a in alt_ids},
-                chosen=chosen))
+            eps = -np.log(-np.log(rng_gumbel.random(len(alt_ids))))
+            observations.append(observation(run_idx, str(block + 1),
+                                            alt_ids[int(np.argmax(v + eps))]))
         respondents.append(RespondentRecord(
             respondent_id=f"r{i + 1}",
             demographics=demographics,

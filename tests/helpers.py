@@ -4,8 +4,10 @@ import numpy as np
 
 from dce import (
     AlternativeDef,
+    AttributeDef,
     ChoiceDataset,
     ExperimentSchema,
+    Level,
     MixingSpec,
     Observation,
     RespondentRecord,
@@ -28,6 +30,21 @@ def binary_asc_schema() -> ExperimentSchema:
             AlternativeDef("a", label="A", is_reference=True),
         ),
         attributes=(),
+    )
+
+
+def linear_schema() -> ExperimentSchema:
+    """Alternative a carries a linear price; a linear wait is shared by a and b."""
+    return ExperimentSchema(
+        name="linear",
+        alternatives=(AlternativeDef("a"), AlternativeDef("b", is_reference=True)),
+        attributes=(
+            AttributeDef("price", "alternative_specific",
+                         (Level("lo", 1.5), Level("mid", 2.5), Level("hi", 4.0)),
+                         applies_to=("a",), coding="linear"),
+            AttributeDef("wait", "shared", (Level("short", 10.0), Level("long", 25.0)),
+                         coding="linear"),
+        ),
     )
 
 

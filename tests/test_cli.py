@@ -13,6 +13,9 @@ from dce import EstimationResult
 from dce.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
+# `python -m` puts its working directory first on sys.path, so a child run
+# from here imports this checkout's package with or without an install
+SRC = REPO / "src"
 LABELS_SCHEMA = str(REPO / "schemas" / "drone_delivery_japan_table4_labels.json")
 MMNL_FIXTURE = str(REPO / "fixtures" / "table4_mmnl.json")
 
@@ -243,7 +246,7 @@ class TestSubprocess:
     def test_module_entry_point(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "dce.cli", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=SRC)
         assert proc.returncode == 0
 
     def test_exit_code_propagates(self, workdir):
@@ -251,7 +254,7 @@ class TestSubprocess:
             [sys.executable, "-m", "dce.cli", "design",
              "--schema", LABELS_SCHEMA, "--runs", "32", "--blocks", "5",
              "-o", str(workdir / "y.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=SRC)
         assert proc.returncode == 2
         assert "bad_blocking" in proc.stderr
 

@@ -1,10 +1,15 @@
 """Ingestion, screening, effects coding of long-format choice data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dce import (
+    ChoiceDataset,
     DatasetError,
+    Observation,
+    RespondentRecord,
     ScreeningRules,
     build_parameter_index,
     code_dataset,
@@ -14,7 +19,7 @@ from dce import (
     write_choices_csv,
 )
 
-from helpers import binary_asc_dataset
+from helpers import binary_asc_dataset, linear_schema
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +209,70 @@ class TestCoding:
         assert panel.n_tasks == 100
         chosen_asc = panel.X[panel.chosen_row, 0]
         assert chosen_asc.sum() == 75
+
+    @pytest.mark.parametrize("fixture", ["panel50", "ragged_panel"])
+    def test_matches_per_row_oracle(self, fixture, request):
+        """Every entry equals the one coded row by row from effects_code
+        and the index's entries."""
+        data = request.getfixturevalue(fixture)
+        dataset, panel = data["dataset"], data["panel"]
+        schema, entries = dataset.schema, panel.index.entries
+        rows = []
+        for rec in dataset.respondents:
+            for obs in rec.observations:
+                for aid in obs.alternatives(schema):
+                    row = []
+                    for e in entries[:panel.index.n_fixed]:
+                        if e.alternative not in (None, aid):
+                            row.append(0.0)
+                            continue
+                        if e.kind == "asc":
+                            row.append(1.0)
+                            continue
+                        attr = schema.attribute(e.attribute)
+                        source = {"context": obs.task_values,
+                                  "demographic": rec.demographics}.get(e.kind, obs.alt_values[aid])
+                        comp = 0 if attr.coding == "linear" else attr.level_labels().index(e.level)
+                        row.append(effects_code(attr, source[attr.csv_column])[comp])
+                    rows.append(row)
+        np.testing.assert_array_equal(panel.X, np.array(rows))
+        np.testing.assert_array_equal(
+            panel.row_task, np.repeat(np.arange(panel.n_tasks), panel.task_sizes))
+
+    def test_unknown_level_is_typed(self, panel50):
+        """A dataset built in code may hold a label its attribute lacks."""
+        dataset = panel50["dataset"]
+        first, *rest = dataset.respondents
+        obs = first.observations[2]
+        drone = dict(obs.alt_values["drone"], delivery_cost="999")
+        obs = replace(obs, alt_values=dict(obs.alt_values, drone=drone))
+        first = replace(first, observations=(*first.observations[:2], obs,
+                                             *first.observations[3:]))
+        with pytest.raises(DatasetError) as err:
+            code_dataset(replace(dataset, respondents=(first, *rest)))
+        assert err.value.code == "unknown_level"
+        for part in ("delivery_cost_drone", "'999'", repr(first.respondent_id),
+                     repr(obs.task_id)):
+            assert part in err.value.message
+
+    def test_linear_coding(self):
+        """A linear attribute codes its level's value on the rows it reaches
+        and 0 elsewhere."""
+        schema = linear_schema()
+        price = {l.label: l.value for l in schema.attribute("price").levels}
+        wait = {l.label: l.value for l in schema.attribute("wait").levels}
+        tasks = [("lo", "short", "long", "a"), ("hi", "long", "long", "b"),
+                 ("mid", "long", "short", "a")]
+        dataset = ChoiceDataset(schema, (RespondentRecord("r1", {}, tuple(
+            Observation(f"t{t}", "1", {},
+                        {"a": {"price": p, "wait": wa}, "b": {"wait": wb}}, chosen)
+            for t, (p, wa, wb, chosen) in enumerate(tasks))),))
+        panel = code_dataset(dataset)
+        assert panel.index.names() == ("asc_a", "price", "wait")
+        want = []
+        for p, wa, wb, _ in tasks:
+            want += [[1.0, price[p], wait[wa]], [0.0, 0.0, wait[wb]]]
+        np.testing.assert_array_equal(panel.X, want)
+        assert panel.row_alternative == ("a", "b") * 3
+        np.testing.assert_array_equal(panel.chosen_row, [0, 3, 4])
+

@@ -14,6 +14,8 @@ from dce import (
     write_design_csv,
 )
 
+from helpers import linear_schema
+
 # frozen from the first verified run of select_fraction(default, 64, seed=7)
 FROZEN_D_EFF_64_SEED7 = 0.4873273045612155
 
@@ -64,6 +66,18 @@ class TestSelectFraction:
                                  restarts=1)
         assert max(design.diagnostics.level_balance.values()) <= 1.0
 
+    def test_linear_slots_code_their_values(self):
+        """Diagnostics of a design with linear slots use the level values."""
+        schema = linear_schema()
+        design = select_fraction(schema, 6, seed=0, iters=50)
+        value = {a.name: {l.label: l.value for l in a.levels} for a in schema.attributes}
+        X = np.array([[value["price"][run.alt_levels["a"]["price"]],
+                       value["wait"][run.alt_levels["a"]["wait"]],
+                       value["wait"][run.alt_levels["b"]["wait"]]] for run in design.runs])
+        want = np.linalg.det(X.T @ X / 6) ** (1 / 3)
+        assert design.diagnostics.d_efficiency == pytest.approx(want, rel=1e-12)
+        assert design_diagnostics(design) == design.diagnostics
+
     def test_infeasible_run_count(self, schema_default):
         with pytest.raises(DesignError) as err:
             select_fraction(schema_default, 24, seed=0, iters=10, restarts=1)
@@ -110,6 +124,7 @@ class TestDesignCsv:
         d0 = design_diagnostics(blocked)
         d1 = design_diagnostics(clone)
         assert d1.d_efficiency == pytest.approx(d0.d_efficiency, abs=1e-12)
+        assert clone.diagnostics == design_diagnostics(clone) == d1
 
     def test_write_is_byte_deterministic(self, tmp_path, design32):
         blocked = block_design(design32, 4, seed=1)

@@ -1,5 +1,7 @@
 """Synthetic respondent generation and recovery harness."""
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
@@ -37,6 +39,25 @@ class TestDeterminism:
         cfg = panel50["cfg"]
         again = simulate_dataset(cfg)
         assert again == panel50["dataset"]
+
+    def test_panel50_bytes_are_pinned(self, panel50):
+        """SHA-256 of panel50's simulated dataset and of its coded panel, so
+        a change that flips one simulated choice or one coded entry fails
+        here."""
+        rows = [[r.respondent_id, r.demographics, r.extra,
+                 [[o.task_id, o.block_id, o.task_values, o.alt_values, o.chosen]
+                  for o in r.observations]]
+                for r in panel50["dataset"].respondents]
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            "6640395430f9fac16a01c9f717ff1260c3673e9476f249a7088dbc9285f7b752"
+        panel = panel50["panel"]
+        h = hashlib.sha256()
+        for a, dtype in ((panel.X, "<f8"), (panel.task_ptr, "<i8"),
+                         (panel.chosen_row, "<i8"), (panel.task_respondent, "<i8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        assert h.hexdigest() == \
+            "a0366c4f21a4e4e10a804f830c2dc3bec700b1e4326bf9b80fd008584256e582"
 
     def test_different_seed_differs(self, design32, panel50):
         cfg = panel50["cfg"]
