@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .dataset import code_dataset, ingest_choices, write_choices_csv
-from .design import (block_design, design_diagnostics, read_design_csv,
-                     select_fraction, within_block_deviation, write_design_csv)
+from .design import (block_design, read_design_csv, select_fraction,
+                     within_block_deviation, write_design_csv)
 from .errors import DceError
 from .fixtures import builtin_fixture, builtin_schema
 from .mmnl import MixingSpec, estimate_mmnl
@@ -143,13 +143,14 @@ def _cmd_design(args) -> int:
     design = block_design(design, args.blocks, seed=args.seed)
     write_design_csv(design, args.output)
     manifest.add_output(args.output)
-    diag = design_diagnostics(design)
+    diag = design.diagnostics
+    deviation = within_block_deviation(design)
     manifest.extra["seeds"] = {"design": args.seed}
     manifest.extra["diagnostics"] = {
         "d_efficiency": diag.d_efficiency,
         "max_abs_column_correlation": diag.max_abs_column_correlation,
         "max_level_imbalance": diag.max_level_imbalance,
-        "within_block_deviation": within_block_deviation(design),
+        "within_block_deviation": deviation,
         "singular": diag.singular,
     }
     mpath = manifest.write(args.output)
@@ -157,7 +158,7 @@ def _cmd_design(args) -> int:
     print(f"d-efficiency {diag.d_efficiency:.4f}, "
           f"max |column correlation| {diag.max_abs_column_correlation:.4f}, "
           f"level imbalance {diag.max_level_imbalance}, "
-          f"within-block deviation {within_block_deviation(design):.1f}")
+          f"within-block deviation {deviation:.1f}")
     print(f"manifest: {mpath}")
     return EXIT_OK
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, SchemaError
+from .errors import DatasetError
 from .schema import AttributeDef, ExperimentSchema, ParameterIndex, build_parameter_index
 
 __all__ = [
@@ -169,7 +169,14 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
     known = set(_CORE_COLUMNS) | set(context_cols) | set(design_cols) | set(demo_cols)
     extra_cols = [c for c in header if c not in known]
 
-    alt_ids = set(schema.alternative_ids())
+    # each alternative's design columns, in design_cols order, with the
+    # attribute that fills each: the first applicable one in schema order
+    alt_design: dict[str, list[tuple[str, AttributeDef]]] = {}
+    for alt_id in schema.alternative_ids():
+        fills: dict[str, AttributeDef] = {}
+        for attr in schema.design_attributes(alt_id):
+            fills.setdefault(attr.csv_column, attr)
+        alt_design[alt_id] = [(col, fills[col]) for col in design_cols if col in fills]
     task_level_attrs = [(a.csv_column, a) for a in schema.context_attributes()]
     # respondent -> task -> accumulated rows; insertion order preserved
     per_resp: dict[str, dict[str, dict]] = {}
@@ -183,7 +190,7 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
         if not rid or not tid or not aid:
             raise DatasetError("missing_column",
                                f"blank respondent_id/task_id/alt_id", row=n)
-        if aid not in alt_ids:
+        if aid not in alt_design:
             raise DatasetError("unknown_alternative", f"alternative {aid!r}", row=n)
 
         chosen_raw = (row.get("chosen") or "").strip()
@@ -211,11 +218,7 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
 
         # design columns, validated against the attribute that fills each
         alt_vals: dict[str, str] = {}
-        for col in design_cols:
-            try:
-                attr = schema.attribute_for_column(col, aid)
-            except SchemaError:
-                continue  # column not applicable to this alternative
+        for col, attr in alt_design[aid]:
             val = (row.get(col) or "").strip()
             _check_level(attr, col, val, n)
             alt_vals[col] = val

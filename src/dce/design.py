@@ -195,17 +195,18 @@ def _diagnostics(A: np.ndarray, slots) -> DesignDiagnostics:
 
 
 def within_block_deviation(design: BlockedDesign) -> float:
-    """Max over blocks, slots, levels of |count - block_size/L|."""
+    """Max over blocks, slots, levels of |count - block_size/L|, each block
+    against its own size (a design read from CSV may have unequal blocks)."""
     slots = _slots(design.schema)
     A = _assignment_matrix(design)
-    worst = 0.0
-    for members in design.blocks:
-        sub = A[list(members)]
-        size = len(members)
-        for s, (_, attr) in enumerate(slots):
-            counts = np.bincount(sub[:, s], minlength=attr.n_levels)
-            worst = max(worst, float(np.max(np.abs(counts - size / attr.n_levels))))
-    return worst
+    n_levels = np.array([attr.n_levels for _, attr in slots], dtype=np.intp)
+    s = np.arange(len(slots))
+    C = np.zeros((design.n_blocks, len(slots), n_levels.max(initial=0)), dtype=np.int64)
+    for b, members in enumerate(design.blocks):
+        np.add.at(C[b], (s, A[list(members)]), 1)
+    sizes = np.array([len(members) for members in design.blocks])
+    dev = np.abs(C - sizes[:, None, None] / n_levels[:, None])
+    return float(dev[:, np.arange(C.shape[2]) < n_levels[:, None]].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +354,24 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
 def block_design(design: BlockedDesign, n_blocks: int, seed: int,
                  restarts: int = 8) -> BlockedDesign:
     """Partition runs into equal blocks minimizing within-block level
-    imbalance, measured as the sum over blocks, slots, levels of
-    (count - block_size/L)^2 (quadratic, so one badly overfull cell costs
-    more than several near-misses). Each restart runs seeded greedy
-    sequential placement, then cross-block pair swaps to a local minimum;
-    the lowest-objective restart wins, ties to the lowest restart index.
-    Deterministic given seed."""
+    imbalance, the sum over blocks, slots, levels of (count - block_size/L)^2
+    (quadratic, so one badly overfull cell costs more than several
+    near-misses). With equal blocks every (block, slot) count row sums to the
+    block size, so this equals the sum of squared counts less a constant, and
+    the search compares exact integers: no tolerances. Each restart runs
+    seeded greedy sequential placement (ties to the lowest block), then
+    cross-block pair swaps to a local minimum; the lowest-objective restart
+    wins, ties to the lowest restart index. Deterministic given seed."""
     n = design.n_runs
     if n % n_blocks:
         raise DesignError("non_divisible", f"{n_blocks} blocks must divide {n} runs")
-    size = n // n_blocks
-    slots = _slots(design.schema)
     A = _assignment_matrix(design)
 
-    best: tuple[float, np.ndarray] | None = None
+    best: tuple[int, np.ndarray] | None = None
     for restart in range(restarts):
-        assign, objective = _block_once(A, slots, n_blocks, size,
+        assign, objective = _block_once(A, n_blocks, n // n_blocks,
                                         np.random.default_rng([seed, restart]))
-        if best is None or objective < best[0] - 1e-9:
+        if best is None or objective < best[0]:
             best = (objective, assign)
 
     blocks = tuple(tuple(int(i) for i in np.flatnonzero(best[1] == b))
@@ -379,71 +380,49 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int,
                          seed=seed, diagnostics=design.diagnostics)
 
 
-def _block_once(A: np.ndarray, slots, n_blocks: int, size: int, rng):
-    n = A.shape[0]
-    n_slots = len(slots)
-    targets = np.array([size / attr.n_levels for _, attr in slots])
-    counts = [[np.zeros(slots[s][1].n_levels) for s in range(n_slots)]
-              for b in range(n_blocks)]
-    room = [size] * n_blocks
+def _block_once(A: np.ndarray, n_blocks: int, size: int, rng) -> tuple[np.ndarray, int]:
+    """One restart: block of each run and the sum of squared level counts."""
+    n, n_slots = A.shape
+    s = np.arange(n_slots)
+    C = np.zeros((n_blocks, n_slots, A.max(initial=0) + 1), dtype=np.int64)
+    room = np.full(n_blocks, size)
     assign = np.empty(n, dtype=np.intp)
 
     # greedy: place runs in seeded order where they add least imbalance
     for i in rng.permutation(n):
-        best_b, best_cost = -1, None
-        for b in range(n_blocks):
-            if room[b] == 0:
-                continue
-            cost = 0.0
-            for s in range(n_slots):
-                c = counts[b][s][A[i, s]]
-                cost += 2.0 * (c - targets[s]) + 1.0
-            if best_cost is None or cost < best_cost - 1e-12:
-                best_b, best_cost = b, cost
-        assign[i] = best_b
-        room[best_b] -= 1
-        for s in range(n_slots):
-            counts[best_b][s][A[i, s]] += 1
+        free = np.flatnonzero(room)
+        b = free[np.argmin(C[free[:, None], s, A[i]].sum(axis=1))]
+        assign[i] = b
+        room[b] -= 1
+        C[b, s, A[i]] += 1
 
-    def swap_delta(i, j):
-        # move run i to block bj and run j to block bi
-        bi, bj = assign[i], assign[j]
-        delta = 0.0
-        for s in range(n_slots):
-            li, lj = A[i, s], A[j, s]
-            if li == lj:
-                continue
-            t = targets[s]
-            for b, gained, lost in ((bi, lj, li), (bj, li, lj)):
-                c = counts[b][s]
-                delta += 2.0 * (c[gained] - t) + 1.0
-                delta += -2.0 * (c[lost] - t) + 1.0
-        return delta
-
+    # swapping runs i and j changes sum(C^2) by 2*gain + 4 summed over the
+    # slots where their levels differ; a same-block pair scores 4 per such
+    # slot, never below zero, so it needs no mask. Swaps are taken in (i, j)
+    # order, each scored on the counts left by the last one.
     for _ in range(60):  # bounded improvement passes
         improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if assign[i] == assign[j]:
-                    continue
-                if swap_delta(i, j) < -1e-9:
-                    bi, bj = assign[i], assign[j]
-                    for s in range(n_slots):
-                        li, lj = A[i, s], A[j, s]
-                        counts[bi][s][li] -= 1
-                        counts[bi][s][lj] += 1
-                        counts[bj][s][lj] -= 1
-                        counts[bj][s][li] += 1
-                    assign[i], assign[j] = bj, bi
-                    improved = True
+        for i in range(n - 1):
+            j0 = i + 1
+            while j0 < n:
+                li, lj = A[i], A[j0:]
+                bi, bj = assign[i], assign[j0:, None]
+                gain = C[bi, s, lj] - C[bi, s, li] + C[bj, s, li] - C[bj, s, lj]
+                better = np.flatnonzero(((2 * gain + 4) * (li != lj)).sum(axis=1) < 0)
+                if not better.size:
+                    break
+                j = j0 + better[0]
+                bj = assign[j]
+                C[bi, s, li] -= 1
+                C[bi, s, A[j]] += 1
+                C[bj, s, A[j]] -= 1
+                C[bj, s, li] += 1
+                assign[i], assign[j] = bj, bi
+                improved = True
+                j0 = j + 1
         if not improved:
             break
-
-    objective = 0.0
-    for b in range(n_blocks):
-        for s in range(n_slots):
-            objective += float(np.sum((counts[b][s] - targets[s]) ** 2))
-    return assign, objective
+    return assign, int(np.sum(C * C))
 
 
 # ---------------------------------------------------------------------------

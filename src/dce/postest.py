@@ -19,7 +19,7 @@ from scipy.stats import chi2
 
 from .errors import PostestError
 from .results import EstimationResult
-from .schema import AttributeDef, ExperimentSchema
+from .schema import AttributeDef, ExperimentSchema, _block_prefix
 
 __all__ = ["FitStats", "LrTest", "CostSlope", "WtpEntry", "WtpReport",
            "ElasticityEntry", "ElasticityReport", "fit_stats", "lr_test",
@@ -89,15 +89,10 @@ def _cost_attribute(schema: ExperimentSchema, mode: str) -> AttributeDef:
     return numeric[0]
 
 
-def _block_prefix_for(schema: ExperimentSchema, attr: AttributeDef, mode: str | None) -> str:
-    if attr.scope == "shared" or (len(attr.applies_to) == 1):
-        return attr.name
-    return f"{attr.name}_{mode}"
-
-
-def _level_coefficient(result: EstimationResult, schema: ExperimentSchema,
-                       attr: AttributeDef, mode: str | None, label: str) -> float:
-    prefix = _block_prefix_for(schema, attr, mode)
+def _level_coefficient(result: EstimationResult, attr: AttributeDef,
+                       mode: str | None, label: str) -> float:
+    # a shared attribute has one block, whichever alternative asks
+    prefix = _block_prefix(attr, None if attr.scope == "shared" else mode)
     return result.coefficient(f"{prefix}:{label}")
 
 
@@ -115,7 +110,7 @@ def cost_slope(result: EstimationResult, schema: ExperimentSchema, mode: str) ->
     if np.ptp(yen) == 0:
         raise PostestError("zero_cost_variance",
                            f"{attr.name!r} levels all share one value")
-    coefs = np.array([_level_coefficient(result, schema, attr, mode, l.label)
+    coefs = np.array([_level_coefficient(result, attr, mode, l.label)
                       for l in attr.levels])
     x = yen - yen.mean()
     slope = float((x @ (coefs - coefs.mean())) / (x @ x))
@@ -202,11 +197,11 @@ def wtp(result: EstimationResult, schema: ExperimentSchema, attribute: str,
             if lab not in attr.level_index:
                 raise PostestError("unknown_level",
                                    f"{attribute!r} has no level {lab!r}")
-        delta = (_level_coefficient(result, schema, attr, owner, to_label)
-                 - _level_coefficient(result, schema, attr, owner, from_label))
+        delta = (_level_coefficient(result, attr, owner, to_label)
+                 - _level_coefficient(result, attr, owner, from_label))
     elif attr.n_levels == 2:
         lead = attr.levels[0].label
-        delta = 2.0 * _level_coefficient(result, schema, attr, owner, lead)
+        delta = 2.0 * _level_coefficient(result, attr, owner, lead)
         levels = (lead, attr.levels[-1].label)
     else:
         raise PostestError("ambiguous_levels",

@@ -193,17 +193,6 @@ class ExperimentSchema:
     def demographic_attributes(self) -> tuple[AttributeDef, ...]:
         return tuple(a for a in self.attributes if a.scope == "demographic")
 
-    def attribute_for_column(self, column: str, alt_id: str) -> AttributeDef:
-        """Resolve a long-format CSV design column to the attribute that fills
-        it for the given alternative."""
-        for a in self.attributes:
-            if a.scope in ("alternative_specific", "shared") and a.csv_column == column \
-                    and self.applies(a, alt_id):
-                return a
-        raise SchemaError("unknown_column",
-                          f"schema {self.name}: no design attribute fills column {column!r} "
-                          f"for alternative {alt_id!r}")
-
     def design_columns(self) -> tuple[str, ...]:
         """Long-format design columns in first-appearance order."""
         seen: list[str] = []

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from dce import EstimationResult
+from dce import (EstimationResult, ExperimentSchema, design_diagnostics, read_design_csv,
+                 within_block_deviation)
 from dce.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -72,6 +73,16 @@ class TestPipeline:
         assert m["diagnostics"]["max_level_imbalance"] == 0
         assert m["elapsed_seconds"] >= 0
         assert str(pipeline["paths"]["design"]) in m["outputs"]
+        design = read_design_csv(pipeline["paths"]["design"],
+                                 ExperimentSchema.load(LABELS_SCHEMA))
+        diag = design_diagnostics(design)
+        assert m["diagnostics"] == {
+            "d_efficiency": diag.d_efficiency,
+            "max_abs_column_correlation": diag.max_abs_column_correlation,
+            "max_level_imbalance": diag.max_level_imbalance,
+            "within_block_deviation": within_block_deviation(design),
+            "singular": diag.singular,
+        }
 
     def test_simulate_line_count(self, pipeline):
         lines = pipeline["paths"]["choices"].read_text().splitlines()

@@ -1,5 +1,7 @@
 """Fractional design search, blocking, diagnostics, CSV round trip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,58 @@ class TestBlocking:
         a = block_design(design, 4, seed=2)
         b = block_design(design, 4, seed=2)
         assert a.blocks == b.blocks
+
+    # block of each run, frozen from the first verified blocking; the
+    # 24-run design is the first 24 runs of the 32-run one, so the 4-level
+    # slots target 1.5 runs per level in each 6-run block
+    PINNED = {
+        ("32/4", 0): ("30100333200111232210122232310013", 1.0),
+        ("32/4", 1): ("10103321320110220320102212331303", 2.0),
+        ("32/4", 2): ("11233302121330000231322030101122", 2.0),
+        ("64/8", 0): ("1247750242150336061643357642150773321217050642454505064613377612", 1.0),
+        ("64/8", 1): ("5471125203411730634007366472525617725341125004310256643057766342", 1.0),
+        ("64/8", 2): ("2763065434621607150234170513275406172762160434633454150327170552", 1.0),
+        ("24/4", 0): ("232332002113210012003311", 1.5),
+        ("24/4", 1): ("301222331001213301232100", 1.5),
+        ("24/4", 2): ("322001331001103322031221", 2.5),
+        ("linear 12/4", 0): ("120322011033", 0.5),
+        ("linear 12/4", 1): ("233311120200", 0.5),
+        ("linear 12/4", 2): ("100313212023", 0.5),
+    }
+
+    @pytest.mark.parametrize("geometry,seed", sorted(PINNED))
+    def test_blocks_are_pinned(self, schema_default, geometry, seed):
+        if geometry == "linear 12/4":
+            design = select_fraction(linear_schema(), 12, seed=0, iters=50, restarts=1)
+        else:
+            n_runs = 64 if geometry == "64/8" else 32
+            design = select_fraction(schema_default, n_runs, seed=0, iters=200, restarts=1)
+            if geometry == "24/4":
+                design = replace(design, runs=design.runs[:24], blocks=(tuple(range(24)),))
+        n_blocks = int(geometry.split("/")[1])
+        blocked = block_design(design, n_blocks, seed=seed)
+        block_of, deviation = self.PINNED[geometry, seed]
+        assert blocked.blocks == tuple(
+            tuple(r for r, b in enumerate(block_of) if int(b) == k) for k in range(n_blocks))
+        assert within_block_deviation(blocked) == deviation
+
+    def test_deviation_of_unequal_blocks(self, tmp_path):
+        """Each block is measured against its own size: a wrong size (4, the
+        mean) would give |4 - 4/3| = 8/3."""
+        path = tmp_path / "design.csv"
+        path.write_text("run_id,block_id,a:price,a:wait,b:wait\n"
+                        "1,1,lo,short,short\n"
+                        "2,1,mid,short,long\n"
+                        "3,1,hi,long,short\n"
+                        "4,2,lo,short,short\n"
+                        "5,2,lo,short,short\n"
+                        "6,2,lo,short,short\n"
+                        "7,2,lo,long,short\n"
+                        "8,2,mid,long,long\n")
+        design = read_design_csv(path, linear_schema())
+        assert [len(b) for b in design.blocks] == [3, 5]
+        # block 2, price: 4 runs at lo against 5/3
+        assert within_block_deviation(design) == pytest.approx(7 / 3, abs=1e-12)
 
 
 class TestDesignCsv:

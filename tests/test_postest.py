@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from dce import (
+    AlternativeDef,
+    AttributeDef,
+    EstimationResult,
+    ExperimentSchema,
+    Level,
     PostestError,
+    build_parameter_index,
     cost_slope,
     elasticity_grid,
     fit_stats,
@@ -97,6 +103,23 @@ class TestCostSlope:
         # makes that (up to the implied base level) about zero
         cs = cost_slope(mmnl_fix, labels, "drone")
         assert cs.intercept == pytest.approx(0.0, abs=1e-9)
+
+    def test_shared_cost_attribute_reads_its_one_block(self):
+        schema = ExperimentSchema(
+            name="shared_fee",
+            alternatives=(AlternativeDef("a"), AlternativeDef("b", is_reference=True)),
+            attributes=(AttributeDef("fee", "shared",
+                                     (Level("lo", 100.0), Level("mid", 200.0),
+                                      Level("hi", 300.0))),),
+        )
+        index = build_parameter_index(schema)
+        assert index.names() == ("asc_a", "fee:lo", "fee:mid")
+        result = EstimationResult(index=index, params=np.array([0.3, 0.5, 0.1]),
+                                  ll_final=-1.0, ll_null=-2.0, converged=True,
+                                  iterations=1, model="mnl",
+                                  base_levels={"fee:hi": -0.6})
+        for mode in ("a", "b"):
+            assert cost_slope(result, schema, mode).slope == pytest.approx(-0.0055, abs=1e-15)
 
     def test_unknown_mode(self, mmnl_fix, labels):
         with pytest.raises(PostestError) as err:
