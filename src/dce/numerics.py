@@ -9,16 +9,16 @@ without a Hessian. ``hessian_from_grad`` is the finite-difference Hessian
 that the tests hold the analytic one against.
 
 Everything in this module is deterministic given its inputs; nothing reads
-global RNG state.
+global RNG state. It needs only numpy and the standard library's ``math``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import EstimationError
 
@@ -172,8 +172,9 @@ def _icdf_lower(u: np.ndarray) -> np.ndarray:
         den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         x[lo] = num / den
 
-    # Halley refinement; x <= 0 here so erfc sees a non-negative argument
-    e = 0.5 * erfc(-x / np.sqrt(2.0)) - u
+    # Halley refinement; x <= 0 here so erfc sees a non-negative argument.
+    # numpy has no erfc, so the C library's is called element by element.
+    e = 0.5 * np.fromiter(map(math.erfc, (-x / np.sqrt(2.0)).tolist()), np.float64, x.size) - u
     expo = np.minimum(x * x / 2.0, 700.0)
     t = e * np.sqrt(2.0 * np.pi) * np.exp(expo)
     return x - t / (1.0 + x * t / 2.0)
@@ -191,7 +192,7 @@ def inv_normal_cdf(u):
     arr = np.asarray(u, dtype=np.float64)
     if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0) | np.any(~np.isfinite(arr))):
         raise ValueError("inv_normal_cdf requires u in the open interval (0, 1)")
-    flat = np.atleast_1d(arr).astype(np.float64, copy=True)
+    flat = arr.reshape(-1).astype(np.float64, copy=True)
     upper = flat > 0.5
     flat[upper] = 1.0 - flat[upper]
     x = _icdf_lower(flat)
@@ -430,8 +431,7 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> np.ndarra
     near-null direction of H + lam*I found by inverse iteration. Only
     Cholesky factors and solves with them are used: an eigen-decomposition
     wakes OpenBLAS's worker threads, which keep spinning afterwards. The
-    solves are numpy's, because loading scipy.linalg's LAPACK wrappers
-    costs about 1 MB of resident memory.
+    factors and solves are ``np.linalg``'s, the package's only linear algebra.
     """
     n = g.size
     eye = np.eye(n)

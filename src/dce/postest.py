@@ -11,11 +11,11 @@ every elasticity report is labeled an extension.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import PostestError
 from .results import EstimationResult
@@ -50,16 +50,30 @@ def fit_stats(ll_final: float, ll_null: float, k: int) -> FitStats:
     return FitStats(1.0 - ll_final / ll_null, 1.0 - (ll_final - k) / ll_null)
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square upper tail Q(df/2, x/2) for integer df: with y = x/2 and
+    a = (df % 2)/2, the sum over k < df//2 of exp(-y) y^(a+k) / Gamma(a+k+1),
+    each term (at most 1) taken in logs, plus erfc(sqrt(y)) for odd df."""
+    y, a = x / 2.0, 0.5 * (df % 2)
+    if y == 0.0:
+        return 1.0
+    return min(1.0, math.fsum([math.erfc(math.sqrt(y))] * (df % 2) + [
+        math.exp((a + k) * math.log(y) - y - math.lgamma(a + k + 1.0))
+        for k in range(df // 2)]))
+
+
 def lr_test(ll_restricted: float, ll_full: float, df: int) -> LrTest:
     """Likelihood-ratio test of nested models, chi-square upper tail."""
-    if df < 1:
-        raise PostestError("bad_df", "df must be >= 1")
+    if not float(df).is_integer() or df < 1:
+        raise PostestError("bad_df", f"df must be an integer >= 1, got {df!r}")
+    if not (math.isfinite(ll_restricted) and math.isfinite(ll_full)):
+        raise PostestError("bad_loglik", "log likelihoods must be finite")
     if ll_full < ll_restricted:
         raise PostestError(
             "misordered_models",
             f"full model ll {ll_full} is below restricted ll {ll_restricted}")
     stat = 2.0 * (ll_full - ll_restricted)
-    return LrTest(stat, float(chi2.sf(stat, df)))
+    return LrTest(stat, _chi2_sf(stat, int(df)))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ estimates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import SchemaError
 from .schema import ExperimentSchema, ParameterIndex, ParamInfo, build_parameter_index
@@ -27,7 +27,7 @@ def two_sided_p(estimate: float, std_error: float) -> float:
     """Two-sided p-value against a standard normal reference."""
     if std_error <= 0 or not np.isfinite(std_error):
         return float("nan")
-    return float(erfc(abs(estimate / std_error) / np.sqrt(2.0)))
+    return math.erfc(abs(estimate / std_error) / math.sqrt(2.0))
 
 
 def implied_base_levels(schema: ExperimentSchema, index: ParameterIndex,

@@ -127,12 +127,17 @@ def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
     demo_tables = _resolve_weights(schema, cfg.demographic_weights)
     n_blocks = cfg.design.n_blocks
 
+    # one task record per (run, block label, choice), shared by every
+    # respondent who makes it; its dicts are copies, not the design's own
+    run_values = [(dict(run.context), {a: dict(run.alt_levels[a]) for a in alt_ids})
+                  for run in cfg.design.runs]
+    tasks: dict[tuple[int, str, str], Observation] = {}
+
     def observation(run_idx: int, block_id: str, chosen: str) -> Observation:
-        run = cfg.design.runs[run_idx]
-        return Observation(task_id=f"run{run_idx + 1}", block_id=block_id,
-                           task_values=dict(run.context),
-                           alt_values={a: dict(run.alt_levels[a]) for a in alt_ids},
-                           chosen=chosen)
+        key = (run_idx, block_id, chosen)
+        if key not in tasks:
+            tasks[key] = Observation(f"run{run_idx + 1}", block_id, *run_values[run_idx], chosen)
+        return tasks[key]
 
     people = []
     for i in range(cfg.n_respondents):

@@ -269,6 +269,16 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert "bad_blocking" in proc.stderr
 
+    def test_imports_load_no_scipy(self):
+        # numpy is the only runtime dependency
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dce, dce.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, cwd=SRC)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script_if_installed(self, workdir):
         exe = shutil.which("dce")
         if exe is None:

@@ -1,8 +1,12 @@
 """Halton sequences, inverse normal CDF, BFGS, trust-region Newton, and finite
 differences."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dce import (
     EstimationError,
@@ -43,6 +47,9 @@ INV_CDF_ORACLE = {
     "0.999999": 4.75342430882289894819,
     "0.9999999999": 6.3613409024040562047,
 }
+
+UNIT = st.floats(min_value=1e-12, max_value=1 - 1e-12)
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 
 class TestHalton:
@@ -111,6 +118,27 @@ class TestInverseNormalCdf:
         for u in (0.001, 0.02425, 0.1, 0.31, 0.49):
             assert inv_normal_cdf(1 - u) == pytest.approx(
                 -inv_normal_cdf(u), abs=1e-13)
+
+    @PROPERTY
+    @given(u=st.lists(UNIT, min_size=2, max_size=40))
+    def test_monotone(self, u):
+        # non-decreasing up to the few-ulp accuracy of each quantile: adjacent
+        # doubles can step back by up to 2 ulp of max(|z|, 1)
+        z = inv_normal_cdf(np.sort(u))
+        assert np.all(np.diff(z) >= -4 * np.spacing(np.maximum(np.abs(z[1:]), 1.0)))
+
+    @PROPERTY
+    @given(u=UNIT)
+    def test_symmetry_property(self, u):
+        # 1 - (1 - u) is u rounded to a double whose complement is exact
+        v = 1.0 - u
+        assert inv_normal_cdf(v) == pytest.approx(-inv_normal_cdf(1.0 - v), abs=1e-13)
+
+    @PROPERTY
+    @given(u=st.floats(min_value=1e-12, max_value=0.5))
+    def test_round_trips_through_erfc(self, u):
+        z = inv_normal_cdf(u)
+        assert 0.5 * math.erfc(-z / math.sqrt(2.0)) == pytest.approx(u, rel=1e-12, abs=0)
 
     def test_vectorized_matches_scalar(self):
         u = np.array([0.1, 0.5, 0.9])

@@ -20,9 +20,39 @@ from dce import (
     table4_labels_schema,
     table4_mmnl,
     table4_mnl,
+    two_sided_p,
     wtp,
     wtp_report,
 )
+
+
+# p-values frozen from scipy 1.17.1 (scipy.stats.chi2.sf and
+# scipy.special.erfc), which dce no longer imports
+LR_ORACLE = [  # (df, statistic, p) for lr_test(-1000, -1000 + statistic / 2, df)
+    (1, 0.5, 0.47950012218695337),
+    (1, 3.841458820694124, 0.050000000000003146),
+    (1, 30.0, 4.3204630578274955e-08),
+    (2, 5.99, 0.05003662708658605),
+    (2, 547.8, 1.1136312432584584e-119),
+    (3, 7.5, 0.0575584519726364),
+    (3, 200.0, 4.218541107192018e-43),
+    (4, 1e-6, 0.999999999999875),
+    (4, 12.0, 0.01735126523666451),
+    (5, 2.0, 0.8491450360846096),
+    (5, 90.0, 6.719319364852582e-18),
+    (6, 16.8, 0.010047072044311127),
+    (6, 1200.0, 4.786642678691298e-256),
+]
+TWO_SIDED_ORACLE = [  # (estimate, std_error, p)
+    (0.1, 1.0, 0.920344325445942),
+    (1.96, 1.0, 0.04999579029644087),
+    (-2.5, 0.8, 0.0017780505982168675),
+    (0.0, 1.0, 1.0),
+    (3.0, 0.5, 1.9731752900754036e-09),
+    (-12.0, 1.0, 3.552964224155409e-33),
+    (37.0, 1.0, 1.1451142445050454e-299),
+    (0.0001, 3.0, 0.9999734038479782),
+]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +114,48 @@ class TestLrTest:
         with pytest.raises(PostestError) as err:
             lr_test(-60.0, -50.0, df=0)
         assert err.value.code == "bad_df"
+
+    @pytest.mark.parametrize("df,stat,want", LR_ORACLE)
+    def test_against_frozen_oracle(self, df, stat, want):
+        t = lr_test(-1000.0, -1000.0 + stat / 2.0, df)
+        assert t.p_value == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_published_heterogeneity_p_value(self):
+        # Table 4's MNL-vs-MMNL statistic, deep in the 2-df tail
+        t = lr_test(-3641.330, -3367.430, df=2)
+        assert t.p_value == pytest.approx(1.113631243258395e-119, rel=1e-12, abs=0)
+
+    def test_p_value_stays_in_unit_interval(self):
+        assert lr_test(-10.0, -10.0, df=3).p_value == 1.0
+        assert lr_test(-10.0, -7.5, df=200).p_value == 1.0
+        # 2000 df: every Poisson term is taken in logs, none overflows
+        p = lr_test(-2000.0, -1200.0, df=2000).p_value
+        assert 0.5 < p < 1.0
+
+    @pytest.mark.parametrize("df", [1.5, 2.25, float("nan"), float("inf"), -1])
+    def test_non_integer_df(self, df):
+        with pytest.raises(PostestError) as err:
+            lr_test(-60.0, -50.0, df=df)
+        assert err.value.code == "bad_df"
+
+    def test_integral_float_df(self):
+        assert lr_test(-60.0, -50.0, df=2.0) == lr_test(-60.0, -50.0, df=2)
+
+    def test_non_finite_loglik(self):
+        for lls in ((-np.inf, -50.0), (-60.0, np.nan)):
+            with pytest.raises(PostestError) as err:
+                lr_test(*lls, df=2)
+            assert err.value.code == "bad_loglik"
+
+
+class TestTwoSidedP:
+    @pytest.mark.parametrize("estimate,std_error,want", TWO_SIDED_ORACLE)
+    def test_against_frozen_oracle(self, estimate, std_error, want):
+        assert two_sided_p(estimate, std_error) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_no_std_error(self):
+        for se in (0.0, -1.0, float("nan"), float("inf")):
+            assert np.isnan(two_sided_p(1.0, se))
 
 
 class TestCostSlope:
