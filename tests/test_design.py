@@ -1,5 +1,7 @@
 """Fractional design search, blocking, diagnostics, CSV round trip."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from dce import (
     full_factorial,
     read_design_csv,
     select_fraction,
+    table4_labels_schema,
     within_block_deviation,
     write_design_csv,
 )
@@ -20,6 +23,12 @@ from helpers import linear_schema
 
 # frozen from the first verified run of select_fraction(default, 64, seed=7)
 FROZEN_D_EFF_64_SEED7 = 0.4873273045612155
+
+
+def assignment_digest(design) -> str:
+    """Short digest of every run's level labels, in run order."""
+    runs = [[run.alt_levels, run.context] for run in design.runs]
+    return hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class TestFullFactorial:
@@ -79,6 +88,38 @@ class TestSelectFraction:
         want = np.linalg.det(X.T @ X / 6) ** (1 / 3)
         assert design.diagnostics.d_efficiency == pytest.approx(want, rel=1e-12)
         assert design_diagnostics(design) == design.diagnostics
+
+    # (schema, n_runs, seed, iters, restarts) -> (assignment digest, exact
+    # d_efficiency), frozen from the per-proposal search before the screen:
+    # the study design, recovery_sweep's set-up, the toy size, the 64-run
+    # survey design and the linear schema
+    PINNED = {
+        ("labels", 32, 0, 1000, 5): ("a4af9308ca9624d4", 0.3997037837952299),
+        ("labels", 32, 1, 1000, 5): ("a5f19722d899e7a4", 0.39394519146687046),
+        ("labels", 32, 2, 1000, 5): ("3c6905083735e4ed", 0.400695632921749),
+        ("labels", 32, 0, 300, 2): ("3e6c7cfbc38cd77a", 0.3504552440485981),
+        ("labels", 32, 1, 300, 2): ("13807b3a0fcd3fbc", 0.34641311383549894),
+        ("labels", 32, 2, 300, 2): ("e0c7fd5782b298fd", 0.3669470581909449),
+        ("labels", 32, 0, 50, 5): ("66eb9031ec95f13e", 0.30368862252193485),
+        ("labels", 32, 1, 50, 5): ("759f18bdc4a40834", 0.29570131983701553),
+        ("labels", 32, 2, 50, 5): ("b5703fb7c3b3a8e9", 0.29652933303164764),
+        ("labels", 64, 0, 1000, 5): ("9dbaa264fd252d36", 0.4873273045612155),
+        ("linear", 6, 0, 50, 5): ("c529f00b2b851628", 48.379468599112265),
+        ("linear", 6, 1, 50, 5): ("3807759b6583099e", 48.379468599112265),
+        ("linear", 6, 2, 50, 5): ("2f75a264304a6816", 48.379468599112265),
+        ("linear", 12, 0, 50, 5): ("22a3b8d88f8aa2eb", 47.79384634567739),
+        ("linear", 12, 1, 50, 5): ("9ad8534a8114f62a", 48.45168101374428),
+        ("linear", 12, 2, 50, 5): ("fed6c45218bc7115", 48.45168101374428),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_designs_are_pinned(self, case):
+        name, n_runs, seed, iters, restarts = case
+        schema = table4_labels_schema() if name == "labels" else linear_schema()
+        design = select_fraction(schema, n_runs, seed=seed, iters=iters, restarts=restarts)
+        digest, d_eff = self.PINNED[case]
+        assert assignment_digest(design) == digest
+        assert design.diagnostics.d_efficiency == d_eff
 
     def test_infeasible_run_count(self, schema_default):
         with pytest.raises(DesignError) as err:
