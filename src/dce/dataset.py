@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, non_utf8_line
 from .schema import AttributeDef, ExperimentSchema, ParameterIndex, build_parameter_index
 
 __all__ = [
@@ -106,11 +106,16 @@ class ChoiceDataset:
 # ---------------------------------------------------------------------------
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DatasetError("empty_dataset", f"{path}: no header row")
-        rows = list(reader)
+    """Header and rows of a UTF-8 CSV; a leading byte-order mark is dropped."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DatasetError("empty_dataset", f"{path}: no header row")
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise DatasetError("bad_encoding", f"{path}: not UTF-8 text",
+                           row=non_utf8_line(path)) from None
     return list(reader.fieldnames), rows
 
 

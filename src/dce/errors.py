@@ -6,6 +6,8 @@ can branch on the failure class without parsing messages.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class DceError(Exception):
     """Base class for all package errors."""
@@ -48,3 +50,14 @@ class SimulationError(DceError):
 
 class PostestError(DceError):
     """Post-estimation request that cannot be honored."""
+
+
+def non_utf8_line(path: str | Path) -> int | None:
+    """1-based line of the first byte of a file that is not UTF-8, or None
+    if the whole file decodes. For naming the row a CSV reader failed on."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return data.count(b"\n", 0, e.start) + 1
+    return None

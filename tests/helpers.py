@@ -70,6 +70,48 @@ def binary_asc_dataset(n_b: int = 75, n_a: int = 25,
     return ChoiceDataset(schema=schema, respondents=respondents)
 
 
+def select_fraction_oracle(schema, n_runs: int, seed: int, iters: int = 5000,
+                           restarts: int = 5):
+    """select_fraction by the per-proposal search: each proposal draws its
+    (slot, run, run) in turn, swaps, and keeps the swap only if d-efficiency
+    computed from the whole coded matrix rises."""
+    from dce.design import (BlockedDesign, _balanced_levels, _coded_matrix, _d_efficiency,
+                            _diagnostics, _oa_init, _profiles_from_assignment, _slots)
+
+    slots = _slots(schema)
+    best = None
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, restart])
+        A = _oa_init(slots, n_runs, rng) if restart == 0 else None
+        if A is None:
+            A = np.column_stack([_balanced_levels(n_runs, attr.n_levels, rng)
+                                 for _, attr in slots])
+        X, ranges = _coded_matrix(A, slots)
+        d_cur, _ = _d_efficiency(X)
+
+        for _ in range(iters):
+            s = int(rng.integers(len(slots)))
+            i, j = rng.integers(n_runs, size=2)
+            if A[i, s] == A[j, s]:
+                continue
+            a, b = ranges[s]
+            old_i, old_j = X[i, a:b].copy(), X[j, a:b].copy()
+            X[i, a:b], X[j, a:b] = old_j, old_i
+            d_new, _ = _d_efficiency(X)
+            if d_new > d_cur:
+                d_cur = d_new
+                A[i, s], A[j, s] = A[j, s], A[i, s]
+            else:
+                X[i, a:b], X[j, a:b] = old_i, old_j
+
+        if best is None or d_cur > best[0]:
+            best = (d_cur, restart, A.copy())
+
+    return BlockedDesign(schema=schema, runs=_profiles_from_assignment(best[2], slots),
+                         blocks=(tuple(range(n_runs)),), seed=seed,
+                         diagnostics=_diagnostics(best[2], slots))
+
+
 def small_labels_design(n_runs: int = 32, n_blocks: int = 4, seed: int = 3):
     """Quick fractional blocked design on the full schema."""
     from dce import block_design

@@ -233,6 +233,19 @@ class TestErrors:
         assert code == 2
         assert "missing file" in capsys.readouterr().err
 
+    def test_non_utf8_input_exits_2(self, pipeline, workdir, capsys):
+        for name in ("design", "choices"):
+            data = pipeline["paths"][name].read_bytes()
+            (workdir / f"latin1_{name}.csv").write_bytes(data.replace(b",", b",\xe9", 1))
+        code = main(["simulate", "--design", str(workdir / "latin1_design.csv"),
+                     "--params", MMNL_FIXTURE, "--n", "5", "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert "bad_encoding" in capsys.readouterr().err
+        code = main(["estimate", "mnl", "--data", str(workdir / "latin1_choices.csv"),
+                     "--schema", LABELS_SCHEMA, "-o", str(workdir / "x.json")])
+        assert code == 2
+        assert "bad_encoding" in capsys.readouterr().err
+
     def test_nonconvergence_exits_3(self, pipeline, workdir, capsys,
                                     monkeypatch):
         import dce.cli as cli_mod

@@ -100,6 +100,41 @@ class TestIngest:
             ingest_choices(bad, schema_labels)
         assert err.value.code == "missing_column"
 
+    def test_byte_order_mark_is_dropped(self, choices_csv, tmp_path, schema_labels):
+        """A spreadsheet's BOM must not glue itself to the respondent_id
+        header, in the choice file or in the respondent file."""
+        want = ingest_choices(choices_csv, schema_labels)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + choices_csv.read_bytes())
+        assert ingest_choices(bom, schema_labels) == want
+
+        demo = [a.csv_column for a in schema_labels.demographic_attributes()]
+        people = tmp_path / "respondents.csv"
+        people.write_bytes(b"\xef\xbb\xbf" + "\n".join(
+            [",".join(["respondent_id", *demo])]
+            + [",".join([r.respondent_id, *(r.demographics[c] for c in demo)])
+               for r in want.respondents]).encode() + b"\n")
+        got = ingest_choices(choices_csv, schema_labels, respondents_path=people)
+        assert [r.demographics for r in got.respondents] == \
+            [r.demographics for r in want.respondents]
+
+    @pytest.mark.parametrize("which", ["choices", "respondents"])
+    def test_non_utf8_bytes_name_row(self, choices_csv, tmp_path, schema_labels, which):
+        if which == "choices":
+            lines = choices_csv.read_bytes().split(b"\n")
+        else:
+            lines = [b"respondent_id,age", b"r1,30", b"r2,40", b"r3,50"]
+        lines[2] = lines[2].replace(b",", b",\xe9", 1)  # CSV row 3
+        bad = tmp_path / f"{which}.csv"
+        bad.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetError) as err:
+            if which == "choices":
+                ingest_choices(bad, schema_labels)
+            else:
+                ingest_choices(choices_csv, schema_labels, respondents_path=bad)
+        assert err.value.code == "bad_encoding"
+        assert err.value.row == 3
+
     def test_empty_file(self, tmp_path, schema_labels):
         bad = tmp_path / "empty.csv"
         bad.write_text("respondent_id,task_id\n")

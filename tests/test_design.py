@@ -6,10 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dce.design
 from dce import (
     DesignError,
     block_design,
+    default_schema,
     design_diagnostics,
     full_factorial,
     read_design_csv,
@@ -19,7 +23,7 @@ from dce import (
     write_design_csv,
 )
 
-from helpers import linear_schema
+from helpers import linear_schema, select_fraction_oracle
 
 # frozen from the first verified run of select_fraction(default, 64, seed=7)
 FROZEN_D_EFF_64_SEED7 = 0.4873273045612155
@@ -77,6 +81,11 @@ class TestSelectFraction:
                                  restarts=1)
         assert max(design.diagnostics.level_balance.values()) <= 1.0
 
+    def test_negative_iters_search_nothing(self, schema_default):
+        none = select_fraction(schema_default, 32, seed=5, iters=0, restarts=2)
+        negative = select_fraction(schema_default, 32, seed=5, iters=-3, restarts=2)
+        assert negative.runs == none.runs
+
     def test_linear_slots_code_their_values(self):
         """Diagnostics of a design with linear slots use the level values."""
         schema = linear_schema()
@@ -120,6 +129,64 @@ class TestSelectFraction:
         digest, d_eff = self.PINNED[case]
         assert assignment_digest(design) == digest
         assert design.diagnostics.d_efficiency == d_eff
+
+    SCHEMAS = {"labels": table4_labels_schema, "default": default_schema,
+               "linear": linear_schema}
+
+    @pytest.mark.filterwarnings("ignore:n_runs=")
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(geometry=st.sampled_from([("labels", 28), ("labels", 32), ("labels", 48),
+                                     ("labels", 64), ("default", 32), ("linear", 4),
+                                     ("linear", 5), ("linear", 6), ("linear", 12)]),
+           seed=st.integers(0, 2**16), iters=st.integers(0, 300), restarts=st.integers(1, 2))
+    def test_screen_makes_the_oracle_decisions(self, geometry, seed, iters, restarts):
+        name, n_runs = geometry
+        schema = self.SCHEMAS[name]()
+        got = select_fraction(schema, n_runs, seed=seed, iters=iters, restarts=restarts)
+        want = select_fraction_oracle(schema, n_runs, seed=seed, iters=iters,
+                                      restarts=restarts)
+        assert got.runs == want.runs
+        assert got.diagnostics.d_efficiency == want.diagnostics.d_efficiency
+
+    @pytest.mark.filterwarnings("ignore:n_runs=")
+    @pytest.mark.parametrize("name,n_runs,seed", [("linear", 6, 23), ("labels", 28, 2)])
+    def test_singular_start_takes_the_exact_path(self, monkeypatch, name, n_runs, seed):
+        """These searches start from an X'X too ill-conditioned to screen
+        (singular: both wait columns equal; or 27 columns on 28 runs), so
+        proposals are compared one at a time, some rejected, until accepted
+        swaps make it well-conditioned."""
+        screenable = []
+        inverse = dce.design._inverse
+
+        def spy(X):
+            N = inverse(X)
+            screenable.append(N is not None)
+            return N
+
+        monkeypatch.setattr(dce.design, "_inverse", spy)
+        schema = self.SCHEMAS[name]()
+        got = select_fraction(schema, n_runs, seed=seed, iters=100, restarts=1)
+        want = select_fraction_oracle(schema, n_runs, seed=seed, iters=100, restarts=1)
+        assert not screenable[0]
+        assert got.runs == want.runs
+        assert got.diagnostics.d_efficiency == want.diagnostics.d_efficiency
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+    @pytest.mark.parametrize("n_slots,n_runs", [(12, 32), (3, 6), (27, 64), (1, 2), (5, 1000)])
+    def test_proposals_drawn_at_once_match_drawn_in_turn(self, seed, n_slots, n_runs):
+        """select_fraction draws a restart's proposals in one call; the search
+        is defined by drawing a slot, then two runs, per proposal."""
+        iters = 200
+        at_once = np.random.default_rng([seed, 1])
+        in_turn = np.random.default_rng([seed, 1])
+        drawn = at_once.integers(0, np.tile([n_slots, n_runs, n_runs], iters)).reshape(iters, 3)
+        want = []
+        for _ in range(iters):
+            s = int(in_turn.integers(n_slots))
+            i, j = in_turn.integers(n_runs, size=2)
+            want.append((s, i, j))
+        np.testing.assert_array_equal(drawn, want)
+        assert at_once.bit_generator.state == in_turn.bit_generator.state
 
     def test_infeasible_run_count(self, schema_default):
         with pytest.raises(DesignError) as err:
@@ -255,3 +322,37 @@ class TestDesignCsv:
         with pytest.raises(DesignError) as err:
             read_design_csv(bad, schema_labels)
         assert err.value.code == "missing_column"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, schema_labels, design32):
+        """A spreadsheet's BOM must not glue itself to the run_id header."""
+        blocked = block_design(design32, 4, seed=1)
+        path = tmp_path / "design.csv"
+        write_design_csv(blocked, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        clone = read_design_csv(path, schema_labels)
+        assert clone.runs == blocked.runs
+        assert clone.blocks == blocked.blocks
+
+    def test_non_utf8_bytes_name_row(self, tmp_path, schema_labels, design32):
+        path = tmp_path / "design.csv"
+        write_design_csv(block_design(design32, 4, seed=1), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b",", b",\xff", 1)  # CSV row 5
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DesignError) as err:
+            read_design_csv(path, schema_labels)
+        assert err.value.code == "bad_encoding"
+        assert "row 5" in str(err.value)
+
+    def test_blank_block_id_names_row(self, tmp_path, schema_labels, design32):
+        """A blank block cell would otherwise make a block of its own."""
+        path = tmp_path / "design.csv"
+        write_design_csv(block_design(design32, 4, seed=1), path)
+        lines = path.read_text().splitlines()
+        run_id, _, rest = lines[7].split(",", 2)  # CSV row 8
+        lines[7] = f"{run_id}, ,{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DesignError) as err:
+            read_design_csv(path, schema_labels)
+        assert err.value.code == "bad_block"
+        assert "row 8" in str(err.value)
