@@ -440,11 +440,11 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
     d-efficiency as computed from the whole coded matrix. The proposals are
     screened in windows by the rank-2 determinant ratio r from (X'X)^-1,
     which is updated after every accepted swap and corrected against the
-    exact X'X (see _climb). Swaps with r
-    within _DELTA of 1, and all swaps while X'X is singular or
-    ill-conditioned, are decided by that full comparison; elsewhere the
-    screen's error is far below _DELTA, so every decision, and hence the
-    design and its d-efficiency, is the same as comparing every proposal.
+    exact X'X (see _climb). Swaps with r within _DELTA of 1, and all swaps
+    while X'X is singular or ill-conditioned, are decided by that full
+    comparison; elsewhere the screen's error is far below _DELTA, so every
+    decision, and hence the design and its d-efficiency, is the same as
+    comparing every proposal.
     """
     slots = _slots(schema)
     if not slots:
