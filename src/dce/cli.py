@@ -357,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--drop", type=int, default=10)
             p.add_argument("--antithetic", action="store_true")
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: DCE_THREADS or all cores)")
+                           help="worker threads, at least 1 "
+                                "(default: DCE_THREADS or all cores)")
             p.set_defaults(func=_cmd_estimate_mmnl)
         else:
             p.set_defaults(func=_cmd_estimate_mnl)

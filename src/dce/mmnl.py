@@ -91,18 +91,22 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     return normal_draws(cfg, n_individuals)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("DCE_THREADS", "").strip()
-    if env:
+def _thread_count(n_threads: int | None) -> int:
+    """``n_threads`` if given, else DCE_THREADS if set, else the core count;
+    a count below 1 is an error wherever it comes from."""
+    if n_threads is None:
+        env = os.environ.get("DCE_THREADS", "").strip()
+        if not env:
+            return os.cpu_count() or 1
         try:
-            n = int(env)
+            n_threads = int(env)
         except ValueError:
             raise EstimationError("bad_thread_count",
                                   f"DCE_THREADS={env!r} is not an integer")
-        if n < 1:
-            raise EstimationError("bad_thread_count", "DCE_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    if n_threads < 1:
+        raise EstimationError("bad_thread_count",
+                              f"the thread count must be >= 1, got {n_threads}")
+    return n_threads
 
 
 def _work(panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray | None,
@@ -117,7 +121,7 @@ def msl_loglik(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
                draws: np.ndarray | None = None, n_threads: int | None = None) -> float:
     """Simulated log likelihood: sum over respondents of the log of the
     draw-averaged product of task probabilities."""
-    work = _work(panel, mixing, draws, n_threads or _default_threads())
+    work = _work(panel, mixing, draws, _thread_count(n_threads))
     return work.loglik(params_with_sds)
 
 
@@ -126,7 +130,7 @@ def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
                  n_threads: int | None = None) -> np.ndarray:
     """Analytic simulated-likelihood gradient, sd columns via the chain rule
     through sd*z."""
-    work = _work(panel, mixing, draws, n_threads or _default_threads())
+    work = _work(panel, mixing, draws, _thread_count(n_threads))
     return work.loglik_and_gradient(params_with_sds)[1]
 
 
@@ -145,10 +149,11 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     negative simulated log likelihood at the reported point (the observed
     information): the optimizer's last one, recomputed only when an sd's
     sign was flipped. They are None when that matrix is singular.
-    ``n_threads`` defaults to DCE_THREADS or the core count.
+    ``n_threads`` defaults to DCE_THREADS or the core count; a count below
+    1 raises ``bad_thread_count``.
     """
     opts = options or OptimizerOptions()
-    threads = n_threads or _default_threads()
+    threads = _thread_count(n_threads)
     index = build_parameter_index(panel.schema, mixing.random_params)
     k = panel.X.shape[1]
     if index.names()[:k] != panel.index.names():

@@ -37,12 +37,12 @@ __all__ = [
 # fixed chunk width so the reduction order never depends on the thread count
 _CHUNK = 64
 
-# respondent x draw cells per Hessian block and draw chunk (8 respondents x
-# 64 draws), so a one-draw (MNL) kernel takes 512 respondents per block
-# rather than paying Python overhead per 8. With draws the block's
-# temporaries stay near 1 MB, below the likelihood pass's own; a one-draw
-# block's padded design and per-respondent products peak near 8 MB at 264
-# respondents and 15 MB at 512, still below a mixed fit's pass at 264 x 128
+# respondent x draw cells per Hessian block and draw chunk: 8 respondents x
+# 64 draws, or 512 respondents with one draw (MNL), which would otherwise pay
+# Python overhead per 8. Blocks of 4-32 respondents time alike with draws,
+# and their temporaries peak near 0.5 MB; a one-draw block's peak near 9 MB
+# at 264 respondents and 18 MB at 512, as a mixed pass does at 264 x 128
+# and 528 x 500 draws
 _BLOCK_CELLS = 512
 
 
@@ -86,8 +86,8 @@ class _MslWork:
                 f"got {draws.shape}")
         self.panel = panel
         self.antithetic = antithetic
-        self.z = draws
-        self.n_threads = max(1, n_threads)
+        self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))  # (n, rp, draw)
+        self.n_threads = n_threads
         self.n_draws = draws.shape[1]
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
@@ -147,7 +147,9 @@ class _MslWork:
         """Per-respondent-by-draw log products; optionally keep the cells'
         per-draw probabilities."""
         mean, sds = self._split(params)
-        base = self.panel.X @ mean
+        # einsum, not BLAS: OpenBLAS runs this product on two threads from
+        # ~10,000 rows, which buys no time and burns a second core
+        base = np.einsum("rk,k->r", self.panel.X, mean)
         if not np.isfinite(base).all():
             self._non_finite(np.isfinite(base))
         u_base = self.offset.copy()
@@ -160,7 +162,7 @@ class _MslWork:
             """Draws [c0, c1): every cell's utility from one batched product,
             then a log-softmax over each task's alternatives, summed over
             tasks."""
-            cells = (self.Xrp @ (self.z[:, c0:c1] * sds).transpose(0, 2, 1)).reshape(-1, c1 - c0)
+            cells = (self.Xrp @ (self.z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
             cells += u_base
             u = cells.reshape(*self.shape, c1 - c0)
             # a loop over the few alternatives is faster than u.max(axis=2)
@@ -212,12 +214,15 @@ class _MslWork:
         def moments(c0, c1):
             """each cell's probability summed over draws [c0, c1) with the
             draw moments w and w*z"""
-            wc = w[:, c0:c1, None]
-            return sp[:, :, c0:c1] @ np.concatenate([wc, wc * self.z[:, c0:c1]], axis=2)
+            wc = w[:, None, c0:c1]
+            wz = np.concatenate([wc, wc * self.z[:, :, c0:c1]], axis=1)
+            return sp[:, :, c0:c1] @ wz.transpose(0, 2, 1)
 
         s = sum(self._map(moments, self.chunks))
-        grad_fixed = self.chosen_X - self.panel.X.T @ s[:, :, 0].reshape(-1)[self.cell]
-        grad_sd = np.einsum("rm,rm->m", self.chosen_rp, np.einsum("rc,rcm->rm", w, self.z)) \
+        # einsum for one core, as in loglik_parts
+        grad_fixed = self.chosen_X \
+            - np.einsum("rk,r->k", self.panel.X, s[:, :, 0].reshape(-1)[self.cell])
+        grad_sd = np.einsum("rm,rm->m", self.chosen_rp, np.einsum("rc,rmc->rm", w, self.z)) \
             - np.einsum("rjm,rjm->m", self.Xrp, s[:, :, 1:])
         return ll, np.concatenate([grad_fixed, grad_sd])
 
@@ -230,19 +235,24 @@ class _MslWork:
         draw r, respondent n's score is S_nr = sum_t (x~_chosen - xbar_ntr),
         where xbar_ntr = sum_j p_ntjr x~ is the task's expected x~. With draw
         weights w_nr and score g_n = sum_r w_nr S_nr, the Hessian of n's log
-        likelihood is
+        likelihood is sum_r w_nr (S_nr S_nr' - sum_tj p_ntjr (x~ - xbar)
+        (x~ - xbar)') - g_n g_n' (Train, Discrete Choice Methods with
+        Simulation, 2nd ed., ch. 8 and 10). Let P be n's (cell x draw)
+        probabilities, X its padded design, a its chosen rows' sum, q = P w
+        and G = P diag(w) P', the (T*J)^2 cell Gram matrix. The fixed score
+        is a - X'q and the fixed x fixed block is X'MX with
 
-            sum_r w_nr (S_nr S_nr' - sum_tj p_ntjr (x~ - xbar)(x~ - xbar)')
-            - g_n g_n'
+            M = G - q q' + blockdiag_t(G) - diag(q),
 
-        (Train, Discrete Choice Methods with Simulation, 2nd ed., ch. 8 and
-        10). The within-task term is summed over draws before it meets the
-        design, as X_t'(diag(q_t) - M_t)X_t with q_t = sum_r w_r p_tr and
-        M_t = sum_r w_r p_tr p_tr' weighted by the draw moments 1, z_d and
-        z_d z_e, so no array is (task, draw, parameter) shaped. Respondent
-        blocks and draw chunks are summed in a fixed order, so the result
-        does not depend on the thread count. The score is the sum of the
-        g_n, so a Newton iteration needs no separate gradient pass.
+        the MNL Hessian when there is one draw (G = q q'). For a random
+        column x_d with draws z_d, let y_d be each (task, draw)'s expected
+        x_d, f_d = a_d - P'x_d and v_d = w z_d f_d, all vectors over draws.
+        The sd score is g_d = sum_r v_d, the fixed x sd column is
+        X'[q g_d - P v_d - x_d P(w z_d) + (P y_d)(w z_d)], with y_d repeated
+        over each task's alternatives, and the sd x sd entry is
+        sum_r w z_d z_e (f_d f_e - sum_c p x_d x_e + sum_t y_d y_e) - g_d g_e.
+        Respondent blocks and draw chunks are summed in a fixed order, so
+        the result does not depend on the thread count.
         """
         ll, w = self._loglik_and_weights(params)
         parts = self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks)
@@ -255,63 +265,52 @@ class _MslWork:
 
     def _hessian_block(self, w, n0, n1):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood. Empty cells hold a zero design row and
-        so add nothing."""
-        rp = self.rp
-        k, m = self.panel.X.shape[1], len(rp)
-        n_par = k + m
-        pairs = [(d, e) for d in range(m) for e in range(d, m)]
+        the negative log likelihood; empty cells hold a zero design row.
+        Every product is batched per respondent and summed afterwards: one
+        product over the block would be large enough to wake OpenBLAS's
+        threads, which then spin through the estimator's serial work."""
+        k, m = self.panel.X.shape[1], len(self.rp)
         _, n_t, n_j = self.shape
-        nb = n1 - n0
-        first = n0 * n_t * n_j
-        lo, hi = np.searchsorted(self.cell, (first, n1 * n_t * n_j))
-        X = np.zeros((nb * n_t * n_j, k))
-        X[self.cell[lo:hi] - first] = self.panel.X[lo:hi]
-        a = X[self.chosen_cell[n0 * n_t:n1 * n_t] - first].reshape(nb, n_t, k).sum(axis=1)
-        X_resp = X.reshape(nb, n_t * n_j, k)
-        diag = np.arange(n_j)
-
-        # Products are taken one respondent at a time: each BLAS call then
-        # stays below OpenBLAS's threading threshold, whereas one product
-        # over the whole block wakes its worker threads, which go on
-        # spinning through the estimator's later single-threaded work.
-        outer = np.zeros((n_par, n_par))
-        score = np.zeros((nb, n_par))
-        # per task, diag(q) - M for each draw moment (last axis)
-        cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
+        nb, n_c = n1 - n0, n_t * n_j
+        lo, hi = np.searchsorted(self.cell, (n0 * n_c, n1 * n_c))
+        X = np.zeros((nb * n_c, k))
+        X[self.cell[lo:hi] - n0 * n_c] = self.panel.X[lo:hi]
+        a = X[self.chosen_cell[n0 * n_t:n1 * n_t] - n0 * n_c].sum(axis=0)
+        X, x = X.reshape(nb, n_c, k), self.Xrp[n0:n1]
+        x_task = x.reshape(nb, n_t, n_j, m).transpose(0, 1, 3, 2)
+        G = np.zeros((nb, n_c, n_c))
+        Pm = np.zeros((nb, n_c, 1 + 2 * m + m * m))  # P [w, v_d, w z_d, w z_d z_e]
+        Py, g = np.zeros((nb, n_c, m)), np.zeros((nb, m))  # (P y_d)(w z_d); g_d
+        sd = np.zeros((nb, m, m))  # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
         for c0, c1 in self.chunks:
-            p = self._sp[n0:n1, :, :, c0:c1]
-            p_resp = p.reshape(nb, n_t * n_j, -1)
-            wc = w[n0:n1, c0:c1]
-            z = self.z[n0:n1, c0:c1, :]
-            f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
-            s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
-            ws = s * wc[..., None]
-            outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
-            score += ws.sum(axis=1)
-            moments = np.stack([wc] + [wc * z[..., d] for d in range(m)]
-                               + [wc * z[..., d] * z[..., e] for d, e in pairs], axis=2)
-            pp = p[:, :, :, None, :] * p[:, :, None, :, :]
-            cov -= (pp.reshape(nb, n_t * n_j * n_j, -1) @ moments).reshape(cov.shape)
-            cov[:, :, diag, diag, :] += (p_resp @ moments).reshape(nb, n_t, n_j, -1)
-
-        X_task = X.reshape(nb * n_t, n_j, k)
-        X_rp = X_task[:, :, rp]
-        D = np.moveaxis(cov.reshape(nb * n_t, n_j, n_j, -1), -1, 0)
-
-        def quad(d, left, right):
-            """sum over tasks of left_t' d_t right_t"""
-            right = (d @ right).reshape(nb, n_t * n_j, -1)
-            return (left.reshape(nb, n_t * n_j, -1).transpose(0, 2, 1) @ right).sum(axis=0)
-
-        within = np.empty((n_par, n_par))
-        within[:k, :k] = quad(D[0], X_task, X_task)
-        for d in range(m):
-            within[:k, k + d] = within[k + d, :k] = quad(D[1 + d], X_task, X_rp)[:, d]
-        for i, (d, e) in enumerate(pairs):
-            within[k + d, k + e] = within[k + e, k + d] = \
-                quad(D[1 + m + i], X_rp, X_rp)[d, e]
-        return score.sum(axis=0), within + score.T @ score - outer
+            p = self._sp[n0:n1, :, :, c0:c1].reshape(nb, n_c, -1)
+            p_task = p.reshape(nb, n_t, n_j, -1)
+            wc, z = w[n0:n1, None, c0:c1], self.z[n0:n1, :, c0:c1]
+            G += (p * wc) @ p.transpose(0, 2, 1)
+            y = x_task @ p_task  # (respondent, task, sd, draw)
+            f = self.chosen_rp[n0:n1, :, None] - y.sum(axis=1)
+            wz = wc * z
+            v, yw = wz * f, y * wz[:, None]
+            g += v.sum(axis=2)
+            wzz = (wz[:, :, None] * z[:, None]).reshape(nb, m * m, c1 - c0)
+            Pm += p @ np.concatenate([wc, v, wz, wzz], axis=1).transpose(0, 2, 1)
+            Py += (p_task @ yw.transpose(0, 1, 3, 2)).reshape(nb, n_c, m)
+            sd += v @ (z * f).transpose(0, 2, 1) \
+                + (yw @ (y * z[:, None]).transpose(0, 1, 3, 2)).sum(axis=1)
+        xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(nb, n_c, m * m)
+        sd -= (xx * Pm[:, :, 1 + 2 * m:]).sum(axis=1).reshape(nb, m, m)  # sum_c p x_d x_e
+        q = Pm[:, :, 0]
+        M = q[:, :, None] * q[:, None, :] - G  # -M from here on
+        M_task, t = M.reshape(nb, n_t, n_j, n_t, n_j), np.arange(n_t)
+        M_task[:, t, :, t] -= G.reshape(M_task.shape)[:, t, :, t]
+        M.reshape(nb, -1)[:, ::n_c + 1] += q
+        # X'q, then the negated fixed x sd columns
+        Xt = X.transpose(0, 2, 1)
+        Xc = (Xt @ np.concatenate([Pm[:, :, :1], Pm[:, :, 1:1 + m] - Py - q[:, :, None] * g[:, None]
+                                   + x * Pm[:, :, 1 + m:1 + 2 * m]], axis=2)).sum(axis=0)
+        h = np.block([[(Xt @ (M @ X)).sum(axis=0), Xc[:, 1:]],
+                      [Xc[:, 1:].T, g.T @ g - sd.sum(axis=0)]])
+        return np.concatenate([a - Xc[:, 0], g.sum(axis=0)]), h
 
 
 def _mnl_work(panel: CodedPanel) -> _MslWork:

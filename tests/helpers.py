@@ -143,3 +143,68 @@ def simulated_panel(design, n_respondents: int, seed: int,
     dataset = simulate_dataset(cfg)
     panel = code_dataset(dataset, build_parameter_index(schema))
     return cfg, dataset, panel, truth
+
+
+def hessian_oracle(work, params):
+    """``work.hessian(params)`` by the per-draw score form: every draw's
+    score S_nr is formed as a (draws x parameters) array and the within-task
+    covariances as per-task p p' products under each draw moment (1, z_d and
+    z_d z_e), summed one block of respondents at a time. Returns the log
+    likelihood, its score and the Hessian of the negative log likelihood."""
+    ll, w = work._loglik_and_weights(params)
+    rp = work.rp
+    k, m = work.panel.X.shape[1], len(rp)
+    n_par = k + m
+    pairs = [(d, e) for d in range(m) for e in range(d, m)]
+    _, n_t, n_j = work.shape
+    diag = np.arange(n_j)
+    grad = np.zeros(n_par)
+    h = np.zeros((n_par, n_par))
+    for n0, n1 in work.blocks:
+        nb = n1 - n0
+        first = n0 * n_t * n_j
+        lo, hi = np.searchsorted(work.cell, (first, n1 * n_t * n_j))
+        X = np.zeros((nb * n_t * n_j, k))
+        X[work.cell[lo:hi] - first] = work.panel.X[lo:hi]
+        a = X[work.chosen_cell[n0 * n_t:n1 * n_t] - first].reshape(nb, n_t, k).sum(axis=1)
+        X_resp = X.reshape(nb, n_t * n_j, k)
+
+        outer = np.zeros((n_par, n_par))
+        score = np.zeros((nb, n_par))
+        # per task, diag(q) - M for each draw moment (last axis)
+        cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
+        for c0, c1 in work.chunks:
+            p = work._sp[n0:n1, :, :, c0:c1]
+            p_resp = p.reshape(nb, n_t * n_j, -1)
+            wc = w[n0:n1, c0:c1]
+            z = work.z[n0:n1, :, c0:c1].transpose(0, 2, 1)
+            f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
+            s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
+            ws = s * wc[..., None]
+            outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
+            score += ws.sum(axis=1)
+            moments = np.stack([wc] + [wc * z[..., d] for d in range(m)]
+                               + [wc * z[..., d] * z[..., e] for d, e in pairs], axis=2)
+            pp = p[:, :, :, None, :] * p[:, :, None, :, :]
+            cov -= (pp.reshape(nb, n_t * n_j * n_j, -1) @ moments).reshape(cov.shape)
+            cov[:, :, diag, diag, :] += (p_resp @ moments).reshape(nb, n_t, n_j, -1)
+
+        X_task = X.reshape(nb * n_t, n_j, k)
+        X_rp = X_task[:, :, rp]
+        D = np.moveaxis(cov.reshape(nb * n_t, n_j, n_j, -1), -1, 0)
+
+        def quad(d, left, right):
+            """sum over tasks of left_t' d_t right_t"""
+            right = (d @ right).reshape(nb, n_t * n_j, -1)
+            return (left.reshape(nb, n_t * n_j, -1).transpose(0, 2, 1) @ right).sum(axis=0)
+
+        within = np.empty((n_par, n_par))
+        within[:k, :k] = quad(D[0], X_task, X_task)
+        for d in range(m):
+            within[:k, k + d] = within[k + d, :k] = quad(D[1 + d], X_task, X_rp)[:, d]
+        for i, (d, e) in enumerate(pairs):
+            within[k + d, k + e] = within[k + e, k + d] = \
+                quad(D[1 + m + i], X_rp, X_rp)[d, e]
+        grad += score.sum(axis=0)
+        h += within + score.T @ score - outer
+    return ll, grad, 0.5 * (h + h.T)

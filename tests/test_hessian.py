@@ -1,15 +1,19 @@
-"""The kernel's analytic Hessian against finite differences of its gradient,
-and the score it returns against the gradient pass."""
+"""The kernel's analytic Hessian against finite differences of its gradient
+and against the per-draw score form, and the score it returns against the
+gradient pass."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dce import (HaltonConfig, MixingSpec, code_dataset, estimate_mmnl,
-                 estimate_mnl, hessian_from_grad)
+                 estimate_mnl, finite_diff_grad, hessian_from_grad)
 from dce.mmnl import _work
 from dce.mnl import _mnl_work
+from helpers import hessian_oracle, simulated_panel
 
 MODELS = {
     "mnl": None,
@@ -104,3 +108,61 @@ def test_absent_demographic_level_gives_no_standard_errors(panel50, absent):
     result = estimate_mnl(code_dataset(replace(dataset, respondents=respondents)))
     assert result.converged
     assert result.std_errors is None and result.p_values is None
+
+
+@pytest.fixture(scope="module")
+def study_panel264(design32):
+    """264 respondents x 8 tasks with normal ASC mixing, the benchmark's size."""
+    _, _, panel, truth = simulated_panel(design32, 264, seed=5, sds=(1.2, 1.0))
+    return {"panel": panel, "truth": truth}
+
+
+ORACLE_CASES = {
+    "panel50-mnl": ("panel50", None),
+    "ragged-mnl": ("ragged_panel", None),
+    "ragged-mmnl16": ("ragged_panel", MODELS["mmnl"]),
+    "mixed40-mmnl100": ("mixed_panel40", MixingSpec(halton=HaltonConfig(n_draws=100))),
+    "mixed40-antithetic100": ("mixed_panel40", MixingSpec(halton=HaltonConfig(n_draws=100),
+                                                          antithetic=True)),
+    "study264-mmnl128": ("study_panel264", MixingSpec(halton=HaltonConfig(n_draws=128))),
+}
+
+
+@pytest.mark.parametrize("scale", [1, 80])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_matches_per_draw_score_oracle(case, scale, request):
+    # at 80 times the truth some respondents' chosen log products run to
+    # the thousands, where G - q q' and the draw weights lose the most
+    panel_fixture, mixing = ORACLE_CASES[case]
+    fixture = request.getfixturevalue(panel_fixture)
+    panel, x = fixture["panel"], fixture["truth"]
+    if mixing is not None and x.size == panel.X.shape[1]:
+        x = np.concatenate([x, [1.2, 0.8]])
+    x = scale * x
+    work = kernel(panel, mixing)
+    ll, grad, H = work.hessian(x)
+    ll_want, grad_want, H_want = hessian_oracle(work, x)
+    assert ll == ll_want
+    assert np.max(np.abs(grad - grad_want)) <= 1e-12 * np.max(np.abs(grad_want))
+    assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), far=st.booleans())
+@example(seed=0, far=True)
+def test_derivatives_match_finite_differences_anywhere(model, mixed_panel40, seed, far):
+    # a far point is doubled until some respondent's chosen log product,
+    # under some draw, is below -700, near where its exp underflows
+    panel = mixed_panel40["panel"]
+    mixing = MODELS[model]
+    work = kernel(panel, mixing)
+    x = mixed_panel40["truth"][:work.panel.X.shape[1] + len(work.rp)]
+    x = x + np.random.default_rng(seed).normal(scale=0.3, size=x.size)
+    while far and work.loglik_parts(x, need_probs=False).min() >= -700:
+        x = 2 * x
+    _, grad, H = work.hessian(x)
+    fd_grad = finite_diff_grad(work.loglik, x)
+    assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(fd_grad))
+    fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))

@@ -193,6 +193,24 @@ class TestInvariances:
                        small_mixing())
         assert err.value.code == "bad_thread_count"
 
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    @pytest.mark.parametrize("call", ["msl_loglik", "msl_gradient", "estimate_mmnl"])
+    def test_bad_thread_argument(self, mixed_panel40, call, n_threads):
+        panel, truth = mixed_panel40["panel"], mixed_panel40["truth"]
+        with pytest.raises(EstimationError) as err:
+            if call == "estimate_mmnl":
+                estimate_mmnl(panel, small_mixing(), n_threads=n_threads, start=truth)
+            else:
+                {"msl_loglik": msl_loglik, "msl_gradient": msl_gradient}[call](
+                    truth, panel, small_mixing(), n_threads=n_threads)
+        assert err.value.code == "bad_thread_count"
+
+    def test_zero_thread_env(self, mixed_panel40, monkeypatch):
+        monkeypatch.setenv("DCE_THREADS", "0")
+        with pytest.raises(EstimationError) as err:
+            msl_loglik(mixed_panel40["truth"], mixed_panel40["panel"], small_mixing())
+        assert err.value.code == "bad_thread_count"
+
 
 class TestGradient:
     @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
