@@ -253,7 +253,7 @@ def _cmd_estimate_mmnl(args) -> int:
                         antithetic=args.antithetic)
     # surfaces unknown --random names before estimation starts
     build_parameter_index(schema, random_params)
-    result = estimate_mmnl(panel, mixing, n_threads=args.threads)
+    result = estimate_mmnl(panel, mixing)
     return _estimate_common(args, result, manifest)
 
 
@@ -356,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated random parameter names")
             p.add_argument("--drop", type=int, default=10)
             p.add_argument("--antithetic", action="store_true")
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads, at least 1 "
-                                "(default: DCE_THREADS or all cores)")
             p.set_defaults(func=_cmd_estimate_mmnl)
         else:
             p.set_defaults(func=_cmd_estimate_mnl)

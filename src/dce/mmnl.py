@@ -10,7 +10,6 @@ evaluated by the panel logit kernel in ``mnl.py``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,52 +90,31 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     return normal_draws(cfg, n_individuals)
 
 
-def _thread_count(n_threads: int | None) -> int:
-    """``n_threads`` if given, else DCE_THREADS if set, else the core count;
-    a count below 1 is an error wherever it comes from."""
-    if n_threads is None:
-        env = os.environ.get("DCE_THREADS", "").strip()
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            n_threads = int(env)
-        except ValueError:
-            raise EstimationError("bad_thread_count",
-                                  f"DCE_THREADS={env!r} is not an integer")
-    if n_threads < 1:
-        raise EstimationError("bad_thread_count",
-                              f"the thread count must be >= 1, got {n_threads}")
-    return n_threads
-
-
-def _work(panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray | None,
-          n_threads: int) -> _MslWork:
+def _work(panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray | None) -> _MslWork:
     if draws is None:
         draws = make_draws(mixing, panel.n_respondents)
     return _MslWork(panel, panel.index.positions(mixing.random_params),
-                    mixing.antithetic, draws, n_threads)
+                    mixing.antithetic, draws)
 
 
+# msl_loglik and msl_gradient ignore n_threads but still accept it:
+# benchmarks/worker.py passes it when it times them
 def msl_loglik(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
-               draws: np.ndarray | None = None, n_threads: int | None = None) -> float:
+               draws: np.ndarray | None = None, n_threads=None) -> float:
     """Simulated log likelihood: sum over respondents of the log of the
     draw-averaged product of task probabilities."""
-    work = _work(panel, mixing, draws, _thread_count(n_threads))
-    return work.loglik(params_with_sds)
+    return _work(panel, mixing, draws).loglik(params_with_sds)
 
 
 def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
-                 draws: np.ndarray | None = None,
-                 n_threads: int | None = None) -> np.ndarray:
+                 draws: np.ndarray | None = None, n_threads=None) -> np.ndarray:
     """Analytic simulated-likelihood gradient, sd columns via the chain rule
     through sd*z."""
-    work = _work(panel, mixing, draws, _thread_count(n_threads))
-    return work.loglik_and_gradient(params_with_sds)[1]
+    return _work(panel, mixing, draws).loglik_and_gradient(params_with_sds)[1]
 
 
 def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
                   options: OptimizerOptions | None = None,
-                  n_threads: int | None = None,
                   start: np.ndarray | None = None) -> EstimationResult:
     """Maximize the simulated log likelihood over means and sds.
 
@@ -149,18 +127,15 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     negative simulated log likelihood at the reported point (the observed
     information): the optimizer's last one, recomputed only when an sd's
     sign was flipped. They are None when that matrix is singular.
-    ``n_threads`` defaults to DCE_THREADS or the core count; a count below
-    1 raises ``bad_thread_count``.
     """
     opts = options or OptimizerOptions()
-    threads = _thread_count(n_threads)
     index = build_parameter_index(panel.schema, mixing.random_params)
     k = panel.X.shape[1]
     if index.names()[:k] != panel.index.names():
         raise EstimationError("parameter_mismatch",
                               "panel was coded against a different index")
 
-    work = _work(panel, mixing, None, threads)
+    work = _work(panel, mixing, None)
 
     if start is not None:
         x0 = np.asarray(start, dtype=np.float64).reshape(-1).copy()
@@ -188,13 +163,15 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
         ll_final, hessian = -res.fun, res.hess
     se, pvals = _inference(hessian, x_hat)
     halton = mixing.halton
+    primes = halton.primes[:max(mixing.n_random, 1)]
     trace = SimulatedLikelihoodTrace(
         ll=tuple(trace_ll), n_draws=work.n_draws,
         config={"random_params": list(mixing.random_params),
-                "primes": list(halton.primes[:max(mixing.n_random, 1)]),
+                "primes": list(primes),
                 "drop": halton.drop, "scramble": halton.scramble,
                 "seed": halton.seed, "antithetic": mixing.antithetic,
-                "threads": threads})
+                # always 1, but kept: benchmarks/workloads.py and spans.py read it
+                "threads": 1})
     return EstimationResult(
         index=index,
         params=x_hat,
@@ -208,7 +185,7 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
         p_values=pvals,
         mixing=MixingInfo(random_params=mixing.random_params,
                           n_draws=work.n_draws,
-                          primes=tuple(halton.primes[:max(mixing.n_random, 1)]),
+                          primes=tuple(primes),
                           drop=halton.drop,
                           antithetic=mixing.antithetic),
         base_levels=implied_base_levels(panel.schema, index, x_hat),

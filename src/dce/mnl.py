@@ -15,8 +15,6 @@ optimum is the optimum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .dataset import CodedPanel
@@ -34,7 +32,8 @@ __all__ = [
     "estimate_mnl",
 ]
 
-# fixed chunk width so the reduction order never depends on the thread count
+# draws per chunk: bounds each pass's temporaries, and a fixed width fixes
+# the summation order
 _CHUNK = 64
 
 # respondent x draw cells per Hessian block and draw chunk: 8 respondents x
@@ -74,8 +73,7 @@ class _MslWork:
     time.
     """
 
-    def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray,
-                 n_threads: int = 1):
+    def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray):
         self.rp = np.asarray(rp, dtype=np.intp)
         draws = np.asarray(draws, dtype=np.float64)
         if draws.ndim != 3 or draws.shape[0] != panel.n_respondents \
@@ -87,7 +85,6 @@ class _MslWork:
         self.panel = panel
         self.antithetic = antithetic
         self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))  # (n, rp, draw)
-        self.n_threads = n_threads
         self.n_draws = draws.shape[1]
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
@@ -135,14 +132,6 @@ class _MslWork:
         task = self.panel.row_task[np.flatnonzero(~row_finite)[0]]
         raise EstimationError("non_finite_utility", f"non-finite utility at task index {task}")
 
-    def _map(self, worker, spans):
-        """``worker(lo, hi)`` over ``spans``, results in ``spans`` order."""
-        if self.n_threads == 1 or len(spans) == 1:
-            return [worker(lo, hi) for lo, hi in spans]
-        with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-            futs = [pool.submit(worker, lo, hi) for lo, hi in spans]
-            return [f.result() for f in futs]
-
     def loglik_parts(self, params, need_probs: bool):
         """Per-respondent-by-draw log products; optionally keep the cells'
         per-draw probabilities."""
@@ -156,12 +145,11 @@ class _MslWork:
         u_base[self.cell, 0] = base
         if need_probs and self._sp is None:
             self._sp = np.empty((*self.shape, self.n_draws))
-        store = self._sp if need_probs else None
 
         def chunk(c0, c1):
             """Draws [c0, c1): every cell's utility from one batched product,
             then a log-softmax over each task's alternatives, summed over
-            tasks."""
+            tasks. A call's temporaries are freed before the next one's."""
             cells = (self.Xrp @ (self.z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
             cells += u_base
             u = cells.reshape(*self.shape, c1 - c0)
@@ -175,11 +163,11 @@ class _MslWork:
             logp = cells[self.chosen_cell].reshape(top.shape)
             e = np.exp(u, out=u)
             denom = e.sum(axis=2)
-            if store is not None:
-                np.divide(e, denom[:, :, None], out=store[..., c0:c1])
+            if need_probs:
+                np.divide(e, denom[:, :, None], out=self._sp[..., c0:c1])
             return (logp - np.log(denom)).sum(axis=1)
 
-        return np.concatenate(self._map(chunk, self.chunks), axis=1)
+        return np.concatenate([chunk(c0, c1) for c0, c1 in self.chunks], axis=1)
 
     def respondent_ll(self, log_pr):
         """log mean over draws, pairing antithetic columns first for exact
@@ -210,15 +198,13 @@ class _MslWork:
         ll, w = self._loglik_and_weights(params)
         n_r, n_t, n_j = self.shape
         sp = self._sp.reshape(n_r, n_t * n_j, self.n_draws)
-
-        def moments(c0, c1):
-            """each cell's probability summed over draws [c0, c1) with the
-            draw moments w and w*z"""
+        # each cell's probability summed over draws with the draw moments w
+        # and w*z
+        s = 0
+        for c0, c1 in self.chunks:
             wc = w[:, None, c0:c1]
             wz = np.concatenate([wc, wc * self.z[:, :, c0:c1]], axis=1)
-            return sp[:, :, c0:c1] @ wz.transpose(0, 2, 1)
-
-        s = sum(self._map(moments, self.chunks))
+            s += sp[:, :, c0:c1] @ wz.transpose(0, 2, 1)
         # einsum for one core, as in loglik_parts
         grad_fixed = self.chosen_X \
             - np.einsum("rk,r->k", self.panel.X, s[:, :, 0].reshape(-1)[self.cell])
@@ -251,13 +237,14 @@ class _MslWork:
         X'[q g_d - P v_d - x_d P(w z_d) + (P y_d)(w z_d)], with y_d repeated
         over each task's alternatives, and the sd x sd entry is
         sum_r w z_d z_e (f_d f_e - sum_c p x_d x_e + sum_t y_d y_e) - g_d g_e.
-        Respondent blocks and draw chunks are summed in a fixed order, so
-        the result does not depend on the thread count.
+        Respondent blocks and draw chunks are summed in a fixed order.
         """
         ll, w = self._loglik_and_weights(params)
-        parts = self._map(lambda n0, n1: self._hessian_block(w, n0, n1), self.blocks)
-        grad = sum(score for score, _ in parts)
-        h = sum(block for _, block in parts)
+        grad = h = 0
+        for n0, n1 in self.blocks:
+            score, block = self._hessian_block(w, n0, n1)
+            grad += score
+            h += block
         if not np.all(np.isfinite(h)):
             raise EstimationError("hessian_non_finite",
                                   "analytic Hessian contains non-finite entries")

@@ -59,17 +59,15 @@ class HaltonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.primes) == 0:
-            raise ValueError("primes must be non-empty")
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError("primes must be distinct")
-        for p in self.primes:
-            if p < 2:
-                raise ValueError(f"invalid base {p}")
+        if len(self.primes) == 0 or len(set(self.primes)) != len(self.primes) \
+                or min(self.primes) < 2:
+            raise EstimationError("bad_primes",
+                                  f"primes must be distinct bases >= 2, got {self.primes}")
         if self.drop < 0:
-            raise ValueError("drop must be >= 0")
+            raise EstimationError("bad_drop", f"drop must be >= 0, got {self.drop}")
         if self.n_draws < 1:
-            raise ValueError("n_draws must be >= 1")
+            raise EstimationError("bad_draw_count",
+                                  f"n_draws must be >= 1, got {self.n_draws}")
 
 
 def _radical_inverse(indices: np.ndarray, base: int, perm: np.ndarray | None = None) -> np.ndarray:

@@ -178,8 +178,8 @@ class EstimationResult:
         try:
             pnames = list(d["parameters"].keys())
             mix = d.get("mixing")
+            rps = tuple(mix["random_params"]) if mix else ()
             if schema is not None:
-                rps = tuple(mix["random_params"]) if mix else ()
                 index = build_parameter_index(schema, rps)
                 if list(index.names()) != pnames:
                     missing = [n for n in index.names() if n not in set(pnames)]
@@ -189,7 +189,6 @@ class EstimationResult:
                         f"result parameters do not match schema {schema.name!r}{detail}",
                     )
             else:
-                rps = tuple(mix["random_params"]) if mix else ()
                 entries = tuple(
                     ParamInfo(n, "sd" if n.startswith("sd:") else "loaded") for n in pnames
                 )

@@ -213,7 +213,7 @@ class RecoveryReport:
 
 
 def recovery_experiment(cfg: SimConfig, estimator: str,
-                        options=None, n_threads: int | None = None) -> RecoveryReport:
+                        options=None) -> RecoveryReport:
     """Simulate, re-estimate, and compare against the generating truth."""
     if estimator not in ("mnl", "mmnl"):
         raise SimulationError("bad_estimator",
@@ -227,7 +227,7 @@ def recovery_experiment(cfg: SimConfig, estimator: str,
         if estimator == "mnl":
             result = estimate_mnl(panel, options)
         else:
-            result = estimate_mmnl(panel, cfg.mixing, options, n_threads=n_threads)
+            result = estimate_mmnl(panel, cfg.mixing, options)
     except DceError as e:
         raise type(e)(e.code, f"{e.message} [simulation seed {cfg.seed}]") from e
 

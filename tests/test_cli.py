@@ -216,16 +216,17 @@ class TestErrors:
         assert code == 2
         assert "unknown_parameter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_bad_thread_count(self, pipeline, workdir, capsys, threads):
+    @pytest.mark.parametrize("flag, value, error", [("--draws", "0", "bad_draw_count"),
+                                                    ("--drop", "-1", "bad_drop")])
+    def test_bad_halton_setting(self, pipeline, workdir, capsys, flag, value, error):
         code = main(["estimate", "mmnl",
                      "--data", str(pipeline["paths"]["choices"]),
                      "--schema", LABELS_SCHEMA, "--draws", "10",
-                     "--random", "asc_drone", "--threads", threads,
-                     "-o", str(workdir / "threads.json")])
+                     "--random", "asc_drone", flag, value,
+                     "-o", str(workdir / "halton.json")])
         assert code == 2
-        assert "bad_thread_count" in capsys.readouterr().err
-        assert not (workdir / "threads.json").exists()
+        assert error in capsys.readouterr().err
+        assert not (workdir / "halton.json").exists()
 
     def test_unknown_schema_name(self, workdir, capsys):
         code = main(["design", "--schema", "no_such_schema", "--runs", "32",

@@ -24,8 +24,8 @@ MODELS = {
 AGES = ("age_18_34", "age_55_74", "age_75_plus", "age_35_54")
 
 
-def kernel(panel, mixing, n_threads=1):
-    return _mnl_work(panel) if mixing is None else _work(panel, mixing, None, n_threads)
+def kernel(panel, mixing):
+    return _mnl_work(panel) if mixing is None else _work(panel, mixing, None)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def optimum(request):
             panel = request.getfixturevalue(panel_fixture)["panel"]
             mixing = MODELS[model]
             res = (estimate_mnl(panel) if mixing is None
-                   else estimate_mmnl(panel, mixing, n_threads=1))
+                   else estimate_mmnl(panel, mixing))
             assert res.converged
             cache[model, panel_fixture] = res.params
         return cache[model, panel_fixture]
@@ -71,29 +71,6 @@ def test_score_matches_gradient_pass(model, panel_fixture, request, optimum):
     _, grad, _ = work.hessian(x)
     want = work.loglik_and_gradient(x)[1]
     assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
-
-
-def test_thread_count_does_not_change_bits(mixed_panel40):
-    panel = mixed_panel40["panel"]
-    x = mixed_panel40["truth"]
-    mixing = MixingSpec(halton=HaltonConfig(n_draws=100))
-    one = kernel(panel, mixing, n_threads=1)
-    four = kernel(panel, mixing, n_threads=4)
-    assert len(one.blocks) > 1 and len(one.chunks) > 1
-    for a, b in zip(one.hessian(x), four.hessian(x)):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_fit_does_not_depend_on_thread_count(mixed_panel40):
-    panel = mixed_panel40["panel"]
-    mixing = MixingSpec(halton=HaltonConfig(n_draws=100))
-    one = estimate_mmnl(panel, mixing, n_threads=1)
-    four = estimate_mmnl(panel, mixing, n_threads=4)
-    assert one.converged
-    np.testing.assert_array_equal(one.params, four.params)
-    np.testing.assert_array_equal(one.std_errors, four.std_errors)
-    assert one.ll_final == four.ll_final
-    assert one.trace.ll == four.trace.ll
 
 
 @pytest.mark.parametrize("absent", AGES)

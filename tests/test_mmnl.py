@@ -186,30 +186,15 @@ class TestInvariances:
         assert msl_loglik(x, shuffled, mixing, draws=z[order]) == pytest.approx(
             msl_loglik(x, panel, mixing, draws=z), rel=1e-12, abs=0)
 
-    def test_bad_thread_env(self, mixed_panel40, monkeypatch):
-        monkeypatch.setenv("DCE_THREADS", "zero")
-        with pytest.raises(EstimationError) as err:
-            msl_loglik(mixed_panel40["truth"], mixed_panel40["panel"],
-                       small_mixing())
-        assert err.value.code == "bad_thread_count"
-
-    @pytest.mark.parametrize("n_threads", [0, -3])
-    @pytest.mark.parametrize("call", ["msl_loglik", "msl_gradient", "estimate_mmnl"])
-    def test_bad_thread_argument(self, mixed_panel40, call, n_threads):
+    def test_thread_env_is_not_read(self, mixed_panel40, monkeypatch):
         panel, truth = mixed_panel40["panel"], mixed_panel40["truth"]
-        with pytest.raises(EstimationError) as err:
-            if call == "estimate_mmnl":
-                estimate_mmnl(panel, small_mixing(), n_threads=n_threads, start=truth)
-            else:
-                {"msl_loglik": msl_loglik, "msl_gradient": msl_gradient}[call](
-                    truth, panel, small_mixing(), n_threads=n_threads)
-        assert err.value.code == "bad_thread_count"
-
-    def test_zero_thread_env(self, mixed_panel40, monkeypatch):
-        monkeypatch.setenv("DCE_THREADS", "0")
-        with pytest.raises(EstimationError) as err:
-            msl_loglik(mixed_panel40["truth"], mixed_panel40["panel"], small_mixing())
-        assert err.value.code == "bad_thread_count"
+        unset_ll = msl_loglik(truth, panel, small_mixing())
+        unset_fit = estimate_mmnl(panel, small_mixing(), start=truth)
+        monkeypatch.setenv("DCE_THREADS", "zero")
+        assert msl_loglik(truth, panel, small_mixing()) == unset_ll
+        fit = estimate_mmnl(panel, small_mixing(), start=truth)
+        np.testing.assert_array_equal(fit.params, unset_fit.params)
+        assert fit.ll_final == unset_fit.ll_final
 
 
 class TestGradient:
@@ -299,12 +284,12 @@ class TestEstimation:
         mixing = small_mixing(n_draws=100)
         start = fitted.params.copy()
         start[-2:] = -start[-2:]
-        flipped = estimate_mmnl(panel, mixing, start=start, n_threads=1)
+        flipped = estimate_mmnl(panel, mixing, start=start)
         assert flipped.converged
         assert np.all(flipped.params[-2:] > 0)
         assert flipped.trace.ll[-1] != flipped.ll_final
         assert flipped.ll_final == msl_loglik(flipped.params, panel, mixing)
-        work = _work(panel, mixing, None, 1)
+        work = _work(panel, mixing, None)
         se, _ = _inference(work.hessian(flipped.params)[2], flipped.params)
         np.testing.assert_array_equal(flipped.std_errors, se)
 
@@ -323,8 +308,8 @@ class TestEstimation:
         panel = code_dataset(simulate_dataset(SimConfig(
             schema=schema, design=design, true_params=table4_mmnl().params,
             mixing=mixing, n_respondents=40, seed=1, demographic_weights=uniform)))
-        newton = estimate_mmnl(panel, mixing, n_threads=1)
-        work = _work(panel, mixing, None, 1)
+        newton = estimate_mmnl(panel, mixing)
+        work = _work(panel, mixing, None)
 
         def fun(x):
             ll, grad = work.loglik_and_gradient(x)

@@ -75,6 +75,18 @@ class TestHalton:
         with pytest.raises(ValueError):
             halton(4, 1)
 
+    @pytest.mark.parametrize("kwargs, code", [
+        ({"n_draws": 0}, "bad_draw_count"),
+        ({"drop": -1}, "bad_drop"),
+        ({"primes": ()}, "bad_primes"),
+        ({"primes": (2, 2)}, "bad_primes"),
+        ({"primes": (2, 1)}, "bad_primes"),
+    ])
+    def test_config_errors_are_typed(self, kwargs, code):
+        with pytest.raises(EstimationError) as err:
+            HaltonConfig(**kwargs)
+        assert err.value.code == code
+
     def test_matrix_slices_one_stream_per_individual(self):
         # individual i takes global indices drop + [i*D+1 .. (i+1)*D]
         cfg = HaltonConfig(primes=(2,), drop=0, n_draws=2)
