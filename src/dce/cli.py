@@ -168,8 +168,10 @@ def _cmd_simulate(args) -> int:
     for p in (args.design, args.params, getattr(args, "schema", None)):
         if p:
             manifest.add_input(p)
-    result = EstimationResult.load(args.params)
-    schema = _schema_for_result(args, result)
+    # read once for the schema it names, then against that schema, so that
+    # a mismatch names the missing and unexpected parameters
+    schema = _schema_for_result(args, EstimationResult.load(args.params))
+    result = EstimationResult.load(args.params, schema)
     design = read_design_csv(args.design, schema)
 
     mixing = None
@@ -180,20 +182,6 @@ def _cmd_simulate(args) -> int:
                                 drop=result.mixing.drop,
                                 n_draws=result.mixing.n_draws),
             antithetic=result.mixing.antithetic)
-    expected = build_parameter_index(
-        schema, mixing.random_params if mixing else ())
-    got = result.index.names()
-    if got != expected.names():
-        missing = sorted(set(expected.names()) - set(got))
-        extra = sorted(set(got) - set(expected.names()))
-        parts = []
-        if missing:
-            parts.append("missing parameters: " + ", ".join(missing))
-        if extra:
-            parts.append("unexpected parameters: " + ", ".join(extra))
-        raise DceError("parameter_mismatch",
-                       f"parameters do not match schema {schema.name!r}; "
-                       + "; ".join(parts))
 
     cfg = SimConfig(schema=schema, design=design, true_params=result.params,
                     mixing=mixing, n_respondents=args.n, seed=args.seed,
@@ -210,7 +198,25 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _estimate_common(args, result: EstimationResult, manifest: _Manifest) -> int:
+def _cmd_estimate(args) -> int:
+    manifest = _Manifest(f"estimate {args.estimator}", args)
+    manifest.add_input(args.data)
+    manifest.add_input(args.schema)
+    if args.respondents:
+        manifest.add_input(args.respondents)
+    schema = _load_schema(args.schema)
+    dataset = ingest_choices(args.data, schema, respondents_path=args.respondents)
+    panel = code_dataset(dataset)
+    if args.estimator == "mnl":
+        result = estimate_mnl(panel)
+    else:
+        random_params = tuple(s for s in (args.random or "").split(",") if s)
+        mixing = MixingSpec(random_params=random_params,
+                            halton=HaltonConfig(n_draws=args.draws, drop=args.drop),
+                            antithetic=args.antithetic)
+        # surfaces unknown --random names before estimation starts
+        build_parameter_index(schema, random_params)
+        result = estimate_mmnl(panel, mixing)
     result.run_id = manifest.run_id
     result.save(args.output)
     manifest.add_output(args.output)
@@ -223,38 +229,6 @@ def _estimate_common(args, result: EstimationResult, manifest: _Manifest) -> int
               file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
-
-
-def _cmd_estimate_mnl(args) -> int:
-    manifest = _Manifest("estimate mnl", args)
-    manifest.add_input(args.data)
-    manifest.add_input(args.schema)
-    if args.respondents:
-        manifest.add_input(args.respondents)
-    schema = _load_schema(args.schema)
-    dataset = ingest_choices(args.data, schema, respondents_path=args.respondents)
-    panel = code_dataset(dataset)
-    result = estimate_mnl(panel)
-    return _estimate_common(args, result, manifest)
-
-
-def _cmd_estimate_mmnl(args) -> int:
-    manifest = _Manifest("estimate mmnl", args)
-    manifest.add_input(args.data)
-    manifest.add_input(args.schema)
-    if args.respondents:
-        manifest.add_input(args.respondents)
-    schema = _load_schema(args.schema)
-    dataset = ingest_choices(args.data, schema, respondents_path=args.respondents)
-    panel = code_dataset(dataset)
-    random_params = tuple(s for s in (args.random or "").split(",") if s)
-    mixing = MixingSpec(random_params=random_params,
-                        halton=HaltonConfig(n_draws=args.draws, drop=args.drop),
-                        antithetic=args.antithetic)
-    # surfaces unknown --random names before estimation starts
-    build_parameter_index(schema, random_params)
-    result = estimate_mmnl(panel, mixing)
-    return _estimate_common(args, result, manifest)
 
 
 def _cmd_postest_wtp(args) -> int:
@@ -356,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated random parameter names")
             p.add_argument("--drop", type=int, default=10)
             p.add_argument("--antithetic", action="store_true")
-            p.set_defaults(func=_cmd_estimate_mmnl)
-        else:
-            p.set_defaults(func=_cmd_estimate_mnl)
+        p.set_defaults(func=_cmd_estimate)
 
     pe = sub.add_parser("postest", help="reports from an estimation result")
     psub = pe.add_subparsers(dest="report", required=True)

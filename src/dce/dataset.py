@@ -352,12 +352,6 @@ class ScreeningReport:
     dropped: dict[str, str]
     counts: dict[str, int]
 
-    def summary(self) -> str:
-        parts = [f"kept {self.n_kept} of {self.n_input} respondents"]
-        for reason, count in sorted(self.counts.items()):
-            parts.append(f"{reason}: {count}")
-        return "; ".join(parts)
-
 
 def screen_responses(dataset: ChoiceDataset,
                      rules: ScreeningRules = ScreeningRules(),

@@ -16,12 +16,12 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import _inference, _MslWork, estimate_mnl, mnl_probabilities
+from .mnl import _fit, _MslWork, estimate_mnl, mnl_probabilities
 # bfgs_minimize and hessian_from_grad are unused here but stay importable:
 # benchmarks/spans.py looks the names up in this module when it traces a run
 from .numerics import (HaltonConfig, OptimizerOptions, bfgs_minimize,  # noqa: F401
-                       hessian_from_grad, normal_draws, trust_newton_minimize)
-from .results import EstimationResult, MixingInfo, implied_base_levels
+                       hessian_from_grad, normal_draws)
+from .results import EstimationResult, MixingInfo
 from .schema import ParameterIndex, build_parameter_index
 
 __all__ = ["MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
@@ -120,79 +120,36 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
 
     The Halton draw matrix is built once and held fixed across iterations.
     Unless ``start`` is given, means warm-start at the plain MNL solution and
-    sds at 0.5. The optimizer is trust-region Newton on the analytic Hessian
-    (``trust_newton_minimize``), one kernel pass per iteration. Sd estimates
-    are reported as absolute values (their sign is not identified).
-    Standard errors come from the inverse of the analytic Hessian of the
-    negative simulated log likelihood at the reported point (the observed
-    information): the optimizer's last one, recomputed only when an sd's
-    sign was flipped. They are None when that matrix is singular.
+    sds at 0.5. The fit, sd signs and standard errors are those of
+    ``mnl._fit``: trust-region Newton on the analytic Hessian, sds reported
+    as absolute values, and standard errors from the observed information
+    at the reported point, None when it is singular.
     """
-    opts = options or OptimizerOptions()
     index = build_parameter_index(panel.schema, mixing.random_params)
-    k = panel.X.shape[1]
-    if index.names()[:k] != panel.index.names():
+    if index.names()[:panel.X.shape[1]] != panel.index.names():
         raise EstimationError("parameter_mismatch",
                               "panel was coded against a different index")
 
     work = _work(panel, mixing, None)
-
-    if start is not None:
-        x0 = np.asarray(start, dtype=np.float64).reshape(-1).copy()
-        if x0.shape[0] != index.n_params:
-            raise EstimationError("parameter_mismatch",
-                                  f"start needs {index.n_params} values")
-    else:
-        mnl = estimate_mnl(panel, opts)
-        x0 = np.concatenate([mnl.params, np.full(mixing.n_random, 0.5)])
-
-    trace_ll: list[float] = []
-
-    def fun(x):
-        ll, grad, hess = work.hessian(x)
-        return -ll, -grad, hess
-
-    res = trust_newton_minimize(fun, x0, opts,
-                                callback=lambda it, x, f: trace_ll.append(-f))
-
-    x_hat = res.x.copy()
-    x_hat[k:] = np.abs(x_hat[k:])
-    if np.any(res.x[k:] < 0):
-        ll_final, _, hessian = work.hessian(x_hat)
-    else:
-        ll_final, hessian = -res.fun, res.hess
-    se, pvals = _inference(hessian, x_hat)
+    if start is None:
+        mnl = estimate_mnl(panel, options)
+        start = np.concatenate([mnl.params, np.full(mixing.n_random, 0.5)])
+    result, trace_ll = _fit(panel, work, index, start, options)
     halton = mixing.halton
     primes = halton.primes[:max(mixing.n_random, 1)]
     trace = SimulatedLikelihoodTrace(
-        ll=tuple(trace_ll), n_draws=work.n_draws,
+        ll=trace_ll, n_draws=work.n_draws,
         config={"random_params": list(mixing.random_params),
                 "primes": list(primes),
-                "drop": halton.drop, "scramble": halton.scramble,
-                "seed": halton.seed, "antithetic": mixing.antithetic,
+                "drop": halton.drop, "antithetic": mixing.antithetic,
                 # always 1, but kept: benchmarks/workloads.py and spans.py read it
                 "threads": 1})
-    return EstimationResult(
-        index=index,
-        params=x_hat,
-        ll_final=ll_final,
-        ll_null=panel.null_loglik(),
-        converged=res.converged,
-        iterations=res.iterations,
-        status=res.status,
-        model="mmnl",
-        std_errors=se,
-        p_values=pvals,
-        mixing=MixingInfo(random_params=mixing.random_params,
-                          n_draws=work.n_draws,
-                          primes=tuple(primes),
-                          drop=halton.drop,
-                          antithetic=mixing.antithetic),
-        base_levels=implied_base_levels(panel.schema, index, x_hat),
-        n_respondents=panel.n_respondents,
-        n_tasks=panel.n_tasks,
-        trace=trace,
-    )
+    return replace(result, model="mmnl", trace=trace,
+                   mixing=MixingInfo(random_params=mixing.random_params,
+                                     n_draws=work.n_draws,
+                                     primes=tuple(primes),
+                                     drop=halton.drop,
+                                     antithetic=mixing.antithetic))
 
 
 def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,

@@ -24,6 +24,7 @@ from .errors import EstimationError
 from .numerics import (OptimizerOptions, bfgs_minimize,  # noqa: F401
                        hessian_from_grad, trust_newton_minimize)
 from .results import EstimationResult, implied_base_levels, two_sided_p
+from .schema import ParameterIndex
 
 __all__ = [
     "mnl_probabilities",
@@ -344,43 +345,64 @@ def _inference(hessian_of_negll: np.ndarray, params: np.ndarray):
     return se, p
 
 
-def estimate_mnl(panel: CodedPanel,
-                 options: OptimizerOptions | None = None) -> EstimationResult:
-    """Maximize the MNL log likelihood from a zero start.
+def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start,
+         options: OptimizerOptions | None):
+    """Maximize ``work``'s log likelihood from ``start``; the one fit behind
+    both estimators.
 
     The optimizer is trust-region Newton on the analytic Hessian
     (``trust_newton_minimize``); each iteration is one pass of the kernel.
-    Standard errors come from the inverse of that Hessian at the estimate
-    (the observed information), taken from the optimizer's last accepted
-    point; they are flagged unavailable (None) when that matrix is
-    singular. Non-convergence is reported through ``converged`` and
-    ``status``, not raised.
+    Sd estimates are reported as absolute values (their sign is not
+    identified). Standard errors come from the inverse of the Hessian of the
+    negative log likelihood at the reported point (the observed
+    information): the optimizer's last one, recomputed only when an sd's
+    sign was flipped. They are None when that matrix is singular.
+    Non-convergence is reported through ``converged`` and ``status``, not
+    raised. Returns the result, as an MNL one with no trace, and the log
+    likelihood at the start and after each accepted step.
     """
     check_identification(panel)
-    options = options or OptimizerOptions()
-    work = _mnl_work(panel)
+    x0 = np.asarray(start, dtype=np.float64).reshape(-1)
+    if x0.shape[0] != index.n_params:
+        raise EstimationError("parameter_mismatch",
+                              f"start needs {index.n_params} values")
+    path: list[float] = []
 
     def objective(x):
         ll, grad, hess = work.hessian(x)
         return -ll, -grad, hess
 
+    res = trust_newton_minimize(objective, x0, options or OptimizerOptions(),
+                                callback=lambda it, x, f: path.append(-f))
     k = panel.X.shape[1]
-    res = trust_newton_minimize(objective, np.zeros(k), options)
-
-    se, p = _inference(res.hess, res.x)
-
+    x_hat = res.x.copy()
+    x_hat[k:] = np.abs(x_hat[k:])
+    if np.any(res.x[k:] < 0):
+        ll_final, _, hessian = work.hessian(x_hat)
+    else:
+        ll_final, hessian = -res.fun, res.hess
+    se, p = _inference(hessian, x_hat)
     return EstimationResult(
-        index=panel.index,
-        params=res.x,
+        index=index,
+        params=x_hat,
         std_errors=se,
         p_values=p,
-        ll_final=float(-res.fun),
+        ll_final=ll_final,
         ll_null=panel.null_loglik(),
         converged=res.converged,
         iterations=res.iterations,
         status=res.status,
         model="mnl",
-        base_levels=implied_base_levels(panel.schema, panel.index, res.x),
+        base_levels=implied_base_levels(panel.schema, index, x_hat),
         n_respondents=panel.n_respondents,
         n_tasks=panel.n_tasks,
-    )
+    ), tuple(path)
+
+
+def estimate_mnl(panel: CodedPanel,
+                 options: OptimizerOptions | None = None) -> EstimationResult:
+    """Maximize the MNL log likelihood from a zero start by trust-region
+    Newton (``_fit``). Standard errors come from the observed information
+    and are None when it is singular."""
+    return _fit(panel, _mnl_work(panel), panel.index, np.zeros(panel.X.shape[1]),
+                options)[0]

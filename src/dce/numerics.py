@@ -48,15 +48,11 @@ class HaltonConfig:
     primes: one base per mixing dimension, in order.
     drop: leading sequence points discarded once, ahead of every individual's slice.
     n_draws: points per individual per dimension.
-    scramble: apply a seeded digit permutation per base (digit 0 stays fixed).
-    seed: permutation seed; unused when scramble is False.
     """
 
     primes: tuple[int, ...] = (2, 3)
     drop: int = 10
     n_draws: int = 500
-    scramble: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.primes) == 0 or len(set(self.primes)) != len(self.primes) \
@@ -70,7 +66,7 @@ class HaltonConfig:
                                   f"n_draws must be >= 1, got {self.n_draws}")
 
 
-def _radical_inverse(indices: np.ndarray, base: int, perm: np.ndarray | None = None) -> np.ndarray:
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """Base-b radical inverse of non-negative integer indices (vectorized)."""
     rem = np.asarray(indices, dtype=np.int64).copy()
     out = np.zeros(rem.shape, dtype=np.float64)
@@ -78,19 +74,9 @@ def _radical_inverse(indices: np.ndarray, base: int, perm: np.ndarray | None = N
     while np.any(rem > 0):
         scale /= base
         digit = rem % base
-        if perm is not None:
-            digit = perm[digit]
         out += digit * scale
         rem //= base
     return out
-
-
-def _digit_permutation(base: int, seed: int, dim: int) -> np.ndarray:
-    # digit 0 stays fixed so finite expansions keep their trailing zeros
-    rng = np.random.default_rng([seed, base, dim])
-    perm = np.arange(base)
-    perm[1:] = rng.permutation(perm[1:])
-    return perm
 
 
 def halton(n_points: int, base: int, start: int = 1) -> np.ndarray:
@@ -116,10 +102,7 @@ def halton_matrix(config: HaltonConfig, n_individuals: int) -> np.ndarray:
         raise ValueError("n_individuals must be >= 0")
     total = n_individuals * config.n_draws
     idx = config.drop + 1 + np.arange(total)
-    dims = []
-    for d, p in enumerate(config.primes):
-        perm = _digit_permutation(p, config.seed, d) if config.scramble else None
-        dims.append(_radical_inverse(idx, p, perm))
+    dims = [_radical_inverse(idx, p) for p in config.primes]
     stacked = np.stack(dims, axis=-1)  # (total, n_dims)
     return stacked.reshape(n_individuals, config.n_draws, len(config.primes))
 

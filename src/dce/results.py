@@ -172,7 +172,8 @@ class EstimationResult:
         """Rebuild a result from its JSON dict.
 
         With ``schema`` given, the parameter index is rebuilt from the schema
-        and checked name-by-name against the file; without it, a bare index
+        and checked name-by-name against the file, and a mismatch names the
+        missing and unexpected parameters; without it, a bare index
         preserving the file's order is used (enough for post-estimation).
         """
         try:
@@ -182,11 +183,15 @@ class EstimationResult:
             if schema is not None:
                 index = build_parameter_index(schema, rps)
                 if list(index.names()) != pnames:
-                    missing = [n for n in index.names() if n not in set(pnames)]
-                    detail = f"; missing: {missing[:6]}" if missing else "; order differs"
+                    missing = sorted(set(index.names()) - set(pnames))
+                    extra = sorted(set(pnames) - set(index.names()))
+                    parts = [f"{what} parameters: {', '.join(names)}"
+                             for what, names in (("missing", missing), ("unexpected", extra))
+                             if names]
                     raise SchemaError(
                         "parameter_mismatch",
-                        f"result parameters do not match schema {schema.name!r}{detail}",
+                        f"result parameters do not match schema {schema.name!r}; "
+                        + ("; ".join(parts) or "order differs"),
                     )
             else:
                 entries = tuple(

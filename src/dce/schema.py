@@ -58,9 +58,6 @@ class Level:
     value: float | None = None
     display: str | None = None
 
-    def shown(self) -> str:
-        return self.display if self.display is not None else self.label
-
 
 @dataclass(frozen=True)
 class AlternativeDef:
@@ -329,12 +326,6 @@ class ParameterIndex:
 
     def positions(self, names) -> np.ndarray:
         return np.array([self.position(n) for n in names], dtype=np.intp)
-
-    def block(self, kind: str, attribute: str | None = None,
-              alternative: str | None = None) -> list[int]:
-        """Column positions of one logical block, in layout order."""
-        return [i for i, e in enumerate(self.entries)
-                if e.kind == kind and e.attribute == attribute and e.alternative == alternative]
 
     def sd_position(self, param_name: str) -> int:
         return self.position(f"sd:{param_name}")

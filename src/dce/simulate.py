@@ -231,15 +231,13 @@ def recovery_experiment(cfg: SimConfig, estimator: str,
     except DceError as e:
         raise type(e)(e.code, f"{e.message} [simulation seed {cfg.seed}]") from e
 
-    random_params = cfg.mixing.random_params if cfg.mixing else ()
-    index = build_parameter_index(cfg.schema, tuple(random_params))
-    k = index.n_fixed
+    # an MNL fit of a mixed truth covers its fixed part only
+    k = result.index.n_fixed
     truth = cfg.true_params.copy()
     truth[k:] = np.abs(truth[k:])  # estimates report |sd|
-    est = result.params if estimator == "mmnl" else result.params[:k]
-    names = result.index.names()
+    est = result.params
     rows = []
-    for j, name in enumerate(names):
+    for j, name in enumerate(result.index.names()):
         se = None if result.std_errors is None else float(result.std_errors[j])
         z = abs(est[j] - truth[j]) / se if se else float("nan")
         rows.append(RecoveryRow(name, float(truth[j]), float(est[j]), se, z))

@@ -207,6 +207,24 @@ class TestErrors:
         assert code == 2
         assert "bad_respondent_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, reported", [
+        ("asc_bus", "unexpected parameters: asc_bus"),
+        ("asc_truck", "missing parameters: asc_truck")])
+    def test_simulate_params_not_matching_schema(self, pipeline, workdir, capsys,
+                                                 name, reported):
+        doc = json.loads(Path(MMNL_FIXTURE).read_text())
+        if doc["parameters"].pop(name, None) is None:
+            doc["parameters"][name] = {"estimate": 0.5}
+        params = workdir / f"params_{name}.json"
+        params.write_text(json.dumps(doc))
+        code = main(["simulate", "--design", str(pipeline["paths"]["design"]),
+                     "--params", str(params), "--n", "5",
+                     "-o", str(workdir / "mismatch.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parameter_mismatch" in err and reported in err
+        assert not (workdir / "mismatch.csv").exists()
+
     def test_unknown_random_param(self, pipeline, workdir, capsys):
         code = main(["estimate", "mmnl",
                      "--data", str(pipeline["paths"]["choices"]),

@@ -192,6 +192,35 @@ class TestScreening:
             ScreeningRules(incomplete=False, straight_line=False))
         assert report.n_kept == 50
 
+    @staticmethod
+    def timed(dataset, seconds):
+        """``dataset`` with respondent i's response_seconds set to
+        seconds[i]; None leaves the value out."""
+        return replace(dataset, respondents=tuple(
+            replace(r, extra={} if s is None else {"response_seconds": s})
+            for r, s in zip(dataset.respondents, seconds)))
+
+    def test_fast_responder_dropped(self, panel50):
+        # 60 is not below the 60-second threshold; 59.5 is
+        seconds = ["300"] * 50
+        seconds[3], seconds[4] = "59.5", "60"
+        kept, report = screen_responses(self.timed(panel50["dataset"], seconds),
+                                        ScreeningRules(fast_seconds=60))
+        assert report.dropped == {"r4": "fast_response"}
+        assert report.counts == {"fast_response": 1}
+        assert "r4" not in {r.respondent_id for r in kept.respondents}
+
+    @pytest.mark.parametrize("value, code", [(None, "missing_column"),
+                                             ("quick", "bad_number")])
+    def test_bad_response_seconds(self, panel50, value, code):
+        seconds = ["300"] * 50
+        seconds[7] = value
+        with pytest.raises(DatasetError) as err:
+            screen_responses(self.timed(panel50["dataset"], seconds),
+                             ScreeningRules(fast_seconds=60))
+        assert err.value.code == code
+        assert "r8" in err.value.message
+
 
 class TestCoding:
     def test_shapes_and_pointers(self, panel50, schema_labels):

@@ -9,6 +9,7 @@ import pytest
 from dce import (
     EstimationResult,
     ExperimentSchema,
+    SchemaError,
     builtin_fixture,
     builtin_schema,
     default_schema,
@@ -122,6 +123,20 @@ class TestShippedFiles:
         path = tmp_path / "out.json"
         r.save(path)
         assert_results_equal(EstimationResult.load(path), r)
+
+    def test_load_against_schema_names_the_mismatch(self, schema_labels):
+        d = table4_mnl().to_dict()
+        d["parameters"]["asc_bus"] = d["parameters"].pop("asc_truck")
+        with pytest.raises(SchemaError) as err:
+            EstimationResult.from_dict(d, schema_labels)
+        assert err.value.code == "parameter_mismatch"
+        assert err.value.message.endswith(
+            "; missing parameters: asc_truck; unexpected parameters: asc_bus")
+        d = table4_mnl().to_dict()
+        d["parameters"] = dict(reversed(d["parameters"].items()))
+        with pytest.raises(SchemaError) as err:
+            EstimationResult.from_dict(d, schema_labels)
+        assert err.value.message.endswith("; order differs")
 
 
 class TestDemographicWeights:

@@ -321,6 +321,19 @@ class TestEstimation:
         for x in (newton.params, bfgs.x):
             np.linalg.cholesky(work.hessian(x)[2])
 
+    def test_start_does_not_skip_the_identification_check(self, mixed_panel40):
+        # with nobody aged 35-54 (the effects base) or 75+, the 75+ columns
+        # are zero in every row; the fit must refuse with or without a start
+        cfg = mixed_panel40["cfg"]
+        ages = {"age_18_34": 0.5, "age_55_74": 0.5, "age_75_plus": 0.0, "age_35_54": 0.0}
+        panel = code_dataset(simulate_dataset(
+            replace(cfg, demographic_weights={"age_group": ages})))
+        for start in (None, mixed_panel40["truth"]):
+            with pytest.raises(EstimationError) as err:
+                estimate_mmnl(panel, small_mixing(n_draws=16), start=start)
+            assert err.value.code == "degenerate_column"
+            assert "age_75_plus" in err.value.message
+
     def test_index_names_panel_mismatch(self, panel50):
         panel = panel50["panel"]
         other = small_mixing()

@@ -107,14 +107,6 @@ class TestHalton:
         np.testing.assert_array_equal(u[:, :, 1].ravel(),
                                       halton(15, 3, start=5))
 
-    def test_scramble_deterministic_per_seed(self):
-        a = halton_matrix(HaltonConfig(scramble=True, seed=4, n_draws=20), 3)
-        b = halton_matrix(HaltonConfig(scramble=True, seed=4, n_draws=20), 3)
-        c = halton_matrix(HaltonConfig(scramble=True, seed=5, n_draws=20), 3)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert np.all(a > 0) and np.all(a < 1)
-
 
 class TestInverseNormalCdf:
     def test_against_frozen_oracle(self):
