@@ -25,10 +25,10 @@ from .mmnl import (MixingSpec, SimulatedLikelihoodTrace, estimate_mmnl,
 from .mnl import (check_identification, estimate_mnl, mnl_gradient,
                   mnl_loglik, mnl_probabilities)
 from .numerics import (HaltonConfig, OptimizerOptions, OptimResult,
-                       bfgs_minimize, finite_diff_grad, halton, halton_matrix,
+                       finite_diff_grad, halton, halton_matrix,
                        hessian_from_grad, inv_normal_cdf, normal_draws,
                        trust_newton_minimize)
-from .postest import (CostSlope, ElasticityEntry, ElasticityReport, FitStats,
+from .postest import (CostSlope, ElasticityEntry, FitStats,
                       LrTest, WtpEntry, WtpReport, cost_slope, elasticity_grid,
                       fit_stats, lr_test, own_cost_elasticity, render_wtp_table,
                       wtp, wtp_report)
@@ -50,9 +50,9 @@ __all__ = [
     "DceError", "SchemaError", "DesignError", "DatasetError",
     "EstimationError", "SimulationError", "PostestError",
     # numerics
-    "HaltonConfig", "OptimizerOptions", "OptimResult", "bfgs_minimize",
-    "finite_diff_grad", "halton", "halton_matrix", "hessian_from_grad",
-    "inv_normal_cdf", "normal_draws", "trust_newton_minimize",
+    "HaltonConfig", "OptimizerOptions", "OptimResult", "finite_diff_grad",
+    "halton", "halton_matrix", "hessian_from_grad", "inv_normal_cdf",
+    "normal_draws", "trust_newton_minimize",
     # design
     "Profile", "DesignDiagnostics", "BlockedDesign", "full_factorial",
     "select_fraction", "block_design", "design_diagnostics",
@@ -70,7 +70,7 @@ __all__ = [
     "render_table",
     # postest
     "FitStats", "LrTest", "CostSlope", "WtpEntry", "WtpReport",
-    "ElasticityEntry", "ElasticityReport", "fit_stats", "lr_test",
+    "ElasticityEntry", "fit_stats", "lr_test",
     "cost_slope", "wtp", "wtp_report", "own_cost_elasticity",
     "elasticity_grid", "render_wtp_table",
     # simulation

@@ -17,15 +17,18 @@ import numpy as np
 from .dataset import CodedPanel
 from .errors import EstimationError
 from .mnl import _fit, _MslWork, estimate_mnl, mnl_probabilities
-# bfgs_minimize and hessian_from_grad are unused here but stay importable:
-# benchmarks/spans.py looks the names up in this module when it traces a run
-from .numerics import (HaltonConfig, OptimizerOptions, bfgs_minimize,  # noqa: F401
+# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
+# looks the name up in this module when it traces a run
+from .numerics import (HaltonConfig, OptimizerOptions,  # noqa: F401
                        hessian_from_grad, normal_draws)
 from .results import EstimationResult, MixingInfo
 from .schema import ParameterIndex, build_parameter_index
 
 __all__ = ["MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
            "msl_loglik", "msl_gradient", "estimate_mmnl", "mmnl_predict"]
+
+# benchmarks/spans.py patches this name when it traces a run; nothing calls it
+bfgs_minimize = None
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,12 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     sds at 0.5. The fit, sd signs and standard errors are those of
     ``mnl._fit``: trust-region Newton on the analytic Hessian, sds reported
     as absolute values, and standard errors from the observed information
-    at the reported point, None when it is singular.
+    at the reported point, None when it is singular. A mixing with no random
+    parameters is the MNL, so it raises EstimationError "no_random_params".
     """
+    if mixing.n_random == 0:
+        raise EstimationError("no_random_params",
+                              "a mixed logit needs at least one random parameter")
     index = build_parameter_index(panel.schema, mixing.random_params)
     if index.names()[:panel.X.shape[1]] != panel.index.names():
         raise EstimationError("parameter_mismatch",
@@ -136,7 +143,7 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
         start = np.concatenate([mnl.params, np.full(mixing.n_random, 0.5)])
     result, trace_ll = _fit(panel, work, index, start, options)
     halton = mixing.halton
-    primes = halton.primes[:max(mixing.n_random, 1)]
+    primes = halton.primes[:mixing.n_random]
     trace = SimulatedLikelihoodTrace(
         ll=trace_ll, n_draws=work.n_draws,
         config={"random_params": list(mixing.random_params),

@@ -1,12 +1,10 @@
-"""Numerical kernels: Halton draws, inverse normal CDF, optimizers, finite
-differences.
+"""Numerical kernels: Halton draws, inverse normal CDF, the optimizer,
+finite differences.
 
-Two minimizers share ``OptimizerOptions`` and ``OptimResult``.
 ``trust_newton_minimize`` is trust-region Newton on an exact Hessian, with
 the subproblem solved by Moré–Sorensen; both estimators use it.
-``bfgs_minimize`` is BFGS with a strong Wolfe line search, for objectives
-without a Hessian. ``hessian_from_grad`` is the finite-difference Hessian
-that the tests hold the analytic one against.
+``hessian_from_grad`` is the finite-difference Hessian that the tests hold
+the analytic one against.
 
 Everything in this module is deterministic given its inputs; nothing reads
 global RNG state. It needs only numpy and the standard library's ``math``.
@@ -30,7 +28,6 @@ __all__ = [
     "halton_matrix",
     "normal_draws",
     "inv_normal_cdf",
-    "bfgs_minimize",
     "trust_newton_minimize",
     "finite_diff_grad",
     "hessian_from_grad",
@@ -184,33 +181,24 @@ def inv_normal_cdf(u):
 
 
 # ---------------------------------------------------------------------------
-# BFGS with a strong Wolfe line search
+# Trust-region Newton
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for bfgs_minimize and trust_newton_minimize.
+    """Settings for trust_newton_minimize.
 
-    gradient_tolerance: infinity-norm convergence threshold on the gradient
-        (both methods).
-    step_tolerance: bfgs_minimize stops when the accepted step's infinity
-        norm is at or below it; trust_newton_minimize stops when the trust
-        radius falls to it after a rejected step.
-    max_iterations: outer iteration cap (both methods; for
-        trust_newton_minimize every trial step counts, accepted or not).
-    sufficient_decrease / curvature: strong Wolfe constants, with
-        0 < sufficient_decrease < curvature < 1 (bfgs_minimize only).
+    gradient_tolerance: infinity-norm convergence threshold on the gradient.
+    step_tolerance: stop when the trust radius falls to it after a rejected
+        step.
+    max_iterations: trial-step cap; every trial counts, accepted or not.
     """
 
     gradient_tolerance: float = 1e-5
     step_tolerance: float = 1e-10
     max_iterations: int = 200
-    sufficient_decrease: float = 1e-4
-    curvature: float = 0.9
 
     def __post_init__(self):
-        if not (0.0 < self.sufficient_decrease < self.curvature < 1.0):
-            raise ValueError("need 0 < sufficient_decrease < curvature < 1")
         if self.gradient_tolerance <= 0 or self.step_tolerance <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
@@ -219,15 +207,17 @@ class OptimizerOptions:
 
 @dataclass
 class OptimResult:
+    """What trust_newton_minimize returns: the last accepted point and the
+    objective's value, gradient and Hessian there."""
+
     x: np.ndarray
     fun: float
     grad: np.ndarray
-    # gradient_converged | step_converged | max_iterations | line_search_failed
-    # (bfgs_minimize only) | non_finite
+    # gradient_converged | step_converged | max_iterations | non_finite
     status: str
     iterations: int
     n_evals: int
-    hess: np.ndarray | None = None  # trust_newton_minimize: the Hessian at x
+    hess: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -237,148 +227,6 @@ class OptimResult:
 def _norm_inf(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
-
-_FINITE_RETRIES = 60  # halvings allowed when a trial point is non-finite
-
-
-def _wolfe_search(fun, x, p, f0, g0, opts):
-    """Strong Wolfe line search (bracket then zoom).
-
-    Returns (alpha, f, g, evals, ok). Non-finite trial values, and trial
-    points where ``fun`` raises EstimationError "non_finite_utility", trigger
-    step backtracking; persistent non-finite values fail the search.
-    """
-    c1, c2 = opts.sufficient_decrease, opts.curvature
-    dphi0 = float(g0 @ p)
-    evals = 0
-
-    def trial(a):
-        nonlocal evals
-        evals += 1
-        try:
-            fa, ga = fun(x + a * p)
-        except EstimationError as exc:
-            if exc.code != "non_finite_utility":
-                raise
-            return np.inf, None, np.nan
-        ok = np.isfinite(fa) and np.all(np.isfinite(ga))
-        return (float(fa), ga, float(ga @ p)) if ok else (np.inf, None, np.nan)
-
-    def interp(a_lo, a_hi):
-        # plain bisection; robust and steps are cheap relative to fun
-        return 0.5 * (a_lo + a_hi)
-
-    def zoom(a_lo, f_lo, d_lo, g_lo, a_hi, f_hi):
-        nonlocal evals
-        for _ in range(40):
-            if abs(a_hi - a_lo) <= 1e-14 * max(1.0, abs(a_lo)):
-                break
-            a = interp(a_lo, a_hi)
-            fa, ga, da = trial(a)
-            if ga is None:
-                a_hi = a  # non-finite region sits past a, shrink toward lo
-                continue
-            if fa > f0 + c1 * a * dphi0 or fa >= f_lo:
-                a_hi, f_hi = a, fa
-            else:
-                if abs(da) <= -c2 * dphi0:
-                    return a, fa, ga, True
-                if da * (a_hi - a_lo) >= 0:
-                    a_hi, f_hi = a_lo, f_lo
-                a_lo, f_lo, d_lo, g_lo = a, fa, da, ga
-        # interval exhausted: accept the best sufficient-decrease point if any
-        if g_lo is not None and f_lo <= f0 + c1 * a_lo * dphi0 and a_lo > 0:
-            return a_lo, f_lo, g_lo, True
-        return 0.0, f0, g0, False
-
-    alpha_prev, f_prev, d_prev, g_prev = 0.0, f0, dphi0, g0
-    alpha = 1.0
-    shrink = 0
-    first = True
-    for _ in range(30):
-        fa, ga, da = trial(alpha)
-        if ga is None:
-            shrink += 1
-            if shrink > _FINITE_RETRIES:
-                return 0.0, f0, g0, evals, False
-            alpha = alpha_prev + 0.5 * (alpha - alpha_prev)
-            continue
-        if fa > f0 + c1 * alpha * dphi0 or (not first and fa >= f_prev):
-            a, f, g, ok = zoom(alpha_prev, f_prev, d_prev, g_prev, alpha, fa)
-            return a, f, g, evals, ok
-        if abs(da) <= -c2 * dphi0:
-            return alpha, fa, ga, evals, True
-        if da >= 0:
-            a, f, g, ok = zoom(alpha, fa, da, ga, alpha_prev, f_prev)
-            return a, f, g, evals, ok
-        alpha_prev, f_prev, d_prev, g_prev = alpha, fa, da, ga
-        alpha *= 2.0
-        first = False
-    return 0.0, f0, g0, evals, False
-
-
-def bfgs_minimize(fun: Callable, x0, options: OptimizerOptions | None = None,
-                  callback: Callable | None = None) -> OptimResult:
-    """Minimize fun(x) -> (value, gradient) by BFGS with a strong Wolfe search.
-
-    Deterministic given (fun, x0, options). The inverse Hessian approximation
-    is rescaled after the first accepted step; updates that would lose
-    positive definiteness are skipped. ``callback(iteration, x, f)`` fires
-    once for the start point and once per accepted step.
-    """
-    opts = options or OptimizerOptions()
-    x = np.array(x0, dtype=np.float64, copy=True)
-    f, g = fun(x)
-    f = float(f)
-    g = np.asarray(g, dtype=np.float64)
-    n_evals = 1
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        return OptimResult(x, f, g, "non_finite", 0, n_evals)
-    if callback is not None:
-        callback(0, x, f)
-
-    H = np.eye(x.size)
-    first_update = True
-    for it in range(1, opts.max_iterations + 1):
-        if _norm_inf(g) <= opts.gradient_tolerance:
-            return OptimResult(x, f, g, "gradient_converged", it - 1, n_evals)
-        p = -(H @ g)
-        if float(g @ p) >= 0.0:
-            # curvature model broke down; restart from steepest descent
-            H = np.eye(x.size)
-            first_update = True
-            p = -g
-        alpha, f_new, g_new, evals, ok = _wolfe_search(fun, x, p, f, g, opts)
-        n_evals += evals
-        if not ok:
-            return OptimResult(x, f, g, "line_search_failed", it, n_evals)
-        s = alpha * p
-        y = g_new - g
-        x, f, g = x + s, f_new, g_new
-        if callback is not None:
-            callback(it, x, f)
-        if _norm_inf(s) <= opts.step_tolerance:
-            status = ("gradient_converged" if _norm_inf(g) <= opts.gradient_tolerance
-                      else "step_converged")
-            return OptimResult(x, f, g, status, it, n_evals)
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            if first_update:
-                H *= sy / float(y @ y)
-                first_update = False
-            rho = 1.0 / sy
-            Hy = H @ y
-            H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-            H += rho * (rho * float(y @ Hy) + 1.0) * np.outer(s, s)
-
-    status = ("gradient_converged" if _norm_inf(g) <= opts.gradient_tolerance
-              else "max_iterations")
-    return OptimResult(x, f, g, status, opts.max_iterations, n_evals)
-
-
-# ---------------------------------------------------------------------------
-# Trust-region Newton
-# ---------------------------------------------------------------------------
 
 # This many ulps of |f| bound the rounding noise of a likelihood summed over
 # a panel: a predicted reduction below it is one the ratio test cannot judge,
@@ -479,9 +327,9 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
     or "hessian_non_finite", are rejected like a bad ratio; every other
     error propagates.
 
-    Reads ``gradient_tolerance`` (the same infinity-norm test as
-    ``bfgs_minimize``), ``step_tolerance`` (stop when the trust radius
-    falls below it) and ``max_iterations`` (trial steps, accepted or not).
+    Reads ``gradient_tolerance`` (on the gradient's infinity norm),
+    ``step_tolerance`` (stop when the trust radius falls below it) and
+    ``max_iterations`` (trial steps, accepted or not).
     ``callback(iteration, x, f)`` fires once for the start point and once
     per accepted step. The result's ``hess`` is the Hessian at ``x``.
     """

@@ -10,7 +10,6 @@ every elasticity report is labeled an extension.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from .results import EstimationResult
 from .schema import AttributeDef, ExperimentSchema, _block_prefix
 
 __all__ = ["FitStats", "LrTest", "CostSlope", "WtpEntry", "WtpReport",
-           "ElasticityEntry", "ElasticityReport", "fit_stats", "lr_test",
+           "ElasticityEntry", "fit_stats", "lr_test",
            "cost_slope", "wtp", "wtp_report", "own_cost_elasticity",
            "elasticity_grid", "render_wtp_table"]
 
@@ -165,9 +164,6 @@ class WtpReport:
             "wtp_yen": e.wtp_yen,
         } for e in self.entries]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
-
 
 def wtp(result: EstimationResult, schema: ExperimentSchema, attribute: str,
         mode: str | None = None, slope_mode: str | None = None,
@@ -262,20 +258,6 @@ class ElasticityEntry:
     probability: float
     elasticity: float
     note: str = ELASTICITY_NOTE
-
-
-@dataclass(frozen=True)
-class ElasticityReport:
-    entries: tuple[ElasticityEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {"elasticity": [{
-            "mode": e.mode, "price": e.price, "probability": e.probability,
-            "elasticity": e.elasticity, "note": e.note,
-        } for e in self.entries]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
 def own_cost_elasticity(result: EstimationResult, schema: ExperimentSchema,

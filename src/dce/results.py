@@ -171,10 +171,12 @@ class EstimationResult:
     def from_dict(cls, d: dict, schema: ExperimentSchema | None = None) -> "EstimationResult":
         """Rebuild a result from its JSON dict.
 
-        With ``schema`` given, the parameter index is rebuilt from the schema
-        and checked name-by-name against the file, and a mismatch names the
-        missing and unexpected parameters; without it, a bare index
-        preserving the file's order is used (enough for post-estimation).
+        With ``schema`` given, the parameter index is rebuilt from the schema.
+        Without it, a bare index (enough for post-estimation) holds the
+        file's parameters up to its first ``sd:`` entry, then ``sd:<name>``
+        for each of the mixing record's random parameters. Either way the
+        index is checked name-by-name against the file, and a mismatch names
+        the missing and unexpected parameters.
         """
         try:
             pnames = list(d["parameters"].keys())
@@ -182,22 +184,25 @@ class EstimationResult:
             rps = tuple(mix["random_params"]) if mix else ()
             if schema is not None:
                 index = build_parameter_index(schema, rps)
-                if list(index.names()) != pnames:
-                    missing = sorted(set(index.names()) - set(pnames))
-                    extra = sorted(set(pnames) - set(index.names()))
-                    parts = [f"{what} parameters: {', '.join(names)}"
-                             for what, names in (("missing", missing), ("unexpected", extra))
-                             if names]
-                    raise SchemaError(
-                        "parameter_mismatch",
-                        f"result parameters do not match schema {schema.name!r}; "
-                        + ("; ".join(parts) or "order differs"),
-                    )
+                target = f"schema {schema.name!r}"
             else:
-                entries = tuple(
-                    ParamInfo(n, "sd" if n.startswith("sd:") else "loaded") for n in pnames
-                )
+                n_fixed = next((i for i, n in enumerate(pnames) if n.startswith("sd:")),
+                                len(pnames))
+                entries = tuple(ParamInfo(n, "loaded") for n in pnames[:n_fixed])
+                entries += tuple(ParamInfo(f"sd:{rp}", "sd") for rp in rps)
                 index = ParameterIndex(d.get("schema", "loaded"), entries, rps)
+                target = "its mixing record"
+            if list(index.names()) != pnames:
+                missing = sorted(set(index.names()) - set(pnames))
+                extra = sorted(set(pnames) - set(index.names()))
+                parts = [f"{what} parameters: {', '.join(names)}"
+                         for what, names in (("missing", missing), ("unexpected", extra))
+                         if names]
+                raise SchemaError(
+                    "parameter_mismatch",
+                    f"result parameters do not match {target}; "
+                    + ("; ".join(parts) or "order differs"),
+                )
             params = np.array([d["parameters"][n]["estimate"] for n in pnames], dtype=np.float64)
             ses = [d["parameters"][n].get("std_error") for n in pnames]
             pvs = [d["parameters"][n].get("p_value") for n in pnames]

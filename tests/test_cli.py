@@ -234,6 +234,23 @@ class TestErrors:
         assert code == 2
         assert "unknown_parameter" in capsys.readouterr().err
 
+    def test_no_random_params(self, pipeline, workdir, capsys):
+        code = main(["estimate", "mmnl",
+                     "--data", str(pipeline["paths"]["choices"]),
+                     "--schema", LABELS_SCHEMA, "--draws", "10",
+                     "--random", "", "-o", str(workdir / "x.json")])
+        assert code == 2
+        assert "no_random_params" in capsys.readouterr().err
+
+    def test_result_missing_an_sd_entry(self, workdir, capsys):
+        doc = json.loads(Path(MMNL_FIXTURE).read_text())
+        del doc["parameters"]["sd:asc_truck"]
+        result = workdir / "no_sd.json"
+        result.write_text(json.dumps(doc))
+        assert main(["postest", "fit", "--result", str(result)]) == 2
+        err = capsys.readouterr().err
+        assert "parameter_mismatch" in err and "sd:asc_truck" in err
+
     @pytest.mark.parametrize("flag, value, error", [("--draws", "0", "bad_draw_count"),
                                                     ("--drop", "-1", "bad_drop")])
     def test_bad_halton_setting(self, pipeline, workdir, capsys, flag, value, error):

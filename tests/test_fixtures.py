@@ -138,6 +138,14 @@ class TestShippedFiles:
             EstimationResult.from_dict(d, schema_labels)
         assert err.value.message.endswith("; order differs")
 
+    def test_load_without_schema_checks_the_sd_entries(self):
+        d = table4_mmnl().to_dict()
+        del d["parameters"]["sd:asc_truck"]
+        with pytest.raises(SchemaError) as err:
+            EstimationResult.from_dict(d)
+        assert err.value.code == "parameter_mismatch"
+        assert err.value.message.endswith("; missing parameters: sd:asc_truck")
+
 
 class TestDemographicWeights:
     def test_structure_and_values(self):

@@ -1,4 +1,4 @@
-"""Halton sequences, inverse normal CDF, BFGS, trust-region Newton, and finite
+"""Halton sequences, inverse normal CDF, trust-region Newton, and finite
 differences."""
 
 import math
@@ -12,7 +12,6 @@ from dce import (
     EstimationError,
     HaltonConfig,
     OptimizerOptions,
-    bfgs_minimize,
     finite_diff_grad,
     halton,
     halton_matrix,
@@ -160,83 +159,6 @@ class TestInverseNormalCdf:
         z = normal_draws(cfg, 1)
         assert z.shape == (1, 1, 1)
         assert z[0, 0, 0] == 0.0
-
-
-class TestBfgs:
-    def test_quadratic(self):
-        A = np.array([[4.0, 1.0], [1.0, 3.0]])
-        b = np.array([1.0, 2.0])
-
-        def f(x):
-            return 0.5 * x @ A @ x - b @ x, A @ x - b
-
-        res = bfgs_minimize(f, np.zeros(2))
-        assert res.status == "gradient_converged"
-        np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-8)
-
-    def test_rosenbrock(self):
-        def f(x):
-            g = np.array([
-                -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                200 * (x[1] - x[0] ** 2),
-            ])
-            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, g
-
-        res = bfgs_minimize(f, np.array([-1.2, 1.0]),
-                            OptimizerOptions(max_iterations=500))
-        assert res.status == "gradient_converged"
-        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
-
-    def test_iteration_cap_reported(self):
-        def f(x):
-            g = np.array([
-                -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                200 * (x[1] - x[0] ** 2),
-            ])
-            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2, g
-
-        res = bfgs_minimize(f, np.array([-1.2, 1.0]),
-                            OptimizerOptions(max_iterations=1))
-        assert res.status == "max_iterations"
-        assert res.iterations == 1
-
-    def test_callback_sees_monotone_trace(self):
-        A = np.diag([1.0, 9.0])
-
-        def f(x):
-            return 0.5 * x @ A @ x, A @ x
-
-        seen = []
-        bfgs_minimize(f, np.array([3.0, 1.0]),
-                      callback=lambda it, x, val: seen.append(val))
-        assert len(seen) >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
-
-    @staticmethod
-    def _bowl_raising_beyond(radius, code):
-        # minimum at (1, 1, 1, 1); the first full step from the origin
-        # lands at norm 4, past the radius
-        def f(x):
-            if np.linalg.norm(x) > radius:
-                raise EstimationError(code, "trial point out of range")
-            return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
-        return f
-
-    def test_non_finite_utility_trial_backtracks(self):
-        res = bfgs_minimize(self._bowl_raising_beyond(3.0, "non_finite_utility"),
-                            np.zeros(4))
-        assert res.status == "gradient_converged"
-        np.testing.assert_allclose(res.x, np.ones(4), atol=1e-8)
-
-    def test_other_trial_errors_still_raise(self):
-        with pytest.raises(EstimationError) as err:
-            bfgs_minimize(self._bowl_raising_beyond(3.0, "simulated_underflow"),
-                          np.zeros(4))
-        assert err.value.code == "simulated_underflow"
-
-    def test_option_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerOptions(sufficient_decrease=0.9, curvature=0.1)
 
 
 def rosenbrock(x):
