@@ -447,8 +447,10 @@ class CodedPanel:
         alt_ids = schema.alternative_ids()
         fixed = index.entries[:index.n_fixed]
         attrs = {e.attribute: schema.attribute(e.attribute) for e in fixed if e.kind != "asc"}
-        # a design attribute's level is -1 on the rows it does not fill
-        levels = {n: [] if a.scope in ("context", "demographic") else [-1] * dataset.n_rows
+        # a design attribute's level is -1 on the rows it does not fill;
+        # dataset.n_rows walks every observation, so it is read once
+        n_alts = dataset.n_rows
+        levels = {n: [] if a.scope in ("context", "demographic") else [-1] * n_alts
                   for n, a in attrs.items()}
         per = {scope: [(a, levels[a.name]) for a in attrs.values() if a.scope == scope]
                for scope in ("context", "demographic")}

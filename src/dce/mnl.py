@@ -8,12 +8,15 @@ and MNL is the case with no random columns and a single draw. The kernel
 holds the panel in one layout, padded to (respondent, task, alternative)
 cells, so that ragged panels need no special case and each 64-draw chunk's
 utilities come from one batched product. It returns the log likelihood, its
-score and, for standard errors, its Hessian in closed form. The MNL log
+score and, for standard errors, its Hessian in closed form; the Hessian
+works on each task's cells differenced from its first. The MNL log
 likelihood is concave, so estimation starts from zeros and a converged
 optimum is the optimum.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +43,14 @@ bfgs_minimize = None
 # the summation order
 _CHUNK = 64
 
-# respondent x draw cells per Hessian block and draw chunk: 8 respondents x
-# 64 draws, or 512 respondents with one draw (MNL), which would otherwise pay
-# Python overhead per 8. Blocks of 4-32 respondents time alike with draws,
-# and their temporaries peak near 0.5 MB; a one-draw block's peak near 9 MB
-# at 264 respondents and 18 MB at 512, as a mixed pass does at 264 x 128
-# and 528 x 500 draws
-_BLOCK_CELLS = 512
+# respondent x draw cells per Hessian block and draw chunk: 16 respondents x
+# 64 draws, or 1,024 respondents with one draw (MNL). In a sweep of 256-3,072
+# cells (one thread) mixed blocks were fastest at 1,024-2,048: a Hessian's
+# blocks took 15.7 ms at 264 x 128 draws against 19.1 at 512 cells, and
+# 2.2 against 2.7 ms at 40 x 100. One-draw blocks of 128-256 respondents
+# would be faster from ~1,000 respondents (48 ms against 71 at 5,000), but
+# no benchmark workload fits an MNL that large
+_BLOCK_CELLS = 1024
 
 
 def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
@@ -71,10 +75,16 @@ class _MslWork:
     the largest task. ``cell`` is each coded row's flat cell and
     ``chosen_cell`` each (respondent, task)'s. ``offset`` is the utility of
     an empty cell, -inf so that it has probability 0, except in the first
-    cell of a padded task, which is 0 so that the task adds log 1 = 0. Of
-    the design only the random columns are held padded (``Xrp``, zero in
-    empty cells); the Hessian pads the rest one block of respondents at a
-    time.
+    cell of a padded task, which is 0 so that the task adds log 1 = 0. For
+    the likelihood and gradient only the design's random columns are held
+    padded (``Xrp``, zero in empty cells). The Hessian reads a differenced
+    design, built on its first call (``_differenced``). ``D`` holds each
+    task's n_j - 1 cells after its first, each row minus the task's first
+    (positional, hence always real) row, shaped (respondent, task *
+    (n_j - 1), column) and zero in empty and padded cells. ``A`` holds each
+    respondent's chosen rows minus their tasks' first rows, summed over
+    tasks. This is exact because logit probabilities depend only on utility
+    differences within a task.
     """
 
     def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray):
@@ -92,7 +102,7 @@ class _MslWork:
         self.n_draws = draws.shape[1]
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
-        block = max(1, _BLOCK_CELLS // min(self.n_draws, _CHUNK))
+        block = _BLOCK_CELLS // min(self.n_draws, _CHUNK)
         self.blocks = [(n0, min(n0 + block, panel.n_respondents))
                        for n0 in range(0, panel.n_respondents, block)]
 
@@ -120,6 +130,20 @@ class _MslWork:
         # per-draw cell probabilities, shaped (*shape, n_draws); filled on
         # gradient and Hessian evaluations
         self._sp = None
+
+    @cached_property
+    def _differenced(self):
+        """``D`` and ``A`` with their random columns; a kernel that only
+        evaluates the likelihood never pays for them."""
+        n_r, n_t, n_j = self.shape
+        k = self.panel.X.shape[1]
+        X = np.zeros((n_r * n_t, n_j, k))
+        X.reshape(-1, k)[self.cell] = self.panel.X
+        D = X[:, 1:] - X[:, :1]
+        D[np.isinf(self.offset.reshape(n_r * n_t, n_j)[:, 1:])] = 0.0
+        D = D.reshape(n_r, n_t * (n_j - 1), k)
+        A = (X.reshape(-1, k)[self.chosen_cell] - X[:, 0]).reshape(n_r, n_t, k).sum(axis=1)
+        return D, np.ascontiguousarray(D[:, :, self.rp]), A, A[:, self.rp]
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -241,7 +265,16 @@ class _MslWork:
         X'[q g_d - P v_d - x_d P(w z_d) + (P y_d)(w z_d)], with y_d repeated
         over each task's alternatives, and the sd x sd entry is
         sum_r w z_d z_e (f_d f_e - sum_c p x_d x_e + sum_t y_d y_e) - g_d g_e.
-        Respondent blocks and draw chunks are summed in a fixed order.
+
+        The blocks apply these formulas to the differenced design: X and x
+        are ``D`` and its random columns, a is ``A`` and P keeps each task's
+        n_j - 1 cells after its first. Nothing changes, because every
+        within-task term is a deviation from the task's expectation, which
+        is unmoved by subtracting a row constant within the task, and each
+        of M's rows sums to 0 within each task, so X'MX = (X - E)'M(X - E)
+        for any E constant within tasks; with E each task's first row, that
+        cell's row is zero and drops out. Respondent blocks and draw chunks
+        are summed in a fixed order.
         """
         ll, w = self._loglik_and_weights(params)
         grad = h = 0
@@ -256,30 +289,28 @@ class _MslWork:
 
     def _hessian_block(self, w, n0, n1):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood; empty cells hold a zero design row.
+        the negative log likelihood, in the differenced cells ``D``.
         Every product is batched per respondent and summed afterwards: one
         product over the block would be large enough to wake OpenBLAS's
         threads, which then spin through the estimator's serial work."""
         k, m = self.panel.X.shape[1], len(self.rp)
         _, n_t, n_j = self.shape
-        nb, n_c = n1 - n0, n_t * n_j
-        lo, hi = np.searchsorted(self.cell, (n0 * n_c, n1 * n_c))
-        X = np.zeros((nb * n_c, k))
-        X[self.cell[lo:hi] - n0 * n_c] = self.panel.X[lo:hi]
-        a = X[self.chosen_cell[n0 * n_t:n1 * n_t] - n0 * n_c].sum(axis=0)
-        X, x = X.reshape(nb, n_c, k), self.Xrp[n0:n1]
-        x_task = x.reshape(nb, n_t, n_j, m).transpose(0, 1, 3, 2)
+        nb, n_d = n1 - n0, n_j - 1
+        n_c = n_t * n_d
+        D, Drp, A, Arp = self._differenced
+        X, x, a, chosen_rp = D[n0:n1], Drp[n0:n1], A[n0:n1].sum(axis=0), Arp[n0:n1]
+        x_task = x.reshape(nb, n_t, n_d, m).transpose(0, 1, 3, 2)
         G = np.zeros((nb, n_c, n_c))
         Pm = np.zeros((nb, n_c, 1 + 2 * m + m * m))  # P [w, v_d, w z_d, w z_d z_e]
         Py, g = np.zeros((nb, n_c, m)), np.zeros((nb, m))  # (P y_d)(w z_d); g_d
         sd = np.zeros((nb, m, m))  # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
         for c0, c1 in self.chunks:
-            p = self._sp[n0:n1, :, :, c0:c1].reshape(nb, n_c, -1)
-            p_task = p.reshape(nb, n_t, n_j, -1)
+            p = self._sp[n0:n1, :, 1:, c0:c1].reshape(nb, n_c, c1 - c0)
+            p_task = p.reshape(nb, n_t, n_d, c1 - c0)
             wc, z = w[n0:n1, None, c0:c1], self.z[n0:n1, :, c0:c1]
             G += (p * wc) @ p.transpose(0, 2, 1)
             y = x_task @ p_task  # (respondent, task, sd, draw)
-            f = self.chosen_rp[n0:n1, :, None] - y.sum(axis=1)
+            f = chosen_rp[:, :, None] - y.sum(axis=1)
             wz = wc * z
             v, yw = wz * f, y * wz[:, None]
             g += v.sum(axis=2)
@@ -292,15 +323,18 @@ class _MslWork:
         sd -= (xx * Pm[:, :, 1 + 2 * m:]).sum(axis=1).reshape(nb, m, m)  # sum_c p x_d x_e
         q = Pm[:, :, 0]
         M = q[:, :, None] * q[:, None, :] - G  # -M from here on
-        M_task, t = M.reshape(nb, n_t, n_j, n_t, n_j), np.arange(n_t)
+        M_task, t = M.reshape(nb, n_t, n_d, n_t, n_d), np.arange(n_t)
         M_task[:, t, :, t] -= G.reshape(M_task.shape)[:, t, :, t]
         M.reshape(nb, -1)[:, ::n_c + 1] += q
         # X'q, then the negated fixed x sd columns
         Xt = X.transpose(0, 2, 1)
         Xc = (Xt @ np.concatenate([Pm[:, :, :1], Pm[:, :, 1:1 + m] - Py - q[:, :, None] * g[:, None]
                                    + x * Pm[:, :, 1 + m:1 + 2 * m]], axis=2)).sum(axis=0)
-        h = np.block([[(Xt @ (M @ X)).sum(axis=0), Xc[:, 1:]],
-                      [Xc[:, 1:].T, g.T @ g - sd.sum(axis=0)]])
+        h = np.empty((k + m, k + m))
+        h[:k, :k] = (Xt @ (M @ X)).sum(axis=0)
+        h[:k, k:] = Xc[:, 1:]
+        h[k:, :k] = Xc[:, 1:].T
+        h[k:, k:] = g.T @ g - sd.sum(axis=0)
         return np.concatenate([a - Xc[:, 0], g.sum(axis=0)]), h
 
 

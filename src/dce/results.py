@@ -244,7 +244,11 @@ class EstimationResult:
 
     @classmethod
     def load(cls, path: str | Path, schema: ExperimentSchema | None = None) -> "EstimationResult":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")), schema)
+        try:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc
+        return cls.from_dict(d, schema)
 
 
 def _fmt(v, width=10, prec=4):

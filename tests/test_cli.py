@@ -251,6 +251,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "parameter_mismatch" in err and "sd:asc_truck" in err
 
+    def test_result_that_is_not_json(self, workdir, capsys):
+        result = workdir / "not_json.json"
+        result.write_text("not json")
+        assert main(["postest", "fit", "--result", str(result)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: result_json:") and "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value, error", [("--draws", "0", "bad_draw_count"),
                                                     ("--drop", "-1", "bad_drop")])
     def test_bad_halton_setting(self, pipeline, workdir, capsys, flag, value, error):

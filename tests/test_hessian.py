@@ -143,3 +143,38 @@ def test_derivatives_match_finite_differences_anywhere(model, mixed_panel40, see
     assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(fd_grad))
     fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.fixture(scope="module")
+def droneless_panel(panel50):
+    """panel50 with one task that lacks the schema's first alternative, so
+    its first cell, the Hessian's reference, is another alternative's; and
+    one respondent who answered 5 of 8 tasks, so three of theirs are padded."""
+    dataset = panel50["dataset"]
+    first, second, *rest = dataset.respondents
+    t, obs = next((t, o) for t, o in enumerate(second.observations) if o.chosen != "drone")
+    obs = replace(obs, alt_values={a: v for a, v in obs.alt_values.items() if a != "drone"})
+    observations = (*second.observations[:t], obs, *second.observations[t + 1:])
+    respondents = (replace(first, observations=first.observations[:5]),
+                   replace(second, observations=observations), *rest)
+    panel = code_dataset(replace(dataset, respondents=respondents))
+    assert panel.row_alternative[panel.task_ptr[5 + t]] == "truck"
+    assert panel.task_sizes[5 + t] == 2
+    return panel
+
+
+@pytest.mark.parametrize("model", ["mnl", "mmnl_antithetic"])
+def test_first_cell_without_the_first_alternative(model, droneless_panel, panel50):
+    mixing = MODELS[model]
+    work = kernel(droneless_panel, mixing)
+    x = panel50["truth"] if mixing is None else np.concatenate([panel50["truth"], [1.2, 0.8]])
+    x = x + np.random.default_rng(3).normal(scale=0.3, size=x.size)
+    ll, grad, H = work.hessian(x)
+    ll_want, grad_want, H_want = hessian_oracle(work, x)
+    assert ll == ll_want
+    assert np.max(np.abs(grad - grad_want)) <= 1e-12 * np.max(np.abs(grad_want))
+    assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
+    want = work.loglik_and_gradient(x)[1]
+    assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
+    fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
