@@ -25,9 +25,8 @@ from .mmnl import (MixingSpec, SimulatedLikelihoodTrace, estimate_mmnl,
 from .mnl import (check_identification, estimate_mnl, mnl_gradient,
                   mnl_loglik, mnl_probabilities)
 from .numerics import (HaltonConfig, OptimizerOptions, OptimResult,
-                       finite_diff_grad, halton, halton_matrix,
-                       hessian_from_grad, inv_normal_cdf, normal_draws,
-                       trust_newton_minimize)
+                       finite_diff_grad, halton_matrix, hessian_from_grad,
+                       inv_normal_cdf, normal_draws, trust_newton_minimize)
 from .postest import (CostSlope, ElasticityEntry, FitStats,
                       LrTest, WtpEntry, WtpReport, cost_slope, elasticity_grid,
                       fit_stats, lr_test, own_cost_elasticity, render_wtp_table,
@@ -51,7 +50,7 @@ __all__ = [
     "EstimationError", "SimulationError", "PostestError",
     # numerics
     "HaltonConfig", "OptimizerOptions", "OptimResult", "finite_diff_grad",
-    "halton", "halton_matrix", "hessian_from_grad", "inv_normal_cdf",
+    "halton_matrix", "hessian_from_grad", "inv_normal_cdf",
     "normal_draws", "trust_newton_minimize",
     # design
     "Profile", "DesignDiagnostics", "BlockedDesign", "full_factorial",

@@ -5,18 +5,17 @@ Utilities are linear in the coded columns; probabilities are max-subtracted
 softmaxes within each task. ``_MslWork`` is the one panel likelihood for both
 models: the mixed logit adds normal deviations ``sd*z`` on its random columns,
 and MNL is the case with no random columns and a single draw. The kernel
-holds the panel in one layout, padded to (respondent, task, alternative)
-cells, so that ragged panels need no special case and each 64-draw chunk's
-utilities come from one batched product. It returns the log likelihood, its
-score and, for standard errors, its Hessian in closed form; the Hessian
-works on each task's cells differenced from its first. The MNL log
-likelihood is concave, so estimation starts from zeros and a converged
-optimum is the optimum.
+holds the panel in one layout: each task's alternatives after its first,
+differenced from the first, padded to (respondent, task, cell) so that
+ragged panels need no special case and each 64-draw chunk's utilities come
+from one batched product. This is exact because logit probabilities depend
+only on utility differences within a task. From that layout the kernel
+returns the log likelihood, its score and, for standard errors, its Hessian
+in closed form. The MNL log likelihood is concave, so estimation starts
+from zeros and a converged optimum is the optimum.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -70,21 +69,19 @@ class _MslWork:
     (n_respondents, n_draws, len(rp)); parameters are the fixed part followed
     by one sd per random column.
 
-    The panel is padded to ``shape``, (respondent, task, alternative) cells:
-    as many tasks as the longest respondent has and as many alternatives as
-    the largest task. ``cell`` is each coded row's flat cell and
-    ``chosen_cell`` each (respondent, task)'s. ``offset`` is the utility of
-    an empty cell, -inf so that it has probability 0, except in the first
-    cell of a padded task, which is 0 so that the task adds log 1 = 0. For
-    the likelihood and gradient only the design's random columns are held
-    padded (``Xrp``, zero in empty cells). The Hessian reads a differenced
-    design, built on its first call (``_differenced``). ``D`` holds each
-    task's n_j - 1 cells after its first, each row minus the task's first
-    (positional, hence always real) row, shaped (respondent, task *
-    (n_j - 1), column) and zero in empty and padded cells. ``A`` holds each
-    respondent's chosen rows minus their tasks' first rows, summed over
-    tasks. This is exact because logit probabilities depend only on utility
-    differences within a task.
+    The panel is held differenced from each task's first (positional, hence
+    always real) row, the task's reference, whose utility is 0 and is left
+    implicit. ``shape`` is (respondent, task, cell): as many tasks as the
+    longest respondent has and one cell per alternative after the first in
+    the largest task. ``D`` holds each cell's row minus its task's first,
+    shaped (respondent, task * cell, column) and zero in empty cells, and
+    ``Drp`` its random columns. ``cell_row`` is each flat cell's coded row,
+    -1 if empty. ``offset`` is -inf in an empty cell, so that it has
+    probability 0, and 0 in a real one; a padded task has only empty cells
+    and so adds log 1 = 0. ``A`` holds each respondent's chosen rows minus
+    their tasks' first rows, summed over tasks, and ``Arp`` its random
+    columns: the chosen cells' utilities summed over tasks are
+    A mean + Arp (sd z).
     """
 
     def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray):
@@ -111,39 +108,29 @@ class _MslWork:
         task_pos = np.arange(panel.n_tasks) \
             - np.searchsorted(panel.task_respondent, panel.task_respondent)
         self.shape = (panel.n_respondents, int(task_pos.max()) + 1,
-                      int(panel.task_sizes.max()))
-        n_r, n_t, n_j = self.shape
-        self.cell = (panel.task_respondent * n_t + task_pos)[panel.row_task] * n_j \
-            + np.arange(panel.n_rows) - panel.task_ptr[panel.row_task]
-        self.chosen_cell = np.arange(0, n_r * n_t * n_j, n_j)
-        self.chosen_cell[self.cell[panel.chosen_row] // n_j] = self.cell[panel.chosen_row]
-        self.offset = np.full((n_r * n_t * n_j, 1), -np.inf)
-        self.offset[self.cell] = 0.0
-        self.offset[::n_j] = 0.0
-        Xrp = np.zeros((n_r * n_t * n_j, len(self.rp)))
-        Xrp[self.cell] = panel.X[:, self.rp]
-        self.Xrp = Xrp.reshape(n_r, n_t * n_j, -1)
-        # chosen rows' coded values summed over the panel, and their random
-        # columns summed per respondent
-        self.chosen_X = panel.X[panel.chosen_row].sum(axis=0)
-        self.chosen_rp = Xrp[self.chosen_cell].reshape(n_r, n_t, -1).sum(axis=1)
+                      int(panel.task_sizes.max()) - 1)
+        n_r, n_t, n_d = self.shape
+        task = panel.task_respondent * n_t + task_pos
+        first = panel.task_ptr[:-1]
+        ref = first[panel.row_task]
+        rows = np.flatnonzero(np.arange(panel.n_rows) != ref)
+        cell = task[panel.row_task[rows]] * n_d + rows - ref[rows] - 1
+        # each flat cell's coded row and its task's first row; -1 in an empty
+        # cell picks the zero row appended to the design
+        self.cell_row, cell_ref = np.full((2, n_r * n_t * n_d), -1)
+        self.cell_row[cell], cell_ref[cell] = rows, ref[rows]
+        self.offset = np.where(self.cell_row < 0, -np.inf, 0.0)[:, None]
+        k = panel.X.shape[1]
+        X = np.concatenate([panel.X, np.zeros((1, k))])
+        self.D = (X[self.cell_row] - X[cell_ref]).reshape(n_r, n_t * n_d, k)
+        self.Drp = np.ascontiguousarray(self.D[:, :, self.rp])
+        A = np.zeros((n_r * n_t, k))
+        A[task] = X[panel.chosen_row] - X[first]
+        self.A = A.reshape(n_r, n_t, k).sum(axis=1)
+        self.Arp = self.A[:, self.rp]
         # per-draw cell probabilities, shaped (*shape, n_draws); filled on
         # gradient and Hessian evaluations
         self._sp = None
-
-    @cached_property
-    def _differenced(self):
-        """``D`` and ``A`` with their random columns; a kernel that only
-        evaluates the likelihood never pays for them."""
-        n_r, n_t, n_j = self.shape
-        k = self.panel.X.shape[1]
-        X = np.zeros((n_r * n_t, n_j, k))
-        X.reshape(-1, k)[self.cell] = self.panel.X
-        D = X[:, 1:] - X[:, :1]
-        D[np.isinf(self.offset.reshape(n_r * n_t, n_j)[:, 1:])] = 0.0
-        D = D.reshape(n_r, n_t * (n_j - 1), k)
-        A = (X.reshape(-1, k)[self.chosen_cell] - X[:, 0]).reshape(n_r, n_t, k).sum(axis=1)
-        return D, np.ascontiguousarray(D[:, :, self.rp]), A, A[:, self.rp]
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -155,10 +142,11 @@ class _MslWork:
                 f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
         return params[:k], params[k:]
 
-    def _non_finite(self, row_finite):
-        """Raise for the first coded row whose utility is not finite."""
-        task = self.panel.row_task[np.flatnonzero(~row_finite)[0]]
-        raise EstimationError("non_finite_utility", f"non-finite utility at task index {task}")
+    def _non_finite(self, cell_finite):
+        """Raise for the first coded row whose differenced cell is not finite."""
+        rows = self.cell_row[~cell_finite & (self.cell_row >= 0)]
+        raise EstimationError("non_finite_utility",
+                              f"non-finite utility at task index {self.panel.row_task[rows[0]]}")
 
     def loglik_parts(self, params, need_probs: bool):
         """Per-respondent-by-draw log products; optionally keep the cells'
@@ -166,34 +154,35 @@ class _MslWork:
         mean, sds = self._split(params)
         # einsum, not BLAS: OpenBLAS runs this product on two threads from
         # ~10,000 rows, which buys no time and burns a second core
-        base = np.einsum("rk,k->r", self.panel.X, mean)
-        if not np.isfinite(base).all():
-            self._non_finite(np.isfinite(base))
-        u_base = self.offset.copy()
-        u_base[self.cell, 0] = base
+        u_base = self.offset + np.einsum("rk,k->r", self.D.reshape(-1, mean.size), mean)[:, None]
+        # each respondent's chosen cells' utilities summed over tasks, per draw
+        chosen = np.einsum("rk,k->r", self.A, mean)[:, None] \
+            + np.einsum("rm,rmc->rc", self.Arp * sds, self.z)
         if need_probs and self._sp is None:
             self._sp = np.empty((*self.shape, self.n_draws))
 
         def chunk(c0, c1):
             """Draws [c0, c1): every cell's utility from one batched product,
-            then a log-softmax over each task's alternatives, summed over
-            tasks. A call's temporaries are freed before the next one's."""
-            cells = (self.Xrp @ (self.z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
+            then a log-softmax over each task's cells and its reference's 0,
+            summed over tasks. A call's temporaries are freed before the next
+            one's."""
+            cells = (self.Drp @ (self.z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
             cells += u_base
             u = cells.reshape(*self.shape, c1 - c0)
-            # a loop over the few alternatives is faster than u.max(axis=2)
-            top = u[:, :, 0].copy()
-            for j in range(1, self.shape[2]):
+            # a loop over the few cells is faster than u.max(axis=2)
+            top = np.zeros((*self.shape[:2], c1 - c0))
+            for j in range(self.shape[2]):
                 np.maximum(top, u[:, :, j], out=top)
             if not np.isfinite(top).all():
-                self._non_finite(np.isfinite(cells[self.cell]).all(axis=1))
+                self._non_finite(np.isfinite(cells).all(axis=1))
             u -= top[:, :, None]
-            logp = cells[self.chosen_cell].reshape(top.shape)
             e = np.exp(u, out=u)
             denom = e.sum(axis=2)
+            denom += np.exp(-top)
             if need_probs:
                 np.divide(e, denom[:, :, None], out=self._sp[..., c0:c1])
-            return (logp - np.log(denom)).sum(axis=1)
+            top += np.log(denom)
+            return chosen[:, c0:c1] - top.sum(axis=1)
 
         return np.concatenate([chunk(c0, c1) for c0, c1 in self.chunks], axis=1)
 
@@ -224,8 +213,8 @@ class _MslWork:
 
     def loglik_and_gradient(self, params):
         ll, w = self._loglik_and_weights(params)
-        n_r, n_t, n_j = self.shape
-        sp = self._sp.reshape(n_r, n_t * n_j, self.n_draws)
+        n_r, n_t, n_d = self.shape
+        sp = self._sp.reshape(n_r, n_t * n_d, self.n_draws)
         # each cell's probability summed over draws with the draw moments w
         # and w*z
         s = 0
@@ -234,10 +223,9 @@ class _MslWork:
             wz = np.concatenate([wc, wc * self.z[:, :, c0:c1]], axis=1)
             s += sp[:, :, c0:c1] @ wz.transpose(0, 2, 1)
         # einsum for one core, as in loglik_parts
-        grad_fixed = self.chosen_X \
-            - np.einsum("rk,r->k", self.panel.X, s[:, :, 0].reshape(-1)[self.cell])
-        grad_sd = np.einsum("rm,rm->m", self.chosen_rp, np.einsum("rc,rmc->rm", w, self.z)) \
-            - np.einsum("rjm,rjm->m", self.Xrp, s[:, :, 1:])
+        grad_fixed = self.A.sum(axis=0) - np.einsum("rck,rc->k", self.D, s[:, :, 0])
+        grad_sd = np.einsum("rm,rm->m", self.Arp, np.einsum("rc,rmc->rm", w, self.z)) \
+            - np.einsum("rcm,rcm->m", self.Drp, s[:, :, 1:])
         return ll, np.concatenate([grad_fixed, grad_sd])
 
     def hessian(self, params):
@@ -266,15 +254,15 @@ class _MslWork:
         over each task's alternatives, and the sd x sd entry is
         sum_r w z_d z_e (f_d f_e - sum_c p x_d x_e + sum_t y_d y_e) - g_d g_e.
 
-        The blocks apply these formulas to the differenced design: X and x
-        are ``D`` and its random columns, a is ``A`` and P keeps each task's
-        n_j - 1 cells after its first. Nothing changes, because every
-        within-task term is a deviation from the task's expectation, which
-        is unmoved by subtracting a row constant within the task, and each
-        of M's rows sums to 0 within each task, so X'MX = (X - E)'M(X - E)
-        for any E constant within tasks; with E each task's first row, that
-        cell's row is zero and drops out. Respondent blocks and draw chunks
-        are summed in a fixed order.
+        The blocks apply these formulas to the kernel's one layout: X and x
+        are ``D`` and ``Drp``, a is ``A`` and P holds the probabilities of
+        each task's cells after its first. This is exact because every
+        within-task term is a deviation from the task's expectation, which is
+        unmoved by subtracting a row constant within the task, and each of
+        M's rows sums to 0 within each task, so X'MX = (X - E)'M(X - E) for
+        any E constant within tasks; with E each task's first row, the
+        reference cell's row is zero and drops out. Respondent blocks and
+        draw chunks are summed in a fixed order.
         """
         ll, w = self._loglik_and_weights(params)
         grad = h = 0
@@ -289,28 +277,26 @@ class _MslWork:
 
     def _hessian_block(self, w, n0, n1):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood, in the differenced cells ``D``.
+        the negative log likelihood.
         Every product is batched per respondent and summed afterwards: one
         product over the block would be large enough to wake OpenBLAS's
         threads, which then spin through the estimator's serial work."""
         k, m = self.panel.X.shape[1], len(self.rp)
-        _, n_t, n_j = self.shape
-        nb, n_d = n1 - n0, n_j - 1
-        n_c = n_t * n_d
-        D, Drp, A, Arp = self._differenced
-        X, x, a, chosen_rp = D[n0:n1], Drp[n0:n1], A[n0:n1].sum(axis=0), Arp[n0:n1]
+        _, n_t, n_d = self.shape
+        nb, n_c = n1 - n0, n_t * n_d
+        X, x, a, a_rp = self.D[n0:n1], self.Drp[n0:n1], self.A[n0:n1].sum(axis=0), self.Arp[n0:n1]
         x_task = x.reshape(nb, n_t, n_d, m).transpose(0, 1, 3, 2)
         G = np.zeros((nb, n_c, n_c))
         Pm = np.zeros((nb, n_c, 1 + 2 * m + m * m))  # P [w, v_d, w z_d, w z_d z_e]
         Py, g = np.zeros((nb, n_c, m)), np.zeros((nb, m))  # (P y_d)(w z_d); g_d
         sd = np.zeros((nb, m, m))  # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
         for c0, c1 in self.chunks:
-            p = self._sp[n0:n1, :, 1:, c0:c1].reshape(nb, n_c, c1 - c0)
+            p = self._sp[n0:n1, ..., c0:c1].reshape(nb, n_c, c1 - c0)
             p_task = p.reshape(nb, n_t, n_d, c1 - c0)
             wc, z = w[n0:n1, None, c0:c1], self.z[n0:n1, :, c0:c1]
             G += (p * wc) @ p.transpose(0, 2, 1)
             y = x_task @ p_task  # (respondent, task, sd, draw)
-            f = chosen_rp[:, :, None] - y.sum(axis=1)
+            f = a_rp[:, :, None] - y.sum(axis=1)
             wz = wc * z
             v, yw = wz * f, y * wz[:, None]
             g += v.sum(axis=2)

@@ -24,7 +24,6 @@ __all__ = [
     "HaltonConfig",
     "OptimizerOptions",
     "OptimResult",
-    "halton",
     "halton_matrix",
     "normal_draws",
     "inv_normal_cdf",
@@ -74,17 +73,6 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
         out += digit * scale
         rem //= base
     return out
-
-
-def halton(n_points: int, base: int, start: int = 1) -> np.ndarray:
-    """First ``n_points`` of the base-``base`` Halton sequence from index ``start``."""
-    if n_points < 0:
-        raise ValueError("n_points must be >= 0")
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    if base < 2:
-        raise ValueError(f"invalid base {base}")
-    return _radical_inverse(np.arange(start, start + n_points), base)
 
 
 def halton_matrix(config: HaltonConfig, n_individuals: int) -> np.ndarray:

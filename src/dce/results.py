@@ -237,7 +237,7 @@ class EstimationResult:
                 n_tasks=d.get("n_tasks"),
                 run_id=d.get("run_id"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc

@@ -263,7 +263,7 @@ class ExperimentSchema:
                 context_interactions=tuple((p[0], p[1]) for p in inter.get("context", ())),
                 demographic_interactions=tuple((p[0], p[1]) for p in inter.get("demographic", ())),
             )
-        except (KeyError, IndexError, TypeError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError) as exc:
             raise SchemaError("schema_json", f"malformed schema JSON: {exc!r}") from exc
 
     def save(self, path: str | Path) -> None:

@@ -146,38 +146,56 @@ def simulated_panel(design, n_respondents: int, seed: int,
 
 
 def hessian_oracle(work, params):
-    """``work.hessian(params)`` by the per-draw score form: every draw's
-    score S_nr is formed as a (draws x parameters) array and the within-task
-    covariances as per-task p p' products under each draw moment (1, z_d and
-    z_d z_e), summed one block of respondents at a time. Returns the log
-    likelihood, its score and the Hessian of the negative log likelihood."""
+    """``work.hessian(params)`` by the per-draw score form on the full padded
+    cells: each task's alternatives get their own probabilities, computed
+    here from ``panel.X``, every draw's score S_nr is formed as a
+    (draws x parameters) array and the within-task covariances as per-task
+    p p' products under each draw moment (1, z_d and z_d z_e), summed one
+    block of respondents at a time. Only the log likelihood and the draw
+    weights come from the kernel. Returns the log likelihood, its score and
+    the Hessian of the negative log likelihood."""
     ll, w = work._loglik_and_weights(params)
-    rp = work.rp
-    k, m = work.panel.X.shape[1], len(rp)
+    panel, rp = work.panel, work.rp
+    k, m = panel.X.shape[1], len(rp)
+    mean, sds = params[:k], params[k:]
     n_par = k + m
     pairs = [(d, e) for d in range(m) for e in range(d, m)]
-    _, n_t, n_j = work.shape
+    n_r, n_t, _ = work.shape
+    n_j = int(panel.task_sizes.max())
+    # each coded row's (respondent, task, alternative) cell; a padded task's
+    # first cell is real, with a zero row, so that it has probability 1
+    task_pos = np.arange(panel.n_tasks) \
+        - np.searchsorted(panel.task_respondent, panel.task_respondent)
+    task = panel.task_respondent * n_t + task_pos
+    cell = task[panel.row_task] * n_j + np.arange(panel.n_rows) - panel.task_ptr[panel.row_task]
+    X_all = np.zeros((n_r * n_t * n_j, k))
+    X_all[cell] = panel.X
+    real = np.zeros(n_r * n_t * n_j, dtype=bool)
+    real[cell] = real[::n_j] = True
+    chosen = np.arange(0, n_r * n_t * n_j, n_j)
+    chosen[task] = cell[panel.chosen_row]
+    a_all = X_all[chosen].reshape(n_r, n_t, k).sum(axis=1)
+    X_all, real = X_all.reshape(n_r, n_t * n_j, k), real.reshape(n_r, n_t * n_j, 1)
     diag = np.arange(n_j)
     grad = np.zeros(n_par)
     h = np.zeros((n_par, n_par))
     for n0, n1 in work.blocks:
         nb = n1 - n0
-        first = n0 * n_t * n_j
-        lo, hi = np.searchsorted(work.cell, (first, n1 * n_t * n_j))
-        X = np.zeros((nb * n_t * n_j, k))
-        X[work.cell[lo:hi] - first] = work.panel.X[lo:hi]
-        a = X[work.chosen_cell[n0 * n_t:n1 * n_t] - first].reshape(nb, n_t, k).sum(axis=1)
-        X_resp = X.reshape(nb, n_t * n_j, k)
+        X_resp, a = X_all[n0:n1], a_all[n0:n1]
 
         outer = np.zeros((n_par, n_par))
         score = np.zeros((nb, n_par))
         # per task, diag(q) - M for each draw moment (last axis)
         cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
         for c0, c1 in work.chunks:
-            p = work._sp[n0:n1, :, :, c0:c1]
+            z = work.z[n0:n1, :, c0:c1]
+            u = X_resp @ mean[:, None] + X_resp[:, :, rp] @ (z * sds[:, None])
+            u = np.where(real[n0:n1], u, -np.inf).reshape(nb, n_t, n_j, -1)
+            e = np.exp(u - u.max(axis=2, keepdims=True))
+            p = e / e.sum(axis=2, keepdims=True)
             p_resp = p.reshape(nb, n_t * n_j, -1)
             wc = w[n0:n1, c0:c1]
-            z = work.z[n0:n1, :, c0:c1].transpose(0, 2, 1)
+            z = z.transpose(0, 2, 1)
             f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
             s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
             ws = s * wc[..., None]
@@ -189,7 +207,7 @@ def hessian_oracle(work, params):
             cov -= (pp.reshape(nb, n_t * n_j * n_j, -1) @ moments).reshape(cov.shape)
             cov[:, :, diag, diag, :] += (p_resp @ moments).reshape(nb, n_t, n_j, -1)
 
-        X_task = X.reshape(nb * n_t, n_j, k)
+        X_task = X_resp.reshape(nb * n_t, n_j, k)
         X_rp = X_task[:, :, rp]
         D = np.moveaxis(cov.reshape(nb * n_t, n_j, n_j, -1), -1, 0)
 

@@ -253,10 +253,11 @@ class TestErrors:
 
     def test_result_that_is_not_json(self, workdir, capsys):
         result = workdir / "not_json.json"
-        result.write_text("not json")
-        assert main(["postest", "fit", "--result", str(result)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: result_json:") and "Traceback" not in err
+        for text in ("not json", '{"parameters": []}'):
+            result.write_text(text)
+            assert main(["postest", "fit", "--result", str(result)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: result_json:") and "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value, error", [("--draws", "0", "bad_draw_count"),
                                                     ("--drop", "-1", "bad_drop")])

@@ -341,6 +341,25 @@ class TestEstimation:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_agrees_with_the_kernel(self, mixed_panel40, antithetic):
+        # on one respondent's one task, the log of the predicted share of
+        # the chosen alternative is the simulated log likelihood
+        panel = mixed_panel40["panel"]
+        params = mixed_panel40["truth"]
+        mixing = small_mixing(n_draws=50, antithetic=antithetic)
+        n_j = int(panel.task_sizes[0])
+        rows = panel.X[:n_j]
+        one = replace(panel, X=rows, task_ptr=np.array([0, n_j]),
+                      row_task=np.zeros(n_j, dtype=np.intp),
+                      task_respondent=np.zeros(1, dtype=np.intp),
+                      respondent_ids=panel.respondent_ids[:1],
+                      row_alternative=panel.row_alternative[:n_j])
+        p = mmnl_predict(params, rows, mixing, n_draws=50, index=panel.index)
+        for j in range(n_j):
+            ll = msl_loglik(params, replace(one, chosen_row=np.array([j])), mixing)
+            assert abs(np.log(p[j]) - ll) <= 1e-12
+
     def test_rows_on_simplex(self, panel50):
         panel = panel50["panel"]
         truth = panel50["truth"]

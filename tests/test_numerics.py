@@ -13,7 +13,6 @@ from dce import (
     HaltonConfig,
     OptimizerOptions,
     finite_diff_grad,
-    halton,
     halton_matrix,
     hessian_from_grad,
     inv_normal_cdf,
@@ -51,6 +50,11 @@ UNIT = st.floats(min_value=1e-12, max_value=1 - 1e-12)
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 
+def halton(n_points, base, drop=0):
+    """One individual's draws in one base: the sequence from index drop + 1."""
+    return halton_matrix(HaltonConfig(primes=(base,), drop=drop, n_draws=n_points), 1)[0, :, 0]
+
+
 class TestHalton:
     def test_base2_prefix(self):
         np.testing.assert_allclose(
@@ -61,9 +65,9 @@ class TestHalton:
             halton(4, 3), [1 / 3, 2 / 3, 1 / 9, 4 / 9], rtol=0, atol=1e-15)
 
     def test_start_offset(self):
-        # start=k yields the same values as skipping k-1 from the head
+        # drop=k yields the same values as skipping k from the head
         full = halton(10, 5)
-        np.testing.assert_array_equal(halton(6, 5, start=5), full[4:])
+        np.testing.assert_array_equal(halton(6, 5, drop=4), full[4:])
 
     def test_values_in_open_unit_interval(self):
         for base in (2, 3, 5, 7):
@@ -71,8 +75,9 @@ class TestHalton:
             assert np.all(u > 0) and np.all(u < 1)
 
     def test_invalid_base(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EstimationError) as err:
             halton(4, 1)
+        assert err.value.code == "bad_primes"
 
     @pytest.mark.parametrize("kwargs, code", [
         ({"n_draws": 0}, "bad_draw_count"),
@@ -97,14 +102,13 @@ class TestHalton:
     def test_matrix_drop_shifts_indices(self):
         cfg = HaltonConfig(primes=(2,), drop=10, n_draws=3)
         u = halton_matrix(cfg, 1)
-        np.testing.assert_array_equal(u[0, :, 0], halton(3, 2, start=11))
+        np.testing.assert_array_equal(u[0, :, 0], halton(13, 2)[10:])
 
     def test_matrix_dimensions_follow_primes(self):
         cfg = HaltonConfig(primes=(2, 3), drop=4, n_draws=5)
         u = halton_matrix(cfg, 3)
         assert u.shape == (3, 5, 2)
-        np.testing.assert_array_equal(u[:, :, 1].ravel(),
-                                      halton(15, 3, start=5))
+        np.testing.assert_array_equal(u[:, :, 1].ravel(), halton(15, 3, drop=4))
 
 
 class TestInverseNormalCdf:

@@ -1,5 +1,7 @@
 """Schema definition, effects coding, parameter layout, validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -161,12 +163,14 @@ class TestSerialization:
         clone = ExperimentSchema.load(path)
         assert clone == schema_default
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, schema_default):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(SchemaError) as err:
-            ExperimentSchema.load(path)
-        assert err.value.code == "schema_json"
+        listed = {**schema_default.to_dict(), "interactions": []}
+        for text in ("{not json", json.dumps(listed)):
+            path.write_text(text)
+            with pytest.raises(SchemaError) as err:
+                ExperimentSchema.load(path)
+            assert err.value.code == "schema_json"
 
 
 class TestParameterIndex:
