@@ -25,14 +25,14 @@ from .mmnl import (MixingSpec, SimulatedLikelihoodTrace, estimate_mmnl,
 from .mnl import (check_identification, estimate_mnl, mnl_gradient,
                   mnl_loglik, mnl_probabilities)
 from .numerics import (HaltonConfig, OptimizerOptions, OptimResult,
-                       finite_diff_grad, halton_matrix, hessian_from_grad,
-                       inv_normal_cdf, normal_draws, trust_newton_minimize)
+                       halton_matrix, inv_normal_cdf, normal_draws,
+                       trust_newton_minimize)
 from .postest import (CostSlope, ElasticityEntry, FitStats,
                       LrTest, WtpEntry, WtpReport, cost_slope, elasticity_grid,
                       fit_stats, lr_test, own_cost_elasticity, render_wtp_table,
                       wtp, wtp_report)
-from .results import (EstimationResult, MixingInfo, implied_base_levels,
-                      render_table, two_sided_p)
+from .results import (EstimationResult, implied_base_levels, render_table,
+                      two_sided_p)
 from .schema import (AlternativeDef, AttributeDef, ExperimentSchema, Level,
                      ParameterIndex, ParamInfo, build_parameter_index,
                      effects_code, validate_schema)
@@ -49,9 +49,8 @@ __all__ = [
     "DceError", "SchemaError", "DesignError", "DatasetError",
     "EstimationError", "SimulationError", "PostestError",
     # numerics
-    "HaltonConfig", "OptimizerOptions", "OptimResult", "finite_diff_grad",
-    "halton_matrix", "hessian_from_grad", "inv_normal_cdf",
-    "normal_draws", "trust_newton_minimize",
+    "HaltonConfig", "OptimizerOptions", "OptimResult", "halton_matrix",
+    "inv_normal_cdf", "normal_draws", "trust_newton_minimize",
     # design
     "Profile", "DesignDiagnostics", "BlockedDesign", "full_factorial",
     "select_fraction", "block_design", "design_diagnostics",
@@ -65,8 +64,7 @@ __all__ = [
     "estimate_mnl", "MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
     "msl_loglik", "msl_gradient", "estimate_mmnl", "mmnl_predict",
     # results
-    "EstimationResult", "MixingInfo", "two_sided_p", "implied_base_levels",
-    "render_table",
+    "EstimationResult", "two_sided_p", "implied_base_levels", "render_table",
     # postest
     "FitStats", "LrTest", "CostSlope", "WtpEntry", "WtpReport",
     "ElasticityEntry", "fit_stats", "lr_test",

@@ -174,17 +174,8 @@ def _cmd_simulate(args) -> int:
     result = EstimationResult.load(args.params, schema)
     design = read_design_csv(args.design, schema)
 
-    mixing = None
-    if result.mixing is not None and result.mixing.random_params:
-        mixing = MixingSpec(
-            random_params=tuple(result.mixing.random_params),
-            halton=HaltonConfig(primes=tuple(result.mixing.primes),
-                                drop=result.mixing.drop,
-                                n_draws=result.mixing.n_draws),
-            antithetic=result.mixing.antithetic)
-
     cfg = SimConfig(schema=schema, design=design, true_params=result.params,
-                    mixing=mixing, n_respondents=args.n, seed=args.seed,
+                    mixing=result.mixing, n_respondents=args.n, seed=args.seed,
                     block_assignment=args.assignment)
     dataset = simulate_dataset(cfg)
     write_choices_csv(dataset, args.output)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .results import EstimationResult, MixingInfo
+from .numerics import HaltonConfig, MixingSpec
+from .results import EstimationResult
 from .schema import AlternativeDef, AttributeDef, ExperimentSchema, Level, build_parameter_index
 
 __all__ = [
@@ -333,8 +334,8 @@ def table4_mnl() -> EstimationResult:
 
 def table4_mmnl() -> EstimationResult:
     """Published mixed logit estimates (printed labels, absolute sds)."""
-    mixing = MixingInfo(random_params=("asc_drone", "asc_truck"),
-                        n_draws=500, primes=(2, 3), drop=10, antithetic=False)
+    mixing = MixingSpec(random_params=("asc_drone", "asc_truck"),
+                        halton=HaltonConfig(primes=(2, 3), drop=10, n_draws=500))
     return _make_result(_MMNL_PARAMS, _MMNL_BASES, _LL_MMNL, "mmnl", mixing)
 
 

@@ -10,60 +10,30 @@ evaluated by the panel logit kernel in ``mnl.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
 from .mnl import _fit, _MslWork, estimate_mnl, mnl_probabilities
-# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
-# looks the name up in this module when it traces a run
-from .numerics import (HaltonConfig, OptimizerOptions,  # noqa: F401
-                       hessian_from_grad, normal_draws)
-from .results import EstimationResult, MixingInfo
+from .numerics import MixingSpec, OptimizerOptions, normal_draws
+from .results import EstimationResult
 from .schema import ParameterIndex, build_parameter_index
 
 __all__ = ["MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
            "msl_loglik", "msl_gradient", "estimate_mmnl", "mmnl_predict"]
 
-# benchmarks/spans.py patches this name when it traces a run; nothing calls it
-bfgs_minimize = None
-
-
-@dataclass(frozen=True)
-class MixingSpec:
-    """Which coefficients are random, and how their draws are generated."""
-
-    random_params: tuple[str, ...] = ("asc_drone", "asc_truck")
-    halton: HaltonConfig = field(default_factory=HaltonConfig)
-    antithetic: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "random_params", tuple(self.random_params))
-        if len(set(self.random_params)) != len(self.random_params):
-            raise EstimationError("duplicate_random_param",
-                                  "random_params contains duplicates")
-        if len(self.random_params) > len(self.halton.primes):
-            raise EstimationError(
-                "too_few_primes",
-                f"{len(self.random_params)} random parameters need "
-                f"{len(self.random_params)} Halton bases, got {len(self.halton.primes)}")
-        if self.antithetic and self.halton.n_draws % 2:
-            raise EstimationError("odd_draw_count",
-                                  "antithetic pairing needs an even n_draws")
-
-    @property
-    def n_random(self) -> int:
-        return len(self.random_params)
+# benchmarks/spans.py patches these names when it traces a run; nothing calls them
+bfgs_minimize = hessian_from_grad = None
 
 
 @dataclass(frozen=True)
 class SimulatedLikelihoodTrace:
-    """Per-iteration simulated log likelihood plus the draw configuration."""
+    """Per-iteration simulated log likelihood. ``config`` holds only
+    ``{"threads": 1}``: benchmarks/workloads.py and spans.py read it."""
 
     ll: tuple[float, ...]
-    n_draws: int
     config: dict
 
     def __post_init__(self):
@@ -80,7 +50,7 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     half as many Halton points.
     """
     m = mixing.n_random
-    cfg = replace(mixing.halton, primes=mixing.halton.primes[:max(m, 1)])
+    cfg = mixing.halton
     if m == 0:
         return np.zeros((n_individuals, cfg.n_draws, 0))
     if mixing.antithetic:
@@ -128,6 +98,7 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
     as absolute values, and standard errors from the observed information
     at the reported point, None when it is singular. A mixing with no random
     parameters is the MNL, so it raises EstimationError "no_random_params".
+    The result's ``mixing`` is ``mixing`` itself.
     """
     if mixing.n_random == 0:
         raise EstimationError("no_random_params",
@@ -142,26 +113,14 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
         mnl = estimate_mnl(panel, options)
         start = np.concatenate([mnl.params, np.full(mixing.n_random, 0.5)])
     result, trace_ll = _fit(panel, work, index, start, options)
-    halton = mixing.halton
-    primes = halton.primes[:mixing.n_random]
-    trace = SimulatedLikelihoodTrace(
-        ll=trace_ll, n_draws=work.n_draws,
-        config={"random_params": list(mixing.random_params),
-                "primes": list(primes),
-                "drop": halton.drop, "antithetic": mixing.antithetic,
-                # always 1, but kept: benchmarks/workloads.py and spans.py read it
-                "threads": 1})
-    return replace(result, model="mmnl", trace=trace,
-                   mixing=MixingInfo(random_params=mixing.random_params,
-                                     n_draws=work.n_draws,
-                                     primes=tuple(primes),
-                                     drop=halton.drop,
-                                     antithetic=mixing.antithetic))
+    trace = SimulatedLikelihoodTrace(ll=trace_ll, config={"threads": 1})
+    return replace(result, model="mmnl", trace=trace, mixing=mixing)
 
 
 def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
-                 n_draws: int, index: ParameterIndex | None = None) -> np.ndarray:
-    """Draw-averaged choice probabilities for one task's coded rows.
+                 index: ParameterIndex | None = None) -> np.ndarray:
+    """Choice probabilities for one task's coded rows, averaged over the
+    mixing's draws for one individual.
 
     ``index`` locates the random parameters' columns; it may be omitted only
     when the mixing has no random parameters.
@@ -180,8 +139,7 @@ def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
         raise EstimationError("missing_index",
                               "a parameter index is needed to place random parameters")
     rp = index.positions(mixing.random_params)
-    spec = replace(mixing, halton=replace(mixing.halton, n_draws=n_draws))
-    z = make_draws(spec, 1)[0]  # (n_draws, m)
+    z = make_draws(mixing, 1)[0]  # (n_draws, m)
     dev = z * params[k:]  # (n_draws, m)
     u = (rows @ params[:k])[:, None] + rows[:, rp] @ dev.T  # (J, n_draws)
     u -= u.max(axis=0)

@@ -21,10 +21,7 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-# hessian_from_grad is unused here but stays importable: benchmarks/spans.py
-# looks the name up in this module when it traces a run
-from .numerics import (OptimizerOptions, hessian_from_grad,  # noqa: F401
-                       trust_newton_minimize)
+from .numerics import OptimizerOptions, trust_newton_minimize
 from .results import EstimationResult, implied_base_levels, two_sided_p
 from .schema import ParameterIndex
 
@@ -35,8 +32,8 @@ __all__ = [
     "estimate_mnl",
 ]
 
-# benchmarks/spans.py patches this name when it traces a run; nothing calls it
-bfgs_minimize = None
+# benchmarks/spans.py patches these names when it traces a run; nothing calls them
+bfgs_minimize = hessian_from_grad = None
 
 # draws per chunk: bounds each pass's temporaries, and a fixed width fixes
 # the summation order

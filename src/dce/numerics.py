@@ -1,10 +1,10 @@
-"""Numerical kernels: Halton draws, inverse normal CDF, the optimizer,
-finite differences.
+"""Numerical kernels: the mixing and its Halton draws, inverse normal CDF,
+the optimizer.
 
+``MixingSpec`` is the one record of a mixing: the fit draws from it, a
+result stores it and the result JSON round-trips it.
 ``trust_newton_minimize`` is trust-region Newton on an exact Hessian, with
 the subproblem solved by Moré–Sorensen; both estimators use it.
-``hessian_from_grad`` is the finite-difference Hessian that the tests hold
-the analytic one against.
 
 Everything in this module is deterministic given its inputs; nothing reads
 global RNG state. It needs only numpy and the standard library's ``math``.
@@ -13,7 +13,7 @@ global RNG state. It needs only numpy and the standard library's ``math``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,14 +22,13 @@ from .errors import EstimationError
 
 __all__ = [
     "HaltonConfig",
+    "MixingSpec",
     "OptimizerOptions",
     "OptimResult",
     "halton_matrix",
     "normal_draws",
     "inv_normal_cdf",
     "trust_newton_minimize",
-    "finite_diff_grad",
-    "hessian_from_grad",
 ]
 
 
@@ -41,7 +40,8 @@ __all__ = [
 class HaltonConfig:
     """Low-discrepancy draw settings.
 
-    primes: one base per mixing dimension, in order.
+    primes: one base per mixing dimension, in order; pairwise coprime, so
+        that the dimensions' sequences do not correlate.
     drop: leading sequence points discarded once, ahead of every individual's slice.
     n_draws: points per individual per dimension.
     """
@@ -51,15 +51,55 @@ class HaltonConfig:
     n_draws: int = 500
 
     def __post_init__(self):
-        if len(self.primes) == 0 or len(set(self.primes)) != len(self.primes) \
-                or min(self.primes) < 2:
-            raise EstimationError("bad_primes",
-                                  f"primes must be distinct bases >= 2, got {self.primes}")
+        if len(self.primes) == 0 or min(self.primes) < 2 or any(
+                math.gcd(a, b) != 1
+                for i, a in enumerate(self.primes) for b in self.primes[i + 1:]):
+            raise EstimationError(
+                "bad_primes", f"primes must be pairwise coprime bases >= 2, got {self.primes}")
         if self.drop < 0:
             raise EstimationError("bad_drop", f"drop must be >= 0, got {self.drop}")
         if self.n_draws < 1:
             raise EstimationError("bad_draw_count",
                                   f"n_draws must be >= 1, got {self.n_draws}")
+
+
+@dataclass(frozen=True)
+class MixingSpec:
+    """Which coefficients are random, and how their draws are generated.
+
+    A spec with random parameters keeps only the first ``n_random`` of the
+    Halton bases it is given, one per random parameter.
+    """
+
+    random_params: tuple[str, ...] = ("asc_drone", "asc_truck")
+    halton: HaltonConfig = field(default_factory=HaltonConfig)
+    antithetic: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "random_params", tuple(self.random_params))
+        m = len(self.random_params)
+        if len(set(self.random_params)) != m:
+            raise EstimationError("duplicate_random_param",
+                                  "random_params contains duplicates")
+        if m > len(self.halton.primes):
+            raise EstimationError(
+                "too_few_primes",
+                f"{m} random parameters need {m} Halton bases, "
+                f"got {len(self.halton.primes)}")
+        if m:
+            object.__setattr__(self, "halton",
+                               replace(self.halton, primes=self.halton.primes[:m]))
+        if self.antithetic and self.halton.n_draws % 2:
+            raise EstimationError("odd_draw_count",
+                                  "antithetic pairing needs an even n_draws")
+
+    @property
+    def n_random(self) -> int:
+        return len(self.random_params)
+
+    @property
+    def n_draws(self) -> int:
+        return self.halton.n_draws
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -369,42 +409,3 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
     status = ("gradient_converged" if _norm_inf(g) <= opts.gradient_tolerance
               else "max_iterations")
     return OptimResult(x, f, g, status, opts.max_iterations, n_evals, H)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-def finite_diff_grad(fun: Callable, x, step: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    Per-coordinate step is ``step`` when given, else 1e-5 * (|x_i| + 1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = step if step is not None else 1e-5 * (abs(x[i]) + 1.0)
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
-    return g
-
-
-def hessian_from_grad(grad_fun: Callable, x, step: float = 1e-5) -> np.ndarray:
-    """Hessian by central finite differences of an analytic gradient.
-
-    Column i uses step 1e-5 * (|x_i| + 1) by default; the result is
-    symmetrized. Non-finite entries raise EstimationError.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    H = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        h = step * (abs(x[i]) + 1.0)
-        e = np.zeros_like(x)
-        e[i] = h
-        H[:, i] = (grad_fun(x + e) - grad_fun(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(H)):
-        raise EstimationError("hessian_non_finite",
-                              "finite-difference Hessian contains non-finite entries")
-    return 0.5 * (H + H.T)

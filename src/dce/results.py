@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import EstimationError, SchemaError
+from .numerics import HaltonConfig, MixingSpec
 from .schema import ExperimentSchema, ParameterIndex, ParamInfo, build_parameter_index
 
-__all__ = ["MixingInfo", "EstimationResult", "two_sided_p", "implied_base_levels",
-           "render_table"]
+__all__ = ["EstimationResult", "two_sided_p", "implied_base_levels", "render_table"]
 
 
 def two_sided_p(estimate: float, std_error: float) -> float:
@@ -48,17 +48,6 @@ def implied_base_levels(schema: ExperimentSchema, index: ParameterIndex,
     return out
 
 
-@dataclass(frozen=True)
-class MixingInfo:
-    """Random-coefficient bookkeeping attached to a mixed-logit result."""
-
-    random_params: tuple[str, ...]
-    n_draws: int
-    primes: tuple[int, ...]
-    drop: int
-    antithetic: bool = False
-
-
 @dataclass
 class EstimationResult:
     """Coefficients plus fit for one estimated (or transcribed) model.
@@ -69,6 +58,8 @@ class EstimationResult:
     implied base-level coefficients of effects-coded blocks, keyed like
     parameter names; for estimated models they equal the negated block sums,
     for transcribed fixtures they hold the source's printed values.
+    ``mixing`` is the spec a mixed logit was fitted with, or transcribed
+    under; a loaded record is validated like any other spec.
     """
 
     index: ParameterIndex
@@ -81,7 +72,7 @@ class EstimationResult:
     status: str | None = None  # optimizer's stopping reason; None when transcribed
     std_errors: np.ndarray | None = None
     p_values: np.ndarray | None = None
-    mixing: MixingInfo | None = None
+    mixing: MixingSpec | None = None
     base_levels: dict[str, float] = field(default_factory=dict)
     n_respondents: int | None = None
     n_tasks: int | None = None
@@ -147,14 +138,15 @@ class EstimationResult:
             "n_tasks": self.n_tasks,
         }
         if self.mixing is not None:
+            halton = self.mixing.halton
             sds = {rp: float(self.params[self.index.sd_position(rp)])
                    for rp in self.mixing.random_params}
             d["mixing"] = {
                 "random_params": list(self.mixing.random_params),
                 "sds": sds,
-                "n_draws": self.mixing.n_draws,
-                "primes": list(self.mixing.primes),
-                "drop": self.mixing.drop,
+                "n_draws": halton.n_draws,
+                "primes": list(halton.primes),
+                "drop": halton.drop,
                 "antithetic": self.mixing.antithetic,
             }
         if self.run_id is not None:
@@ -206,18 +198,18 @@ class EstimationResult:
             params = np.array([d["parameters"][n]["estimate"] for n in pnames], dtype=np.float64)
             ses = [d["parameters"][n].get("std_error") for n in pnames]
             pvs = [d["parameters"][n].get("p_value") for n in pnames]
-            std_errors = (np.array([np.nan if s is None else s for s in ses])
+            std_errors = (np.array([np.nan if s is None else s for s in ses], dtype=np.float64)
                           if any(s is not None for s in ses) else None)
-            p_values = (np.array([np.nan if p is None else p for p in pvs])
+            p_values = (np.array([np.nan if p is None else p for p in pvs], dtype=np.float64)
                         if any(p is not None for p in pvs) else None)
             fit = d["fit"]
             mixing = None
             if mix:
-                mixing = MixingInfo(
-                    random_params=tuple(mix["random_params"]),
-                    n_draws=int(mix["n_draws"]),
-                    primes=tuple(int(p) for p in mix["primes"]),
-                    drop=int(mix["drop"]),
+                mixing = MixingSpec(
+                    random_params=rps,
+                    halton=HaltonConfig(primes=tuple(int(p) for p in mix["primes"]),
+                                        drop=int(mix["drop"]),
+                                        n_draws=int(mix["n_draws"])),
                     antithetic=bool(mix.get("antithetic", False)),
                 )
             return cls(
@@ -237,9 +229,7 @@ class EstimationResult:
                 n_tasks=d.get("n_tasks"),
                 run_id=d.get("run_id"),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SchemaError):
-                raise
+        except (AttributeError, EstimationError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc
 
     @classmethod

@@ -59,6 +59,13 @@ class Level:
     display: str | None = None
 
 
+def _level_value(value):
+    """A level's JSON value, which must be absent or a number; a bool is not."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise TypeError(f"level value {value!r} is not a number")
+    return value
+
+
 @dataclass(frozen=True)
 class AlternativeDef:
     id: str
@@ -249,7 +256,7 @@ class ExperimentSchema:
                     # default back to None so round trips compare equal
                     column=None if a.get("column") == a["name"] else a.get("column"),
                     levels=tuple(
-                        Level(l["label"], l.get("value"), l.get("display"))
+                        Level(l["label"], _level_value(l.get("value")), l.get("display"))
                         for l in a["levels"]
                     ),
                 )

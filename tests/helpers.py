@@ -6,6 +6,7 @@ from dce import (
     AlternativeDef,
     AttributeDef,
     ChoiceDataset,
+    EstimationError,
     ExperimentSchema,
     Level,
     MixingSpec,
@@ -143,6 +144,41 @@ def simulated_panel(design, n_respondents: int, seed: int,
     dataset = simulate_dataset(cfg)
     panel = code_dataset(dataset, build_parameter_index(schema))
     return cfg, dataset, panel, truth
+
+
+def finite_diff_grad(fun, x, step=None):
+    """Central-difference gradient of a scalar function.
+
+    Per-coordinate step is ``step`` when given, else 1e-5 * (|x_i| + 1).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        h = step if step is not None else 1e-5 * (abs(x[i]) + 1.0)
+        e = np.zeros_like(x)
+        e[i] = h
+        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
+    return g
+
+
+def hessian_from_grad(grad_fun, x, step=1e-5):
+    """Hessian by central finite differences of an analytic gradient.
+
+    Column i uses step 1e-5 * (|x_i| + 1) by default; the result is
+    symmetrized. Non-finite entries raise EstimationError.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    H = np.empty((n, n), dtype=np.float64)
+    for i in range(n):
+        h = step * (abs(x[i]) + 1.0)
+        e = np.zeros_like(x)
+        e[i] = h
+        H[:, i] = (grad_fun(x + e) - grad_fun(x - e)) / (2.0 * h)
+    if not np.all(np.isfinite(H)):
+        raise EstimationError("hessian_non_finite",
+                              "finite-difference Hessian contains non-finite entries")
+    return 0.5 * (H + H.T)
 
 
 def hessian_oracle(work, params):

@@ -26,7 +26,6 @@ from dce import (
     default_schema,
     design_diagnostics,
     estimate_mnl,
-    finite_diff_grad,
     fit_stats,
     lr_test,
     mnl_gradient,
@@ -43,7 +42,8 @@ from dce import (
     wtp_report,
 )
 
-from helpers import binary_asc_dataset, binary_asc_schema, simulated_panel
+from helpers import (binary_asc_dataset, binary_asc_schema, finite_diff_grad,
+                     simulated_panel)
 
 
 def report(n, ok, detail):

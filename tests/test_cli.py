@@ -259,6 +259,18 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: result_json:") and "Traceback" not in err
 
+    def test_schema_level_value_that_is_not_a_number(self, workdir, capsys):
+        doc = json.loads(Path(LABELS_SCHEMA).read_text())
+        cost = next(a for a in doc["attributes"] if a["name"] == "delivery_cost_drone")
+        cost["levels"][0]["value"] = "abc"
+        schema = workdir / "bad_value.json"
+        schema.write_text(json.dumps(doc))
+        for report in (["wtp"], ["elasticity", "--price", "800", "--prob", "0.3",
+                                 "--slope-mode", "drone"]):
+            assert main(["postest", *report, "--schema", str(schema)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: schema_json:") and "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value, error", [("--draws", "0", "bad_draw_count"),
                                                     ("--drop", "-1", "bad_drop")])
     def test_bad_halton_setting(self, pipeline, workdir, capsys, flag, value, error):

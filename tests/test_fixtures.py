@@ -124,6 +124,23 @@ class TestShippedFiles:
         r.save(path)
         assert_results_equal(EstimationResult.load(path), r)
 
+    @pytest.mark.parametrize("field, value", [
+        ("std_error", "abc"),
+        ("p_value", "abc"),
+        ("mixing", {"n_draws": 501, "antithetic": True}),
+        ("mixing", {"n_draws": 0}),
+        ("mixing", {"primes": [2, 4]}),
+    ])
+    def test_malformed_result_record_is_typed(self, field, value):
+        d = table4_mmnl().to_dict()
+        if field == "mixing":
+            d["mixing"].update(value)
+        else:
+            d["parameters"]["asc_drone"][field] = value
+        with pytest.raises(SchemaError) as err:
+            EstimationResult.from_dict(d)
+        assert err.value.code == "result_json"
+
     def test_load_against_schema_names_the_mismatch(self, schema_labels):
         d = table4_mnl().to_dict()
         d["parameters"]["asc_bus"] = d["parameters"].pop("asc_truck")

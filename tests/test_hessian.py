@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dce import (HaltonConfig, MixingSpec, code_dataset, estimate_mmnl,
-                 estimate_mnl, finite_diff_grad, hessian_from_grad)
+from dce import HaltonConfig, MixingSpec, code_dataset, estimate_mmnl, estimate_mnl
 from dce.mmnl import _work
 from dce.mnl import _mnl_work
-from helpers import hessian_oracle, simulated_panel
+from helpers import finite_diff_grad, hessian_from_grad, hessian_oracle, simulated_panel
 
 MODELS = {
     "mnl": None,

@@ -18,7 +18,6 @@ from dce import (
     code_dataset,
     estimate_mmnl,
     estimate_mnl,
-    finite_diff_grad,
     lr_test,
     make_draws,
     mmnl_predict,
@@ -35,7 +34,7 @@ from dce import (
 
 from dce.mmnl import _work
 from dce.mnl import _inference
-from helpers import simulated_panel
+from helpers import finite_diff_grad, simulated_panel
 
 ASC_MIX = ("asc_drone", "asc_truck")
 
@@ -69,6 +68,12 @@ class TestMixingSpec:
             MixingSpec(antithetic=True,
                        halton=HaltonConfig(n_draws=501))
         assert err.value.code == "odd_draw_count"
+
+    def test_keeps_one_base_per_random_param(self):
+        spec = MixingSpec(random_params=("asc_drone",), halton=HaltonConfig(primes=(2, 3, 5)))
+        assert spec == MixingSpec(random_params=("asc_drone",),
+                                  halton=HaltonConfig(primes=(2,)))
+        assert MixingSpec(random_params=()).halton.primes == (2, 3)
 
     def test_make_draws_shape(self):
         z = make_draws(small_mixing(n_draws=40), 7)
@@ -252,8 +257,8 @@ class TestEstimation:
         assert fitted.converged
         assert fitted.model == "mmnl"
         assert np.all(fitted.params[-2:] > 0)
+        assert fitted.mixing == small_mixing(n_draws=100)
         assert fitted.mixing.n_draws == 100
-        assert fitted.mixing.random_params == ASC_MIX
 
     def test_heterogeneity_detected_by_lr(self, fitted, mixed_panel40):
         mnl = estimate_mnl(mixed_panel40["panel"])
@@ -355,7 +360,7 @@ class TestPredict:
                       task_respondent=np.zeros(1, dtype=np.intp),
                       respondent_ids=panel.respondent_ids[:1],
                       row_alternative=panel.row_alternative[:n_j])
-        p = mmnl_predict(params, rows, mixing, n_draws=50, index=panel.index)
+        p = mmnl_predict(params, rows, mixing, index=panel.index)
         for j in range(n_j):
             ll = msl_loglik(params, replace(one, chosen_row=np.array([j])), mixing)
             assert abs(np.log(p[j]) - ll) <= 1e-12
@@ -365,8 +370,7 @@ class TestPredict:
         truth = panel50["truth"]
         rows = panel.X[:3]
         params = np.concatenate([truth, [0.8, 0.6]])
-        p = mmnl_predict(params, rows, small_mixing(), n_draws=200,
-                         index=panel.index)
+        p = mmnl_predict(params, rows, small_mixing(n_draws=200), index=panel.index)
         assert p.shape == (3,)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -374,8 +378,8 @@ class TestPredict:
         panel = panel50["panel"]
         truth = panel50["truth"]
         rows = panel.X[:3]
-        mixing = MixingSpec(random_params=())
-        p = mmnl_predict(truth, rows, mixing, n_draws=50)
+        mixing = MixingSpec(random_params=(), halton=HaltonConfig(n_draws=50))
+        p = mmnl_predict(truth, rows, mixing)
         np.testing.assert_allclose(p, mnl_probabilities(truth, rows),
                                    atol=1e-12)
 
@@ -383,6 +387,5 @@ class TestPredict:
         truth = panel50["truth"]
         params = np.concatenate([truth, [0.8, 0.6]])
         with pytest.raises(EstimationError) as err:
-            mmnl_predict(params, panel50["panel"].X[:3], small_mixing(),
-                         n_draws=50)
+            mmnl_predict(params, panel50["panel"].X[:3], small_mixing(n_draws=50))
         assert err.value.code == "missing_index"

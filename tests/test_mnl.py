@@ -16,7 +16,6 @@ from dce import (
     block_design,
     code_dataset,
     estimate_mnl,
-    finite_diff_grad,
     mnl_gradient,
     mnl_loglik,
     mnl_probabilities,
@@ -26,7 +25,7 @@ from dce import (
     table4_mnl,
 )
 
-from helpers import binary_asc_dataset
+from helpers import binary_asc_dataset, finite_diff_grad
 
 
 class TestProbabilities:

@@ -1,5 +1,5 @@
-"""Halton sequences, inverse normal CDF, trust-region Newton, and finite
-differences."""
+"""Halton sequences, inverse normal CDF, trust-region Newton, and the
+finite-difference oracles in ``helpers``."""
 
 import math
 
@@ -12,14 +12,14 @@ from dce import (
     EstimationError,
     HaltonConfig,
     OptimizerOptions,
-    finite_diff_grad,
     halton_matrix,
-    hessian_from_grad,
     inv_normal_cdf,
     normal_draws,
     trust_newton_minimize,
 )
 from dce.numerics import _trust_region_step
+
+from helpers import finite_diff_grad, hessian_from_grad
 
 # Reference quantiles frozen from a 50-digit arbitrary-precision evaluation
 # of the inverse error function at the exact double closest to each label.
@@ -85,6 +85,7 @@ class TestHalton:
         ({"primes": ()}, "bad_primes"),
         ({"primes": (2, 2)}, "bad_primes"),
         ({"primes": (2, 1)}, "bad_primes"),
+        ({"primes": (2, 4)}, "bad_primes"),
     ])
     def test_config_errors_are_typed(self, kwargs, code):
         with pytest.raises(EstimationError) as err:

@@ -166,7 +166,13 @@ class TestSerialization:
     def test_malformed_json(self, tmp_path, schema_default):
         path = tmp_path / "bad.json"
         listed = {**schema_default.to_dict(), "interactions": []}
-        for text in ("{not json", json.dumps(listed)):
+        texts = ["{not json", json.dumps(listed)]
+        for value in ("abc", True):
+            d = schema_default.to_dict()
+            cost = next(a for a in d["attributes"] if a["name"] == "delivery_cost_drone")
+            cost["levels"][0]["value"] = value
+            texts.append(json.dumps(d))
+        for text in texts:
             path.write_text(text)
             with pytest.raises(SchemaError) as err:
                 ExperimentSchema.load(path)
