@@ -11,8 +11,10 @@ ragged panels need no special case and each 64-draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
 only on utility differences within a task. From that layout the kernel
 returns the log likelihood, its score and, for standard errors, its Hessian
-in closed form. The MNL log likelihood is concave, so estimation starts
-from zeros and a converged optimum is the optimum.
+in closed form, one block of respondents at a time: a block's per-draw
+probabilities are formed, used and dropped before the next block's. The MNL
+log likelihood is concave, so estimation starts from zeros and a converged
+optimum is the optimum.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ bfgs_minimize = hessian_from_grad = None
 # the summation order
 _CHUNK = 64
 
-# respondent x draw cells per Hessian block and draw chunk: 16 respondents x
-# 64 draws, or 1,024 respondents with one draw (MNL). In a sweep of 256-3,072
-# cells (one thread) mixed blocks were fastest at 1,024-2,048: a Hessian's
-# blocks took 15.7 ms at 264 x 128 draws against 19.1 at 512 cells, and
+# respondent x draw cells per respondent block and draw chunk: 16 respondents
+# x 64 draws, or 1,024 respondents with one draw (MNL). Each evaluation runs
+# block by block, so this also bounds the per-draw probabilities it holds. In
+# a sweep of 256-3,072 cells (one thread), made before the likelihood pass ran
+# per block, mixed blocks were fastest at 1,024-2,048: a Hessian's blocks
+# took 15.7 ms at 264 x 128 draws against 19.1 at 512 cells, and
 # 2.2 against 2.7 ms at 40 x 100. One-draw blocks of 128-256 respondents
 # would be faster from ~1,000 respondents (48 ms against 71 at 5,000), but
 # no benchmark workload fits an MNL that large
@@ -60,7 +64,8 @@ def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
 
 
 class _MslWork:
-    """Shared buffers for one (panel, draws) pair, reused across evaluations.
+    """The panel's layout and draws for one (panel, draws) pair, reused
+    across evaluations.
 
     ``rp`` holds the positions of the random columns and ``draws`` is shaped
     (n_respondents, n_draws, len(rp)); parameters are the fixed part followed
@@ -79,6 +84,11 @@ class _MslWork:
     their tasks' first rows, summed over tasks, and ``Arp`` its random
     columns: the chosen cells' utilities summed over tasks are
     A mean + Arp (sd z).
+
+    Evaluations run over ``blocks`` of respondents in order. Draw weights
+    are per respondent, so a block's likelihood, weights, score and Hessian
+    all come from its own tile of per-draw probabilities (``_tile``), and no
+    evaluation holds the whole panel's.
     """
 
     def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray):
@@ -104,8 +114,10 @@ class _MslWork:
         # for itself finds each respondent's first task
         task_pos = np.arange(panel.n_tasks) \
             - np.searchsorted(panel.task_respondent, panel.task_respondent)
+        # at least one cell per task: when every task has one alternative,
+        # all cells are empty and each task adds log 1 = 0
         self.shape = (panel.n_respondents, int(task_pos.max()) + 1,
-                      int(panel.task_sizes.max()) - 1)
+                      max(int(panel.task_sizes.max()) - 1, 1))
         n_r, n_t, n_d = self.shape
         task = panel.task_respondent * n_t + task_pos
         first = panel.task_ptr[:-1]
@@ -125,9 +137,6 @@ class _MslWork:
         A[task] = X[panel.chosen_row] - X[first]
         self.A = A.reshape(n_r, n_t, k).sum(axis=1)
         self.Arp = self.A[:, self.rp]
-        # per-draw cell probabilities, shaped (*shape, n_draws); filled on
-        # gradient and Hessian evaluations
-        self._sp = None
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -139,49 +148,51 @@ class _MslWork:
                 f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
         return params[:k], params[k:]
 
-    def _non_finite(self, cell_finite):
-        """Raise for the first coded row whose differenced cell is not finite."""
-        rows = self.cell_row[~cell_finite & (self.cell_row >= 0)]
+    def _non_finite(self, cell_finite, n0):
+        """Raise for the first coded row, from respondent n0 on, whose
+        differenced cell is not finite."""
+        rows = self.cell_row[n0 * self.shape[1] * self.shape[2]:][:cell_finite.size]
+        rows = rows[~cell_finite & (rows >= 0)]
         raise EstimationError("non_finite_utility",
                               f"non-finite utility at task index {self.panel.row_task[rows[0]]}")
 
-    def loglik_parts(self, params, need_probs: bool):
-        """Per-respondent-by-draw log products; optionally keep the cells'
-        per-draw probabilities."""
-        mean, sds = self._split(params)
+    def _tile(self, mean, sds, n0, n1):
+        """Respondents [n0, n1)'s (respondent, draw) log products and, per
+        draw chunk, their cells' probabilities shaped (respondent,
+        task * cell, chunk draws). Per chunk, every cell's utility comes from
+        one batched product, then a log-softmax over each task's cells and
+        its reference's 0 is summed over tasks, each sum in a fixed order."""
+        _, n_t, n_d = self.shape
+        nb = n1 - n0
+        Drp, z = self.Drp[n0:n1], self.z[n0:n1]
         # einsum, not BLAS: OpenBLAS runs this product on two threads from
         # ~10,000 rows, which buys no time and burns a second core
-        u_base = self.offset + np.einsum("rk,k->r", self.D.reshape(-1, mean.size), mean)[:, None]
+        u_base = self.offset[n0 * n_t * n_d:n1 * n_t * n_d] \
+            + np.einsum("rk,k->r", self.D[n0:n1].reshape(-1, mean.size), mean)[:, None]
         # each respondent's chosen cells' utilities summed over tasks, per draw
-        chosen = np.einsum("rk,k->r", self.A, mean)[:, None] \
-            + np.einsum("rm,rmc->rc", self.Arp * sds, self.z)
-        if need_probs and self._sp is None:
-            self._sp = np.empty((*self.shape, self.n_draws))
-
-        def chunk(c0, c1):
-            """Draws [c0, c1): every cell's utility from one batched product,
-            then a log-softmax over each task's cells and its reference's 0,
-            summed over tasks. A call's temporaries are freed before the next
-            one's."""
-            cells = (self.Drp @ (self.z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
+        chosen = np.einsum("rk,k->r", self.A[n0:n1], mean)[:, None] \
+            + np.einsum("rm,rmc->rc", self.Arp[n0:n1] * sds, z)
+        log_pr, probs = np.empty((nb, self.n_draws)), []
+        for c0, c1 in self.chunks:
+            cells = (Drp @ (z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
             cells += u_base
-            u = cells.reshape(*self.shape, c1 - c0)
-            # a loop over the few cells is faster than u.max(axis=2)
-            top = np.zeros((*self.shape[:2], c1 - c0))
-            for j in range(self.shape[2]):
+            u = cells.reshape(nb, n_t, n_d, c1 - c0)
+            # loops over the few cells are faster than max and sum over axis 2
+            top = np.maximum(u[:, :, 0], 0.0)
+            for j in range(1, n_d):
                 np.maximum(top, u[:, :, j], out=top)
             if not np.isfinite(top).all():
-                self._non_finite(np.isfinite(cells).all(axis=1))
+                self._non_finite(np.isfinite(cells).all(axis=1), n0)
             u -= top[:, :, None]
             e = np.exp(u, out=u)
-            denom = e.sum(axis=2)
+            denom = e[:, :, 0].copy()
+            for j in range(1, n_d):
+                denom += e[:, :, j]
             denom += np.exp(-top)
-            if need_probs:
-                np.divide(e, denom[:, :, None], out=self._sp[..., c0:c1])
+            probs.append(np.divide(e, denom[:, :, None], out=e).reshape(nb, -1, c1 - c0))
             top += np.log(denom)
-            return chosen[:, c0:c1] - top.sum(axis=1)
-
-        return np.concatenate([chunk(c0, c1) for c0, c1 in self.chunks], axis=1)
+            log_pr[:, c0:c1] = chosen[:, c0:c1] - top.sum(axis=1)
+        return log_pr, probs
 
     def respondent_ll(self, log_pr):
         """log mean over draws, pairing antithetic columns first for exact
@@ -197,33 +208,49 @@ class _MslWork:
         return ll_i
 
     def loglik(self, params) -> float:
-        log_pr = self.loglik_parts(params, need_probs=False)
-        return float(self.respondent_ll(log_pr).sum())
+        mean, sds = self._split(params)
+        ll_i = np.empty(self.shape[0])
+        for n0, n1 in self.blocks:
+            ll_i[n0:n1] = self.respondent_ll(self._tile(mean, sds, n0, n1)[0])
+        return float(ll_i.sum())
 
-    def _loglik_and_weights(self, params):
-        """Log likelihood, keeping the cells' probabilities, and each
-        respondent's draw weights: the softmax of its log products."""
-        log_pr = self.loglik_parts(params, need_probs=True)
+    def _weighted_tile(self, mean, sds, n0, n1, ll_i):
+        """``_tile``'s probabilities and the block's draw weights, the softmax
+        of each respondent's log products; fills ``ll_i[n0:n1]``."""
+        log_pr, probs = self._tile(mean, sds, n0, n1)
+        ll_i[n0:n1] = self.respondent_ll(log_pr)
         w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
-        return float(self.respondent_ll(log_pr).sum()), w
+        return w, probs
+
+    def _loglik_and_weights(self, params):
+        """Log likelihood and every respondent's draw weights."""
+        mean, sds = self._split(params)
+        ll_i = np.empty(self.shape[0])
+        w = np.concatenate([self._weighted_tile(mean, sds, n0, n1, ll_i)[0]
+                            for n0, n1 in self.blocks])
+        return float(ll_i.sum()), w
 
     def loglik_and_gradient(self, params):
-        ll, w = self._loglik_and_weights(params)
+        mean, sds = self._split(params)
         n_r, n_t, n_d = self.shape
-        sp = self._sp.reshape(n_r, n_t * n_d, self.n_draws)
+        m = len(self.rp)
+        ll_i = np.empty(n_r)
         # each cell's probability summed over draws with the draw moments w
-        # and w*z
-        s = 0
-        for c0, c1 in self.chunks:
-            wc = w[:, None, c0:c1]
-            wz = np.concatenate([wc, wc * self.z[:, :, c0:c1]], axis=1)
-            s += sp[:, :, c0:c1] @ wz.transpose(0, 2, 1)
-        # einsum for one core, as in loglik_parts
+        # and w*z, and each respondent's w-weighted z
+        s, wz_sum = np.zeros((n_r, n_t * n_d, 1 + m)), np.empty((n_r, m))
+        for n0, n1 in self.blocks:
+            w, probs = self._weighted_tile(mean, sds, n0, n1, ll_i)
+            z = self.z[n0:n1]
+            for (c0, c1), p in zip(self.chunks, probs):
+                wc = w[:, None, c0:c1]
+                s[n0:n1] += p @ np.concatenate([wc, wc * z[:, :, c0:c1]], axis=1).transpose(0, 2, 1)
+            wz_sum[n0:n1] = np.einsum("rc,rmc->rm", w, z)
+        # einsum for one core, as in _tile
         grad_fixed = self.A.sum(axis=0) - np.einsum("rck,rc->k", self.D, s[:, :, 0])
-        grad_sd = np.einsum("rm,rm->m", self.Arp, np.einsum("rc,rmc->rm", w, self.z)) \
+        grad_sd = np.einsum("rm,rm->m", self.Arp, wz_sum) \
             - np.einsum("rcm,rcm->m", self.Drp, s[:, :, 1:])
-        return ll, np.concatenate([grad_fixed, grad_sd])
+        return float(ll_i.sum()), np.concatenate([grad_fixed, grad_sd])
 
     def hessian(self, params):
         """Log likelihood, its score and the Hessian of the negative
@@ -258,23 +285,28 @@ class _MslWork:
         unmoved by subtracting a row constant within the task, and each of
         M's rows sums to 0 within each task, so X'MX = (X - E)'M(X - E) for
         any E constant within tasks; with E each task's first row, the
-        reference cell's row is zero and drops out. Respondent blocks and
-        draw chunks are summed in a fixed order.
+        reference cell's row is zero and drops out. Each respondent block's
+        tile feeds its likelihood, weights and Hessian block in one pass;
+        blocks and draw chunks are summed in a fixed order.
         """
-        ll, w = self._loglik_and_weights(params)
+        mean, sds = self._split(params)
+        ll_i = np.empty(self.shape[0])
         grad = h = 0
         for n0, n1 in self.blocks:
-            score, block = self._hessian_block(w, n0, n1)
+            # a block's tile lives only as long as its call
+            score, block = self._hessian_block(
+                n0, n1, *self._weighted_tile(mean, sds, n0, n1, ll_i))
             grad += score
             h += block
         if not np.all(np.isfinite(h)):
             raise EstimationError("hessian_non_finite",
                                   "analytic Hessian contains non-finite entries")
-        return ll, grad, 0.5 * (h + h.T)
+        return float(ll_i.sum()), grad, 0.5 * (h + h.T)
 
-    def _hessian_block(self, w, n0, n1):
+    def _hessian_block(self, n0, n1, w, probs):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood.
+        the negative log likelihood, from their draw weights ``w`` and
+        their tile's per-chunk probabilities ``probs``.
         Every product is batched per respondent and summed afterwards: one
         product over the block would be large enough to wake OpenBLAS's
         threads, which then spin through the estimator's serial work."""
@@ -287,10 +319,9 @@ class _MslWork:
         Pm = np.zeros((nb, n_c, 1 + 2 * m + m * m))  # P [w, v_d, w z_d, w z_d z_e]
         Py, g = np.zeros((nb, n_c, m)), np.zeros((nb, m))  # (P y_d)(w z_d); g_d
         sd = np.zeros((nb, m, m))  # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
-        for c0, c1 in self.chunks:
-            p = self._sp[n0:n1, ..., c0:c1].reshape(nb, n_c, c1 - c0)
+        for (c0, c1), p in zip(self.chunks, probs):
             p_task = p.reshape(nb, n_t, n_d, c1 - c0)
-            wc, z = w[n0:n1, None, c0:c1], self.z[n0:n1, :, c0:c1]
+            wc, z = w[:, None, c0:c1], self.z[n0:n1, :, c0:c1]
             G += (p * wc) @ p.transpose(0, 2, 1)
             y = x_task @ p_task  # (respondent, task, sd, draw)
             f = a_rp[:, :, None] - y.sum(axis=1)

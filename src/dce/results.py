@@ -30,6 +30,19 @@ def two_sided_p(estimate: float, std_error: float) -> float:
     return math.erfc(abs(estimate / std_error) / math.sqrt(2.0))
 
 
+def _checked(value, kind: str, what: str, optional: bool = False):
+    """``value`` if its JSON type is ``kind`` ("boolean", "integer", "number",
+    "string" or "array"), or null when ``optional``; else SchemaError
+    "result_json". Nothing is coerced, and a boolean is neither an integer
+    nor a number."""
+    types = {"boolean": bool, "integer": int, "number": (int, float), "string": str,
+             "array": list}[kind]
+    if not (optional and value is None) and (
+            not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean")):
+        raise SchemaError("result_json", f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def implied_base_levels(schema: ExperimentSchema, index: ParameterIndex,
                         params: np.ndarray) -> dict[str, float]:
     """Base-level coefficients implied by effects coding: the negated sum of
@@ -168,12 +181,21 @@ class EstimationResult:
         file's parameters up to its first ``sd:`` entry, then ``sd:<name>``
         for each of the mixing record's random parameters. Either way the
         index is checked name-by-name against the file, and a mismatch names
-        the missing and unexpected parameters.
+        the missing and unexpected parameters. Every other field must hold
+        its own JSON type, or raise SchemaError "result_json": nothing is
+        coerced, so ``"false"`` is not a boolean nor 500.7 a draw count.
         """
         try:
             pnames = list(d["parameters"].keys())
+            model = _checked(d.get("model", "mnl"), "string", "model")
             mix = d.get("mixing")
-            rps = tuple(mix["random_params"]) if mix else ()
+            if model not in ("mnl", "mmnl") or (mix is None) != (model == "mnl"):
+                raise SchemaError("result_json",
+                                  f"model {model!r} with mixing {mix!r}: an mmnl record "
+                                  "has a mixing record and an mnl record has none")
+            rps = () if mix is None else tuple(
+                _checked(rp, "string", "random parameter")
+                for rp in _checked(mix["random_params"], "array", "random_params"))
             if schema is not None:
                 index = build_parameter_index(schema, rps)
                 target = f"schema {schema.name!r}"
@@ -195,39 +217,45 @@ class EstimationResult:
                     f"result parameters do not match {target}; "
                     + ("; ".join(parts) or "order differs"),
                 )
-            params = np.array([d["parameters"][n]["estimate"] for n in pnames], dtype=np.float64)
-            ses = [d["parameters"][n].get("std_error") for n in pnames]
-            pvs = [d["parameters"][n].get("p_value") for n in pnames]
+            params = np.array([_checked(d["parameters"][n]["estimate"], "number", n)
+                               for n in pnames], dtype=np.float64)
+            ses = [_checked(d["parameters"][n].get("std_error"), "number", n, True)
+                   for n in pnames]
+            pvs = [_checked(d["parameters"][n].get("p_value"), "number", n, True)
+                   for n in pnames]
             std_errors = (np.array([np.nan if s is None else s for s in ses], dtype=np.float64)
                           if any(s is not None for s in ses) else None)
             p_values = (np.array([np.nan if p is None else p for p in pvs], dtype=np.float64)
                         if any(p is not None for p in pvs) else None)
             fit = d["fit"]
             mixing = None
-            if mix:
+            if mix is not None:
                 mixing = MixingSpec(
                     random_params=rps,
-                    halton=HaltonConfig(primes=tuple(int(p) for p in mix["primes"]),
-                                        drop=int(mix["drop"]),
-                                        n_draws=int(mix["n_draws"])),
-                    antithetic=bool(mix.get("antithetic", False)),
+                    halton=HaltonConfig(
+                        primes=tuple(_checked(p, "integer", "prime")
+                                     for p in _checked(mix["primes"], "array", "primes")),
+                        drop=_checked(mix["drop"], "integer", "drop"),
+                        n_draws=_checked(mix["n_draws"], "integer", "n_draws")),
+                    antithetic=_checked(mix.get("antithetic", False), "boolean", "antithetic"),
                 )
             return cls(
                 index=index,
                 params=params,
                 std_errors=std_errors,
                 p_values=p_values,
-                ll_final=float(fit["ll_final"]),
-                ll_null=float(fit["ll_null"]),
-                converged=bool(fit["converged"]),
-                iterations=int(fit["iterations"]),
-                status=fit.get("status"),
-                model=d.get("model", "mnl"),
+                ll_final=float(_checked(fit["ll_final"], "number", "ll_final")),
+                ll_null=float(_checked(fit["ll_null"], "number", "ll_null")),
+                converged=_checked(fit["converged"], "boolean", "converged"),
+                iterations=_checked(fit["iterations"], "integer", "iterations"),
+                status=_checked(fit.get("status"), "string", "status", True),
+                model=model,
                 mixing=mixing,
-                base_levels={k: float(v) for k, v in d.get("base_levels", {}).items()},
-                n_respondents=d.get("n_respondents"),
-                n_tasks=d.get("n_tasks"),
-                run_id=d.get("run_id"),
+                base_levels={k: float(_checked(v, "number", k))
+                             for k, v in d.get("base_levels", {}).items()},
+                n_respondents=_checked(d.get("n_respondents"), "integer", "n_respondents", True),
+                n_tasks=_checked(d.get("n_tasks"), "integer", "n_tasks", True),
+                run_id=_checked(d.get("run_id"), "string", "run_id", True),
             )
         except (AttributeError, EstimationError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc

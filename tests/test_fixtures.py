@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dce import (
     EstimationResult,
@@ -21,6 +23,20 @@ from dce import (
 )
 
 REPO = Path(__file__).resolve().parents[1]
+
+# every field of a mixed logit's result record, as a path of keys
+_RECORD = table4_mmnl().to_dict()
+RECORD_FIELDS = [(k,) for k in _RECORD] \
+    + [(part, k) for part in ("fit", "mixing") for k in _RECORD[part]] \
+    + [("parameters", "asc_drone")] \
+    + [("parameters", "sd:asc_truck", k) for k in _RECORD["parameters"]["sd:asc_truck"]] \
+    + [("base_levels", next(iter(_RECORD["base_levels"])))]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6)
 
 
 def assert_results_equal(a: EstimationResult, b: EstimationResult):
@@ -130,16 +146,49 @@ class TestShippedFiles:
         ("mixing", {"n_draws": 501, "antithetic": True}),
         ("mixing", {"n_draws": 0}),
         ("mixing", {"primes": [2, 4]}),
+        # fields are checked, not coerced: a string is not a boolean, a
+        # fraction is not a count and neither is a boolean
+        ("mixing", {"antithetic": "false"}),
+        ("mixing", {"n_draws": 500.7}),
+        ("mixing", {"drop": 10.5}),
+        ("mixing", {"primes": [2.9, 3]}),
+        ("mixing", {"n_draws": True}),
+        ("fit", {"converged": "false"}),
+        ("fit", {"iterations": 5.7}),
+        ("n_respondents", "abc"),
+        ("n_tasks", 4224.0),
     ])
     def test_malformed_result_record_is_typed(self, field, value):
         d = table4_mmnl().to_dict()
-        if field == "mixing":
-            d["mixing"].update(value)
+        if field in ("mixing", "fit"):
+            d[field].update(value)
+        elif field in d:
+            d[field] = value
         else:
             d["parameters"]["asc_drone"][field] = value
         with pytest.raises(SchemaError) as err:
             EstimationResult.from_dict(d)
         assert err.value.code == "result_json"
+
+    def test_missing_antithetic_defaults_to_false(self):
+        d = table4_mmnl().to_dict()
+        del d["mixing"]["antithetic"]
+        assert EstimationResult.from_dict(d).mixing.antithetic is False
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(field=st.sampled_from(RECORD_FIELDS), value=JSON_VALUES)
+    def test_any_field_of_another_type_loads_or_is_typed(self, field, value):
+        d = table4_mmnl().to_dict()
+        *path, key = field
+        target = d
+        for k in path:
+            target = target[k]
+        assume(type(value) is not type(target[key]))
+        target[key] = value
+        try:
+            EstimationResult.from_dict(d)
+        except SchemaError as err:
+            assert err.code == "result_json"
 
     def test_load_against_schema_names_the_mismatch(self, schema_labels):
         d = table4_mnl().to_dict()

@@ -2,6 +2,7 @@
 and against the per-draw score form, and the score it returns against the
 gradient pass."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -135,13 +136,31 @@ def test_derivatives_match_finite_differences_anywhere(model, mixed_panel40, see
     work = kernel(panel, mixing)
     x = mixed_panel40["truth"][:work.panel.X.shape[1] + len(work.rp)]
     x = x + np.random.default_rng(seed).normal(scale=0.3, size=x.size)
-    while far and work.loglik_parts(x, need_probs=False).min() >= -700:
+    while far and min(work._tile(*work._split(x), n0, n1)[0].min()
+                      for n0, n1 in work.blocks) >= -700:
         x = 2 * x
     _, grad, H = work.hessian(x)
     fd_grad = finite_diff_grad(work.loglik, x)
     assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(fd_grad))
     fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_a_call_holds_no_full_panel_probability_store(design32):
+    """The first Hessian call on a fresh kernel allocates less than half of
+    what one probability per (respondent, task, cell, draw) would take."""
+    panel = simulated_panel(design32, 96, seed=4, sds=(1.0, 1.0))[2]
+    work = _work(panel, MixingSpec(halton=HaltonConfig(n_draws=512)), None)
+    x = np.concatenate([np.zeros(panel.X.shape[1]), [0.5, 0.5]])
+    n_r, n_t, n_d = work.shape
+    assert (n_r, n_t, n_d, work.n_draws) == (96, 8, 2, 512)
+    tracemalloc.start()
+    try:
+        work.hessian(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n_r * n_t * n_d * work.n_draws * 8
 
 
 @pytest.fixture(scope="module")

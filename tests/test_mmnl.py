@@ -234,6 +234,25 @@ class TestGradient:
                 assert err.value.code == "non_finite_utility"
                 assert f"task index {task}" in str(err.value)
 
+    def test_nan_in_a_later_block_names_its_own_task(self, panel50):
+        # at 64 draws a kernel block holds 16 respondents, so respondents 20
+        # and 37 sit in the second and third blocks
+        panel = panel50["panel"]
+        mixing = small_mixing(n_draws=64)
+        params = np.concatenate([panel50["truth"], [0.8, 0.5]])
+        assert _work(panel, mixing, None).blocks[1] == (16, 32)
+        for respondent, pos, offset in ((20, 2, 1), (37, 5, 0)):
+            task = int(np.flatnonzero(panel.task_respondent == respondent)[pos])
+            X = panel.X.copy()
+            X[panel.task_ptr[task] + offset, 0] = np.nan
+            bad = replace(panel, X=X)
+            for evaluate in (lambda: msl_loglik(params, bad, mixing),
+                             lambda: _work(bad, mixing, None).hessian(params)):
+                with pytest.raises(EstimationError) as err:
+                    evaluate()
+                assert err.value.code == "non_finite_utility"
+                assert str(err.value).endswith(f"task index {task}")
+
     def test_parameter_count_checked(self, panel50):
         with pytest.raises(EstimationError) as err:
             msl_loglik(np.zeros(39), panel50["panel"], small_mixing())

@@ -64,6 +64,21 @@ class TestLoglik:
         # chosen count minus expected under uniform: 75 - 100/2
         assert g[0] == pytest.approx(25.0, abs=1e-10)
 
+    def test_one_alternative_tasks_have_probability_one(self):
+        # every task keeps only its chosen alternative, so the kernel's
+        # differenced layout has no real cell at all
+        dataset = binary_asc_dataset(3, 2)
+        respondents = tuple(
+            RespondentRecord(r.respondent_id, r.demographics,
+                             tuple(Observation(o.task_id, o.block_id, o.task_values,
+                                               {o.chosen: o.alt_values[o.chosen]}, o.chosen)
+                                   for o in r.observations))
+            for r in dataset.respondents)
+        panel = code_dataset(ChoiceDataset(dataset.schema, respondents))
+        assert set(panel.task_sizes) == {1}
+        assert mnl_loglik(np.ones(1), panel) == 0.0
+        assert mnl_gradient(np.ones(1), panel).tolist() == [0.0]
+
     @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
     def test_gradient_matches_finite_differences(self, panel_fixture, request, rng):
         panel = request.getfixturevalue(panel_fixture)["panel"]
