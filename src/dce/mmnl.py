@@ -4,8 +4,8 @@ Random coefficients are normal with a mean taken from the fixed-part entry
 and a standard deviation carried in a trailing ``sd:<name>`` column. For each
 respondent and draw, the probabilities of the respondent's tasks multiply
 before averaging over draws; draws come from a shared Halton matrix that is
-held fixed across optimizer iterations. The likelihood and its score are
-evaluated by the panel logit kernel in ``mnl.py``.
+held fixed across optimizer iterations. The likelihood, its score and its
+Hessian are evaluated by the panel logit kernel in ``mnl.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import _fit, _MslWork, estimate_mnl, mnl_probabilities
+from .mnl import _fit, _MslWork, _softmax, estimate_mnl, mnl_probabilities
 from .numerics import MixingSpec, OptimizerOptions, normal_draws
 from .results import EstimationResult
 from .schema import ParameterIndex, build_parameter_index
@@ -82,8 +82,9 @@ def msl_loglik(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
 def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
                  draws: np.ndarray | None = None, n_threads=None) -> np.ndarray:
     """Analytic simulated-likelihood gradient, sd columns via the chain rule
-    through sd*z."""
-    return _work(panel, mixing, draws).loglik_and_gradient(params_with_sds)[1]
+    through sd*z: a Hessian pass's score, raising whatever
+    ``_MslWork.hessian`` raises."""
+    return _work(panel, mixing, draws).hessian(params_with_sds)[1]
 
 
 def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
@@ -120,7 +121,8 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
 def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
                  index: ParameterIndex | None = None) -> np.ndarray:
     """Choice probabilities for one task's coded rows, averaged over the
-    mixing's draws for one individual.
+    mixing's draws for one individual. A non-finite utility under any draw
+    raises EstimationError "non_finite_utility", as in ``mnl_probabilities``.
 
     ``index`` locates the random parameters' columns; it may be omitted only
     when the mixing has no random parameters.
@@ -142,7 +144,4 @@ def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
     z = make_draws(mixing, 1)[0]  # (n_draws, m)
     dev = z * params[k:]  # (n_draws, m)
     u = (rows @ params[:k])[:, None] + rows[:, rp] @ dev.T  # (J, n_draws)
-    u -= u.max(axis=0)
-    e = np.exp(u)
-    probs = e / e.sum(axis=0)
-    return probs.mean(axis=1)
+    return _softmax(u).mean(axis=1)

@@ -9,12 +9,12 @@ holds the panel in one layout: each task's alternatives after its first,
 differenced from the first, padded to (respondent, task, cell) so that
 ragged panels need no special case and each 64-draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
-only on utility differences within a task. From that layout the kernel
-returns the log likelihood, its score and, for standard errors, its Hessian
-in closed form, one block of respondents at a time: a block's per-draw
-probabilities are formed, used and dropped before the next block's. The MNL
-log likelihood is concave, so estimation starts from zeros and a converged
-optimum is the optimum.
+only on utility differences within a task. The kernel has two evaluations,
+``loglik`` (the log likelihood) and ``hessian`` (it, its score, which the
+gradient functions return, and its Hessian in closed form), each one block
+of respondents at a time: a block's per-draw probabilities are formed, used
+and dropped before the next block's. The MNL log likelihood is concave, so
+estimation starts from zeros and a converged optimum is the optimum.
 """
 
 from __future__ import annotations
@@ -53,14 +53,19 @@ _CHUNK = 64
 _BLOCK_CELLS = 1024
 
 
+def _softmax(u: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over a task's alternatives (axis 0); a
+    non-finite utility raises EstimationError "non_finite_utility"."""
+    if not np.all(np.isfinite(u)):
+        raise EstimationError("non_finite_utility", "non-finite utility in task")
+    e = np.exp(u - u.max(axis=0))
+    return e / e.sum(axis=0)
+
+
 def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
     """Choice probabilities for one task: softmax of row utilities."""
     rows = np.atleast_2d(np.asarray(task_rows, dtype=np.float64))
-    u = rows @ np.asarray(params, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise EstimationError("non_finite_utility", "non-finite utility in task")
-    e = np.exp(u - np.max(u))
-    return e / e.sum()
+    return _softmax(rows @ np.asarray(params, dtype=np.float64))
 
 
 class _MslWork:
@@ -85,10 +90,10 @@ class _MslWork:
     columns: the chosen cells' utilities summed over tasks are
     A mean + Arp (sd z).
 
-    Evaluations run over ``blocks`` of respondents in order. Draw weights
-    are per respondent, so a block's likelihood, weights, score and Hessian
-    all come from its own tile of per-draw probabilities (``_tile``), and no
-    evaluation holds the whole panel's.
+    Both evaluations, ``loglik`` and ``hessian``, run over ``blocks`` of
+    respondents in order. Draw weights are per respondent, so a block's
+    likelihood, weights, score and Hessian all come from its own tile of
+    per-draw probabilities (``_tile``); no evaluation holds the panel's.
     """
 
     def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray):
@@ -214,44 +219,6 @@ class _MslWork:
             ll_i[n0:n1] = self.respondent_ll(self._tile(mean, sds, n0, n1)[0])
         return float(ll_i.sum())
 
-    def _weighted_tile(self, mean, sds, n0, n1, ll_i):
-        """``_tile``'s probabilities and the block's draw weights, the softmax
-        of each respondent's log products; fills ``ll_i[n0:n1]``."""
-        log_pr, probs = self._tile(mean, sds, n0, n1)
-        ll_i[n0:n1] = self.respondent_ll(log_pr)
-        w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        return w, probs
-
-    def _loglik_and_weights(self, params):
-        """Log likelihood and every respondent's draw weights."""
-        mean, sds = self._split(params)
-        ll_i = np.empty(self.shape[0])
-        w = np.concatenate([self._weighted_tile(mean, sds, n0, n1, ll_i)[0]
-                            for n0, n1 in self.blocks])
-        return float(ll_i.sum()), w
-
-    def loglik_and_gradient(self, params):
-        mean, sds = self._split(params)
-        n_r, n_t, n_d = self.shape
-        m = len(self.rp)
-        ll_i = np.empty(n_r)
-        # each cell's probability summed over draws with the draw moments w
-        # and w*z, and each respondent's w-weighted z
-        s, wz_sum = np.zeros((n_r, n_t * n_d, 1 + m)), np.empty((n_r, m))
-        for n0, n1 in self.blocks:
-            w, probs = self._weighted_tile(mean, sds, n0, n1, ll_i)
-            z = self.z[n0:n1]
-            for (c0, c1), p in zip(self.chunks, probs):
-                wc = w[:, None, c0:c1]
-                s[n0:n1] += p @ np.concatenate([wc, wc * z[:, :, c0:c1]], axis=1).transpose(0, 2, 1)
-            wz_sum[n0:n1] = np.einsum("rc,rmc->rm", w, z)
-        # einsum for one core, as in _tile
-        grad_fixed = self.A.sum(axis=0) - np.einsum("rck,rc->k", self.D, s[:, :, 0])
-        grad_sd = np.einsum("rm,rm->m", self.Arp, wz_sum) \
-            - np.einsum("rcm,rcm->m", self.Drp, s[:, :, 1:])
-        return float(ll_i.sum()), np.concatenate([grad_fixed, grad_sd])
-
     def hessian(self, params):
         """Log likelihood, its score and the Hessian of the negative
         simulated log likelihood, the latter in closed form.
@@ -286,16 +253,14 @@ class _MslWork:
         M's rows sums to 0 within each task, so X'MX = (X - E)'M(X - E) for
         any E constant within tasks; with E each task's first row, the
         reference cell's row is zero and drops out. Each respondent block's
-        tile feeds its likelihood, weights and Hessian block in one pass;
+        tile feeds its likelihood, weights, score and Hessian in one pass;
         blocks and draw chunks are summed in a fixed order.
         """
         mean, sds = self._split(params)
         ll_i = np.empty(self.shape[0])
         grad = h = 0
         for n0, n1 in self.blocks:
-            # a block's tile lives only as long as its call
-            score, block = self._hessian_block(
-                n0, n1, *self._weighted_tile(mean, sds, n0, n1, ll_i))
+            score, block = self._hessian_block(mean, sds, n0, n1, ll_i)
             grad += score
             h += block
         if not np.all(np.isfinite(h)):
@@ -303,13 +268,17 @@ class _MslWork:
                                   "analytic Hessian contains non-finite entries")
         return float(ll_i.sum()), grad, 0.5 * (h + h.T)
 
-    def _hessian_block(self, n0, n1, w, probs):
+    def _hessian_block(self, mean, sds, n0, n1, ll_i):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood, from their draw weights ``w`` and
-        their tile's per-chunk probabilities ``probs``.
+        the negative log likelihood; fills their ``ll_i``. Their tile and
+        draw weights are locals, so one block's tile is alive at a time.
         Every product is batched per respondent and summed afterwards: one
         product over the block would be large enough to wake OpenBLAS's
         threads, which then spin through the estimator's serial work."""
+        log_pr, probs = self._tile(mean, sds, n0, n1)
+        ll_i[n0:n1] = self.respondent_ll(log_pr)
+        w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
         k, m = self.panel.X.shape[1], len(self.rp)
         _, n_t, n_d = self.shape
         nb, n_c = n1 - n0, n_t * n_d
@@ -362,8 +331,9 @@ def mnl_loglik(params: np.ndarray, panel: CodedPanel) -> float:
 
 
 def mnl_gradient(params: np.ndarray, panel: CodedPanel) -> np.ndarray:
-    """Score of the log likelihood: sum over tasks of x_chosen - E[x]."""
-    return _mnl_work(panel).loglik_and_gradient(params)[1]
+    """Score of the log likelihood, sum over tasks of x_chosen - E[x]: a
+    Hessian pass's score, raising whatever ``_MslWork.hessian`` raises."""
+    return _mnl_work(panel).hessian(params)[1]
 
 
 def check_identification(panel: CodedPanel) -> None:

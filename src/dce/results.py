@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EstimationError, SchemaError
 from .numerics import HaltonConfig, MixingSpec
-from .schema import ExperimentSchema, ParameterIndex, ParamInfo, build_parameter_index
+from .schema import (ExperimentSchema, ParameterIndex, ParamInfo, _checked,
+                     build_parameter_index)
 
 __all__ = ["EstimationResult", "two_sided_p", "implied_base_levels", "render_table"]
 
@@ -30,17 +32,7 @@ def two_sided_p(estimate: float, std_error: float) -> float:
     return math.erfc(abs(estimate / std_error) / math.sqrt(2.0))
 
 
-def _checked(value, kind: str, what: str, optional: bool = False):
-    """``value`` if its JSON type is ``kind`` ("boolean", "integer", "number",
-    "string" or "array"), or null when ``optional``; else SchemaError
-    "result_json". Nothing is coerced, and a boolean is neither an integer
-    nor a number."""
-    types = {"boolean": bool, "integer": int, "number": (int, float), "string": str,
-             "array": list}[kind]
-    if not (optional and value is None) and (
-            not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean")):
-        raise SchemaError("result_json", f"{what} must be a JSON {kind}, got {value!r}")
-    return value
+_field = partial(_checked, "result_json")
 
 
 def implied_base_levels(schema: ExperimentSchema, index: ParameterIndex,
@@ -187,15 +179,15 @@ class EstimationResult:
         """
         try:
             pnames = list(d["parameters"].keys())
-            model = _checked(d.get("model", "mnl"), "string", "model")
+            model = _field(d.get("model", "mnl"), "string", "model")
             mix = d.get("mixing")
             if model not in ("mnl", "mmnl") or (mix is None) != (model == "mnl"):
                 raise SchemaError("result_json",
                                   f"model {model!r} with mixing {mix!r}: an mmnl record "
                                   "has a mixing record and an mnl record has none")
             rps = () if mix is None else tuple(
-                _checked(rp, "string", "random parameter")
-                for rp in _checked(mix["random_params"], "array", "random_params"))
+                _field(rp, "string", "random parameter")
+                for rp in _field(mix["random_params"], "array", "random_params"))
             if schema is not None:
                 index = build_parameter_index(schema, rps)
                 target = f"schema {schema.name!r}"
@@ -217,11 +209,11 @@ class EstimationResult:
                     f"result parameters do not match {target}; "
                     + ("; ".join(parts) or "order differs"),
                 )
-            params = np.array([_checked(d["parameters"][n]["estimate"], "number", n)
+            params = np.array([_field(d["parameters"][n]["estimate"], "number", n)
                                for n in pnames], dtype=np.float64)
-            ses = [_checked(d["parameters"][n].get("std_error"), "number", n, True)
+            ses = [_field(d["parameters"][n].get("std_error"), "number", n, True)
                    for n in pnames]
-            pvs = [_checked(d["parameters"][n].get("p_value"), "number", n, True)
+            pvs = [_field(d["parameters"][n].get("p_value"), "number", n, True)
                    for n in pnames]
             std_errors = (np.array([np.nan if s is None else s for s in ses], dtype=np.float64)
                           if any(s is not None for s in ses) else None)
@@ -233,29 +225,29 @@ class EstimationResult:
                 mixing = MixingSpec(
                     random_params=rps,
                     halton=HaltonConfig(
-                        primes=tuple(_checked(p, "integer", "prime")
-                                     for p in _checked(mix["primes"], "array", "primes")),
-                        drop=_checked(mix["drop"], "integer", "drop"),
-                        n_draws=_checked(mix["n_draws"], "integer", "n_draws")),
-                    antithetic=_checked(mix.get("antithetic", False), "boolean", "antithetic"),
+                        primes=tuple(_field(p, "integer", "prime")
+                                     for p in _field(mix["primes"], "array", "primes")),
+                        drop=_field(mix["drop"], "integer", "drop"),
+                        n_draws=_field(mix["n_draws"], "integer", "n_draws")),
+                    antithetic=_field(mix.get("antithetic", False), "boolean", "antithetic"),
                 )
             return cls(
                 index=index,
                 params=params,
                 std_errors=std_errors,
                 p_values=p_values,
-                ll_final=float(_checked(fit["ll_final"], "number", "ll_final")),
-                ll_null=float(_checked(fit["ll_null"], "number", "ll_null")),
-                converged=_checked(fit["converged"], "boolean", "converged"),
-                iterations=_checked(fit["iterations"], "integer", "iterations"),
-                status=_checked(fit.get("status"), "string", "status", True),
+                ll_final=float(_field(fit["ll_final"], "number", "ll_final")),
+                ll_null=float(_field(fit["ll_null"], "number", "ll_null")),
+                converged=_field(fit["converged"], "boolean", "converged"),
+                iterations=_field(fit["iterations"], "integer", "iterations"),
+                status=_field(fit.get("status"), "string", "status", True),
                 model=model,
                 mixing=mixing,
-                base_levels={k: float(_checked(v, "number", k))
+                base_levels={k: float(_field(v, "number", k))
                              for k, v in d.get("base_levels", {}).items()},
-                n_respondents=_checked(d.get("n_respondents"), "integer", "n_respondents", True),
-                n_tasks=_checked(d.get("n_tasks"), "integer", "n_tasks", True),
-                run_id=_checked(d.get("run_id"), "string", "run_id", True),
+                n_respondents=_field(d.get("n_respondents"), "integer", "n_respondents", True),
+                n_tasks=_field(d.get("n_tasks"), "integer", "n_tasks", True),
+                run_id=_field(d.get("run_id"), "string", "run_id", True),
             )
         except (AttributeError, EstimationError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +59,16 @@ class Level:
     display: str | None = None
 
 
-def _level_value(value):
-    """A level's JSON value, which must be absent or a number; a bool is not."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise TypeError(f"level value {value!r} is not a number")
+def _checked(code: str, value, kind: str, what: str, optional: bool = False):
+    """``value`` if its JSON type is ``kind`` ("boolean", "integer", "number",
+    "string" or "array"), or null when ``optional``; else SchemaError
+    ``code``. Nothing is coerced, and a boolean is neither an integer nor a
+    number. The schema and result loaders check every field with it."""
+    types = {"boolean": bool, "integer": int, "number": (int, float), "string": str,
+             "array": list}[kind]
+    if not (optional and value is None) and (
+            not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean")):
+        raise SchemaError(code, f"{what} must be a JSON {kind}, got {value!r}")
     return value
 
 
@@ -241,36 +247,52 @@ class ExperimentSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSchema":
+        """Rebuild a schema from its JSON dict. Every field must hold its own
+        JSON type, else SchemaError "schema_json": nothing is coerced, so
+        ``"false"`` is not a boolean nor ``"drone"`` a list of alternatives."""
+        checked = partial(_checked, "schema_json")
+
+        def strings(value, what):
+            return tuple(checked(v, "string", what) for v in checked(value, "array", what))
+
+        def interactions(kind):
+            """``kind``'s [attribute, alternative] pairs; a pair of another
+            length fails to unpack with ValueError"""
+            listed = checked(d.get("interactions", {}).get(kind, []), "array", kind)
+            return tuple((attr, alt) for attr, alt in (strings(p, f"{kind} interaction")
+                                                       for p in listed))
+
         try:
             alts = tuple(
-                AlternativeDef(a["id"], a.get("label", ""), bool(a.get("is_reference", False)))
-                for a in d["alternatives"]
-            )
+                AlternativeDef(checked(a["id"], "string", "alternative id"),
+                               checked(a.get("label", ""), "string", "alternative label"),
+                               checked(a.get("is_reference", False), "boolean", "is_reference"))
+                for a in checked(d["alternatives"], "array", "alternatives"))
             attrs = tuple(
                 AttributeDef(
-                    name=a["name"],
-                    scope=a["scope"],
-                    coding=a.get("coding", "effects"),
-                    applies_to=tuple(a.get("applies_to", ())),
+                    name=checked(a["name"], "string", "attribute name"),
+                    scope=checked(a["scope"], "string", "scope"),
+                    coding=checked(a.get("coding", "effects"), "string", "coding"),
+                    applies_to=strings(a.get("applies_to", []), "applies_to"),
                     # the JSON always materializes the column; fold the
                     # default back to None so round trips compare equal
-                    column=None if a.get("column") == a["name"] else a.get("column"),
+                    column=None if a.get("column") == a["name"]
+                    else checked(a.get("column"), "string", "column", True),
                     levels=tuple(
-                        Level(l["label"], _level_value(l.get("value")), l.get("display"))
-                        for l in a["levels"]
-                    ),
+                        Level(checked(l["label"], "string", "level label"),
+                              checked(l.get("value"), "number", "level value", True),
+                              checked(l.get("display"), "string", "level display", True))
+                        for l in checked(a["levels"], "array", "levels")),
                 )
-                for a in d["attributes"]
-            )
-            inter = d.get("interactions", {})
+                for a in checked(d["attributes"], "array", "attributes"))
             return cls(
-                name=d["name"],
+                name=checked(d["name"], "string", "schema name"),
                 alternatives=alts,
                 attributes=attrs,
-                context_interactions=tuple((p[0], p[1]) for p in inter.get("context", ())),
-                demographic_interactions=tuple((p[0], p[1]) for p in inter.get("demographic", ())),
+                context_interactions=interactions("context"),
+                demographic_interactions=interactions("demographic"),
             )
-        except (AttributeError, KeyError, IndexError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError("schema_json", f"malformed schema JSON: {exc!r}") from exc
 
     def save(self, path: str | Path) -> None:

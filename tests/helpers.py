@@ -187,10 +187,11 @@ def hessian_oracle(work, params):
     here from ``panel.X``, every draw's score S_nr is formed as a
     (draws x parameters) array and the within-task covariances as per-task
     p p' products under each draw moment (1, z_d and z_d z_e), summed one
-    block of respondents at a time. Only the log likelihood and the draw
-    weights come from the kernel. Returns the log likelihood, its score and
-    the Hessian of the negative log likelihood."""
-    ll, w = work._loglik_and_weights(params)
+    block of respondents at a time. The per-draw log products, the log
+    likelihood and the draw weights come from the same cells; only the
+    layout (``shape``, ``blocks``, ``chunks``), ``rp`` and the draws ``z``
+    are read from the kernel. Returns the log likelihood, its score and the
+    Hessian of the negative log likelihood."""
     panel, rp = work.panel, work.rp
     k, m = panel.X.shape[1], len(rp)
     mean, sds = params[:k], params[k:]
@@ -211,27 +212,42 @@ def hessian_oracle(work, params):
     chosen = np.arange(0, n_r * n_t * n_j, n_j)
     chosen[task] = cell[panel.chosen_row]
     a_all = X_all[chosen].reshape(n_r, n_t, k).sum(axis=1)
+    # each (respondent, task)'s chosen cell, counted within its respondent
+    chosen = chosen.reshape(n_r, n_t) - n_t * n_j * np.arange(n_r)[:, None]
     X_all, real = X_all.reshape(n_r, n_t * n_j, k), real.reshape(n_r, n_t * n_j, 1)
     diag = np.arange(n_j)
+    ll = 0.0
     grad = np.zeros(n_par)
     h = np.zeros((n_par, n_par))
     for n0, n1 in work.blocks:
         nb = n1 - n0
         X_resp, a = X_all[n0:n1], a_all[n0:n1]
 
+        # per chunk, every cell's probability and each draw's log product
+        # of the chosen cells' probabilities
+        probs, log_pr = [], np.empty((nb, work.n_draws))
+        for c0, c1 in work.chunks:
+            u = X_resp @ mean[:, None] + X_resp[:, :, rp] @ (work.z[n0:n1, :, c0:c1] * sds[:, None])
+            u = np.where(real[n0:n1], u, -np.inf).reshape(nb, n_t, n_j, -1)
+            u = u - u.max(axis=2, keepdims=True)
+            e = np.exp(u)
+            denom = e.sum(axis=2, keepdims=True)
+            probs.append(e / denom)
+            log_p = (u - np.log(denom)).reshape(nb, n_t * n_j, -1)
+            log_pr[:, c0:c1] = np.take_along_axis(log_p, chosen[n0:n1, :, None], axis=1).sum(axis=1)
+        top = log_pr.max(axis=1, keepdims=True)
+        w = np.exp(log_pr - top)
+        ll += (top[:, 0] + np.log(w.sum(axis=1)) - np.log(work.n_draws)).sum()
+        w /= w.sum(axis=1, keepdims=True)
+
         outer = np.zeros((n_par, n_par))
         score = np.zeros((nb, n_par))
         # per task, diag(q) - M for each draw moment (last axis)
         cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
-        for c0, c1 in work.chunks:
-            z = work.z[n0:n1, :, c0:c1]
-            u = X_resp @ mean[:, None] + X_resp[:, :, rp] @ (z * sds[:, None])
-            u = np.where(real[n0:n1], u, -np.inf).reshape(nb, n_t, n_j, -1)
-            e = np.exp(u - u.max(axis=2, keepdims=True))
-            p = e / e.sum(axis=2, keepdims=True)
+        for (c0, c1), p in zip(work.chunks, probs):
             p_resp = p.reshape(nb, n_t * n_j, -1)
-            wc = w[n0:n1, c0:c1]
-            z = z.transpose(0, 2, 1)
+            wc = w[:, c0:c1]
+            z = work.z[n0:n1, :, c0:c1].transpose(0, 2, 1)
             f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
             s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
             ws = s * wc[..., None]
@@ -261,4 +277,4 @@ def hessian_oracle(work, params):
                 quad(D[1 + m + i], X_rp, X_rp)[d, e]
         grad += score.sum(axis=0)
         h += within + score.T @ score - outer
-    return ll, grad, 0.5 * (h + h.T)
+    return float(ll), grad, 0.5 * (h + h.T)

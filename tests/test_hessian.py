@@ -1,6 +1,6 @@
-"""The kernel's analytic Hessian against finite differences of its gradient
-and against the per-draw score form, and the score it returns against the
-gradient pass."""
+"""The kernel's analytic Hessian against finite differences of its score
+and against the per-draw score form, and the score it returns against that
+form's."""
 
 import tracemalloc
 from dataclasses import replace
@@ -56,7 +56,7 @@ def test_matches_finite_differences(model, panel_fixture, at, request, optimum):
         x = x + np.random.default_rng(7).normal(scale=0.3, size=x.size)
     ll, _, H = work.hessian(x)
     assert ll == work.loglik(x)
-    fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
+    fd = hessian_from_grad(lambda v: -work.hessian(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
     np.testing.assert_array_equal(H, H.T)
 
@@ -69,7 +69,7 @@ def test_score_matches_gradient_pass(model, panel_fixture, request, optimum):
     x = optimum(model, panel_fixture)
     x = x + np.random.default_rng(7).normal(scale=0.3, size=x.size)
     _, grad, _ = work.hessian(x)
-    want = work.loglik_and_gradient(x)[1]
+    want = hessian_oracle(work, x)[1]
     assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -118,8 +118,9 @@ def test_matches_per_draw_score_oracle(case, scale, request):
     x = scale * x
     work = kernel(panel, mixing)
     ll, grad, H = work.hessian(x)
+    assert ll == work.loglik(x)
     ll_want, grad_want, H_want = hessian_oracle(work, x)
-    assert ll == ll_want
+    assert abs(ll - ll_want) <= 1e-12 * abs(ll_want)
     assert np.max(np.abs(grad - grad_want)) <= 1e-12 * np.max(np.abs(grad_want))
     assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
 
@@ -142,8 +143,28 @@ def test_derivatives_match_finite_differences_anywhere(model, mixed_panel40, see
     _, grad, H = work.hessian(x)
     fd_grad = finite_diff_grad(work.loglik, x)
     assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(fd_grad))
-    fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
+    fd = hessian_from_grad(lambda v: -work.hessian(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 16), n_draws=st.sampled_from([16, 100, 128]))
+def test_flipping_every_sd_negates_only_the_sd_derivatives(mixed_panel40, seed, n_draws):
+    # with antithetic draws, -sd turns each draw into its pair's other
+    # member, so the likelihood is unmoved and each sd's derivatives flip
+    # sign. All sds flip together: a pair negates every dimension at once
+    panel = mixed_panel40["panel"]
+    work = kernel(panel, MixingSpec(halton=HaltonConfig(n_draws=n_draws), antithetic=True))
+    x = mixed_panel40["truth"]
+    x = x + np.random.default_rng(seed).normal(scale=0.3, size=x.size)
+    flip = np.ones(x.size)
+    flip[panel.X.shape[1]:] = -1
+    ll, grad, H = work.hessian(x)
+    ll_flip, grad_flip, H_flip = work.hessian(flip * x)
+    assert ll_flip == ll
+    assert work.loglik(flip * x) == work.loglik(x)
+    assert np.max(np.abs(grad_flip - flip * grad)) <= 1e-12 * np.max(np.abs(grad))
+    assert np.max(np.abs(H_flip - flip[:, None] * H * flip)) <= 1e-12 * np.max(np.abs(H))
 
 
 def test_a_call_holds_no_full_panel_probability_store(design32):
@@ -188,11 +209,10 @@ def test_first_cell_without_the_first_alternative(model, droneless_panel, panel5
     x = panel50["truth"] if mixing is None else np.concatenate([panel50["truth"], [1.2, 0.8]])
     x = x + np.random.default_rng(3).normal(scale=0.3, size=x.size)
     ll, grad, H = work.hessian(x)
+    assert ll == work.loglik(x)
     ll_want, grad_want, H_want = hessian_oracle(work, x)
-    assert ll == ll_want
+    assert abs(ll - ll_want) <= 1e-12 * abs(ll_want)
     assert np.max(np.abs(grad - grad_want)) <= 1e-12 * np.max(np.abs(grad_want))
     assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
-    want = work.loglik_and_gradient(x)[1]
-    assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
-    fd = hessian_from_grad(lambda v: -work.loglik_and_gradient(v)[1], x)
+    fd = hessian_from_grad(lambda v: -work.hessian(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))

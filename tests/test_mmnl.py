@@ -408,3 +408,17 @@ class TestPredict:
         with pytest.raises(EstimationError) as err:
             mmnl_predict(params, panel50["panel"].X[:3], small_mixing(n_draws=50))
         assert err.value.code == "missing_index"
+
+    @pytest.mark.parametrize("bad", ["sd", "mean"])
+    def test_non_finite_utility_raises(self, panel50, bad):
+        # NaN, not inf: 0 * inf in the utility product would warn first
+        panel = panel50["panel"]
+        params = np.concatenate([panel50["truth"], [0.8, 0.6]])
+        params[-1 if bad == "sd" else 0] = np.nan
+        with pytest.raises(EstimationError) as err:
+            mmnl_predict(params, panel.X[:3], small_mixing(n_draws=50), index=panel.index)
+        assert err.value.code == "non_finite_utility"
+        if bad == "mean":
+            with pytest.raises(EstimationError) as err:
+                mnl_probabilities(params[:panel.X.shape[1]], panel.X[:3])
+            assert err.value.code == "non_finite_utility"

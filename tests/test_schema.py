@@ -172,6 +172,14 @@ class TestSerialization:
             cost = next(a for a in d["attributes"] if a["name"] == "delivery_cost_drone")
             cost["levels"][0]["value"] = value
             texts.append(json.dumps(d))
+        # each loaded coerced before: as True, as ('d','r','o','n','e') and
+        # as a level whose label is an int
+        for set_field in (lambda d: d["alternatives"][0].update(is_reference="false"),
+                          lambda d: d["attributes"][1].update(applies_to="drone"),
+                          lambda d: d["attributes"][1]["levels"][0].update(label=5)):
+            d = schema_default.to_dict()
+            set_field(d)
+            texts.append(json.dumps(d))
         for text in texts:
             path.write_text(text)
             with pytest.raises(SchemaError) as err:
