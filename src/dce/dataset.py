@@ -15,14 +15,21 @@ passthrough when constant within a respondent and dropped otherwise.
 
 Coding produces a panel design matrix with one row per alternative, rows
 grouped by task and tasks grouped by respondent, columns laid out by
-``build_parameter_index``. One walk over the dataset lays out the rows and
-maps each label the columns read to its index in the attribute's
-``level_index``: a demographic's once per respondent, a context attribute's
-once per task, a design attribute's once per row it fills. A label the
-attribute lacks raises DatasetError("unknown_level"). Each column is then
-one gather from its attribute's read-only ``codes`` table over the rows of
-the alternative that owns it (every row a shared block fills); an ASC column
-is 1 on its alternative's rows, and every other entry is 0.
+``build_parameter_index``. One walk over the dataset resolves each distinct
+task record once: a record is one ``Observation`` object, which
+``simulate_dataset`` shares among the respondents who made the same choice on
+the same run and block. Resolving it lays out its rows' alternatives, maps
+each label its context and design attributes read to the label's index in the
+attribute's ``level_index``, and finds its chosen row. A demographic's label
+is mapped once per respondent. A label the attribute lacks raises
+DatasetError("unknown_level") naming the first respondent, in dataset order,
+who holds it. The records are told apart by object identity, in a memo local
+to the call; equal records that are distinct objects, as ``ingest_choices``
+makes them, are each resolved. The panel's rows are then gathered from its
+tasks' records, and each column is one gather from its attribute's read-only
+``codes`` table over the rows of the alternative that owns it (every row a
+shared block fills); an ASC column is 1 on its alternative's rows, and every
+other entry is 0.
 """
 
 from __future__ import annotations
@@ -447,52 +454,83 @@ class CodedPanel:
         alt_ids = schema.alternative_ids()
         fixed = index.entries[:index.n_fixed]
         attrs = {e.attribute: schema.attribute(e.attribute) for e in fixed if e.kind != "asc"}
-        # a design attribute's level is -1 on the rows it does not fill;
-        # dataset.n_rows walks every observation, so it is read once
-        n_alts = dataset.n_rows
-        levels = {n: [] if a.scope in ("context", "demographic") else [-1] * n_alts
+        # a design attribute's level is -1 on the record rows it does not
+        # fill; a record has at most one row per alternative
+        task_counts = [len(rec.observations) for rec in dataset.respondents]
+        n_tasks = sum(task_counts)
+        levels = {n: [] if a.scope in ("context", "demographic") else [-1] * (n_tasks * len(alt_ids))
                   for n, a in attrs.items()}
-        per = {scope: [(a, levels[a.name]) for a in attrs.values() if a.scope == scope]
+        per = {scope: [(a.csv_column, a.level_index, levels[a.name], a)
+                       for a in attrs.values() if a.scope == scope]
                for scope in ("context", "demographic")}
-        design = [[(a, levels[a.name]) for a in schema.design_attributes(aid) if a.name in levels]
+        design = [[(a.csv_column, a.level_index, levels[a.name], a)
+                   for a in schema.design_attributes(aid) if a.name in levels]
                   for aid in alt_ids]
 
-        def level(attr, label, rec, where=""):
-            if label not in attr.level_index:
-                raise DatasetError("unknown_level", f"{label!r} is not a level of {attr.name} "
-                                                    f"(respondent {rec.respondent_id!r}{where})")
-            return attr.level_index[label]
+        def unknown(attr, label, rec, obs=None):
+            where = "" if obs is None else f", task {obs.task_id!r}"
+            return DatasetError("unknown_level", f"{label!r} is not a level of {attr.name} "
+                                                 f"(respondent {rec.respondent_id!r}{where})")
 
-        row_alt, chosen_row, task_ptr, task_respondent = [], [], [0], []
-        for r, rec in enumerate(dataset.respondents):
-            for attr, out in per["demographic"]:
-                out.append(level(attr, rec.demographics.get(attr.csv_column), rec))
+        # each distinct record's rows (rec_ptr delimits them), their
+        # alternatives and its chosen row's offset; each task's record
+        memo: dict[int, int] = {}
+        rec_ptr, rec_alt, rec_chosen, task_rec = [0], [], [], []
+        for rec in dataset.respondents:
+            for col, lx, out, attr in per["demographic"]:
+                try:
+                    out.append(lx[rec.demographics[col]])
+                except KeyError:
+                    raise unknown(attr, rec.demographics.get(col), rec) from None
             for obs in rec.observations:
-                where = f", task {obs.task_id!r}"
-                for attr, out in per["context"]:
-                    out.append(level(attr, obs.task_values.get(attr.csv_column), rec, where))
-                for a, aid in enumerate(alt_ids):
-                    values = obs.alt_values.get(aid)
-                    if values is None:
-                        continue
-                    for attr, out in design[a]:
-                        out[len(row_alt)] = level(attr, values.get(attr.csv_column), rec, where)
-                    if aid == obs.chosen:
-                        chosen_row.append(len(row_alt))
-                    row_alt.append(a)
-                task_ptr.append(len(row_alt))
-                task_respondent.append(r)
+                u = memo.get(id(obs))
+                if u is None:
+                    u = memo[id(obs)] = len(rec_chosen)
+                    for col, lx, out, attr in per["context"]:
+                        try:
+                            out.append(lx[obs.task_values[col]])
+                        except KeyError:
+                            raise unknown(attr, obs.task_values.get(col), rec, obs) from None
+                    chosen = None
+                    for a, aid in enumerate(alt_ids):
+                        values = obs.alt_values.get(aid)
+                        if values is None:
+                            continue
+                        n = len(rec_alt)
+                        for col, lx, out, attr in design[a]:
+                            try:
+                                out[n] = lx[values[col]]
+                            except KeyError:
+                                raise unknown(attr, values.get(col), rec, obs) from None
+                        if aid == obs.chosen:
+                            chosen = n - rec_ptr[-1]
+                        rec_alt.append(a)
+                    if chosen is None:
+                        raise DatasetError("missing_chosen",
+                                           f"chosen alternative {obs.chosen!r} has no row "
+                                           f"(respondent {rec.respondent_id!r}, "
+                                           f"task {obs.task_id!r})")
+                    rec_ptr.append(len(rec_alt))
+                    rec_chosen.append(chosen)
+                task_rec.append(u)
 
-        # dataset.n_rows also counts alternatives outside the schema; they get no row
-        n_rows = len(row_alt)
-        row_alternative = tuple(alt_ids[a] for a in row_alt)
-        task_ptr = np.asarray(task_ptr, dtype=np.intp)
-        task_respondent = np.asarray(task_respondent, dtype=np.intp)
-        row_task = np.repeat(np.arange(len(task_respondent)), np.diff(task_ptr))
-        to_row = {"context": row_task, "demographic": task_respondent[row_task]}
-        row_levels = {n: np.asarray(levels[n], dtype=np.intp)[to_row.get(a.scope, slice(n_rows))]
+        # the panel's rows are its tasks' records' rows, laid out by gathers
+        rec_ptr = np.asarray(rec_ptr, dtype=np.intp)
+        task_rec = np.asarray(task_rec, dtype=np.intp)
+        sizes = np.diff(rec_ptr)[task_rec]
+        task_ptr = np.zeros(n_tasks + 1, dtype=np.intp)
+        np.cumsum(sizes, out=task_ptr[1:])
+        n_rows = int(task_ptr[-1])
+        row_task = np.repeat(np.arange(n_tasks), sizes)
+        src = np.arange(n_rows) + (rec_ptr[:-1][task_rec] - task_ptr[:-1])[row_task]
+        task_respondent = np.repeat(np.arange(dataset.n_respondents), task_counts)
+        to_row = {"context": task_rec[row_task], "demographic": task_respondent[row_task]}
+        row_levels = {n: np.asarray(levels[n] if a.scope in to_row else levels[n][:len(rec_alt)],
+                                    dtype=np.intp)[to_row.get(a.scope, src)]
                       for n, a in attrs.items()}
-        row_alt = np.asarray(row_alt, dtype=np.intp)
+        row_alt = np.asarray(rec_alt, dtype=np.intp)[src]
+        row_alternative = tuple(np.asarray(alt_ids, dtype=object)[row_alt].tolist())
+        chosen_row = task_ptr[:-1] + np.asarray(rec_chosen, dtype=np.intp)[task_rec]
         owned = {aid: row_alt == a for a, aid in enumerate(alt_ids)}
 
         X = np.zeros((n_rows, index.n_fixed))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import _fit, _MslWork, _softmax, estimate_mnl, mnl_probabilities
+from .mnl import _finite, _fit, _MslWork, _softmax, estimate_mnl, mnl_probabilities
 from .numerics import MixingSpec, OptimizerOptions, normal_draws
 from .results import EstimationResult
 from .schema import ParameterIndex, build_parameter_index
@@ -135,6 +135,7 @@ def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
         raise EstimationError(
             "parameter_mismatch",
             f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
+    _finite(params)
     if m == 0:
         return mnl_probabilities(params[:k], rows)
     if index is None:

@@ -7,7 +7,7 @@ models: the mixed logit adds normal deviations ``sd*z`` on its random columns,
 and MNL is the case with no random columns and a single draw. The kernel
 holds the panel in one layout: each task's alternatives after its first,
 differenced from the first, padded to (respondent, task, cell) so that
-ragged panels need no special case and each 64-draw chunk's utilities come
+ragged panels need no special case and each draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
 only on utility differences within a task. The kernel has two evaluations,
 ``loglik`` (the log likelihood) and ``hessian`` (it, its score, which the
@@ -38,19 +38,23 @@ __all__ = [
 bfgs_minimize = hessian_from_grad = None
 
 # draws per chunk: bounds each pass's temporaries, and a fixed width fixes
-# the summation order
-_CHUNK = 64
+# the summation order. A fit of up to 256 draws has one chunk
+_CHUNK = 256
 
-# respondent x draw cells per respondent block and draw chunk: 16 respondents
-# x 64 draws, or 1,024 respondents with one draw (MNL). Each evaluation runs
-# block by block, so this also bounds the per-draw probabilities it holds. In
-# a sweep of 256-3,072 cells (one thread), made before the likelihood pass ran
-# per block, mixed blocks were fastest at 1,024-2,048: a Hessian's blocks
-# took 15.7 ms at 264 x 128 draws against 19.1 at 512 cells, and
-# 2.2 against 2.7 ms at 40 x 100. One-draw blocks of 128-256 respondents
-# would be faster from ~1,000 respondents (48 ms against 71 at 5,000), but
-# no benchmark workload fits an MNL that large
-_BLOCK_CELLS = 1024
+# respondent x draw cells per mixed respondent block: 8 respondents at 256
+# draws or more, 20 at 100. Each evaluation runs block by block, so this also
+# bounds the per-draw probabilities it holds. A small fit's Hessian call is
+# mostly per-chunk and per-block overhead, so wider pieces win until cache
+# misses take over. In an interleaved sweep of Hessian calls (one thread,
+# min of 31), 256-draw chunks and 2,048 cells took 1.9 ms at 40 respondents
+# x 100 draws, 15.5 at 264 x 128 and 93 at 528 x 500, against 2.5, 18.4 and
+# 105 for 64-draw chunks and 1,024 cells; 4,096 cells took 3.0 ms at 40 x 100
+_BLOCK_CELLS = 2048
+
+# respondents per one-draw (MNL) block. 128-256 would be faster from ~1,000
+# respondents (48 ms against 71 at 5,000), but no benchmark workload fits an
+# MNL that large, and any other size reorders the block sums
+_ONE_DRAW_BLOCK = 1024
 
 
 def _softmax(u: np.ndarray) -> np.ndarray:
@@ -62,10 +66,21 @@ def _softmax(u: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0)
 
 
+def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
+    """``params`` unchanged if every entry is finite. Otherwise every utility
+    is non-finite, so EstimationError "non_finite_utility" is raised naming
+    the first bad entry, before any arithmetic could warn."""
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise EstimationError("non_finite_utility", f"non-finite utility{where}: "
+                                                    f"parameter {bad[0]} is {float(params[bad[0]])!r}")
+    return params
+
+
 def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
     """Choice probabilities for one task: softmax of row utilities."""
     rows = np.atleast_2d(np.asarray(task_rows, dtype=np.float64))
-    return _softmax(rows @ np.asarray(params, dtype=np.float64))
+    return _softmax(rows @ _finite(np.asarray(params, dtype=np.float64)))
 
 
 class _MslWork:
@@ -111,7 +126,7 @@ class _MslWork:
         self.n_draws = draws.shape[1]
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
-        block = _BLOCK_CELLS // min(self.n_draws, _CHUNK)
+        block = _ONE_DRAW_BLOCK if self.n_draws == 1 else _BLOCK_CELLS // min(self.n_draws, _CHUNK)
         self.blocks = [(n0, min(n0 + block, panel.n_respondents))
                        for n0 in range(0, panel.n_respondents, block)]
 
@@ -151,6 +166,7 @@ class _MslWork:
             raise EstimationError(
                 "parameter_mismatch",
                 f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
+        _finite(params, " at task index 0")
         return params[:k], params[k:]
 
     def _non_finite(self, cell_finite, n0):

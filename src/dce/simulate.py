@@ -103,12 +103,16 @@ _DEMOGRAPHICS, _BLOCK, _DEVIATIONS, _GUMBEL = range(4)
 def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
     """Generate a ChoiceDataset from known parameters, deterministic in seed.
 
-    Each respondent draws a demographic profile, a block and, under mixing,
-    deviations on the random coefficients. ``CodedPanel.from_dataset`` codes
-    each distinct (profile, run) pair once, as a task of all alternatives; a
-    task's utility is that block times the fixed coefficients plus its random
-    columns times the respondent's deviations, and the choice maximizes
-    utility plus standard Gumbel noise.
+    Each respondent draws, each from its own stream, a vector of uniforms
+    for its demographic profile, a block, under mixing deviations on the
+    random coefficients, and one (task x alternative) matrix of uniforms for
+    standard Gumbel noise. ``CodedPanel.from_dataset`` codes each distinct
+    (profile, block) pair once, as a respondent with the block's tasks of
+    all alternatives. A task's utility is its rows times the fixed
+    coefficients plus its random columns times the respondent's deviations,
+    each product stacked by task, and the choice is the argmax of utility
+    plus noise over each task's row. Respondents who make the same choice on
+    the same run and block share one task record.
     """
     schema = cfg.schema
     random_params = cfg.mixing.random_params if cfg.mixing else ()
@@ -139,50 +143,49 @@ def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
             tasks[key] = Observation(f"run{run_idx + 1}", block_id, *run_values[run_idx], chosen)
         return tasks[key]
 
+    # each respondent's demographic uniforms, one per attribute, then each
+    # attribute's labels looked up for all respondents at once
+    u = np.array([_rng(cfg.seed, i, _DEMOGRAPHICS).random(len(demo_tables))
+                  for i in range(cfg.n_respondents)])
+    columns = [(column, [labels[j] for j in np.searchsorted(cum, u[:, c], side="right")])
+               for c, (column, labels, cum) in enumerate(demo_tables)]
     people = []
     for i in range(cfg.n_respondents):
-        demographics = {}
-        rng_demo = _rng(cfg.seed, i, _DEMOGRAPHICS)
-        for column, labels, cum in demo_tables:
-            u = rng_demo.random()
-            demographics[column] = labels[int(np.searchsorted(cum, u, side="right"))]
-
+        demographics = {column: labels[i] for column, labels in columns}
         if cfg.block_assignment == "balanced":
             block = i % n_blocks
         else:
             block = int(_rng(cfg.seed, i, _BLOCK).integers(n_blocks))
+        people.append((demographics, tuple(sorted(demographics.items())), block))
 
-        dev = np.zeros(0)
-        if len(rp):
-            z = _rng(cfg.seed, i, _DEVIATIONS).standard_normal(len(rp))
-            dev = z * sds
-        people.append((demographics, tuple(sorted(demographics.items())), block, dev))
-
-    # each distinct (profile, run) pair, coded once as a respondent with one
-    # task; not through code_dataset, whose calls from this module
-    # benchmarks/spans.py times as the coding layer
-    pairs = dict.fromkeys((profile, r) for _, profile, block, _ in people
-                          for r in cfg.design.blocks[block])
+    # each distinct (profile, block) pair, coded once as a respondent with
+    # the block's tasks; not through code_dataset, whose calls from this
+    # module benchmarks/spans.py times as the coding layer
+    pairs = dict.fromkeys((profile, block) for _, profile, block in people)
     coded = CodedPanel.from_dataset(ChoiceDataset(schema, tuple(
-        RespondentRecord(str(t), dict(profile), (observation(r, "", alt_ids[0]),))
-        for t, (profile, r) in enumerate(pairs))), index)
-    utilities = {pair: (rows @ mean, rows[:, rp])
-                 for pair, rows in zip(pairs, np.split(coded.X, coded.task_ptr[1:-1]))}
+        RespondentRecord(str(t), dict(profile),
+                         tuple(observation(r, "", alt_ids[0]) for r in cfg.design.blocks[block]))
+        for t, (profile, block) in enumerate(pairs))), index)
+    # (task, alternative, column) per pair. Products stacked by task are one
+    # product per task, so each utility's bits do not depend on the block size
+    rows = coded.X.reshape(-1, len(alt_ids), k)
+    ends = np.cumsum([len(cfg.design.blocks[block]) for _, block in pairs])
+    utilities = {pair: (x @ mean, x[:, :, rp])
+                 for pair, x in zip(pairs, np.split(rows, ends[:-1]))}
 
     respondents = []
-    for i, (demographics, profile, block, dev) in enumerate(people):
-        rng_gumbel = _rng(cfg.seed, i, _GUMBEL)
-        observations = []
-        for run_idx in cfg.design.blocks[block]:
-            base, x_rp = utilities[profile, run_idx]
-            v = base + x_rp @ dev if len(rp) else base
-            eps = -np.log(-np.log(rng_gumbel.random(len(alt_ids))))
-            observations.append(observation(run_idx, str(block + 1),
-                                            alt_ids[int(np.argmax(v + eps))]))
+    for i, (demographics, profile, block) in enumerate(people):
+        base, x_rp = utilities[profile, block]
+        v = base
+        if len(rp):
+            v = base + x_rp @ (_rng(cfg.seed, i, _DEVIATIONS).standard_normal(len(rp)) * sds)
+        eps = -np.log(-np.log(_rng(cfg.seed, i, _GUMBEL).random(base.shape)))
+        label = str(block + 1)
         respondents.append(RespondentRecord(
             respondent_id=f"r{i + 1}",
             demographics=demographics,
-            observations=tuple(observations)))
+            observations=tuple(observation(r, label, alt_ids[c]) for r, c in
+                               zip(cfg.design.blocks[block], np.argmax(v + eps, axis=1)))))
     return ChoiceDataset(schema, tuple(respondents))
 
 

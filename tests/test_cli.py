@@ -1,6 +1,7 @@
 """End-to-end command line flows: design -> simulate -> estimate -> postest."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from dce import (EstimationResult, ExperimentSchema, design_diagnostics, read_design_csv,
-                 within_block_deviation)
+                 within_block_deviation, write_choices_csv)
 from dce.cli import main
+
+from helpers import simulated_panel
 
 REPO = Path(__file__).resolve().parents[1]
 # `python -m` puts its working directory first on sys.path, so a child run
@@ -358,6 +361,33 @@ class TestSubprocess:
             capture_output=True, text=True, cwd=SRC)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_fits_are_byte_identical_across_processes(self, tmp_path, design32):
+        """`dce estimate mnl` then `dce estimate mmnl` (60 respondents, 64
+        draws) in two processes, one on one BLAS/OpenMP thread and the other
+        on two, each with its own hash seed, write the same result bytes and
+        run ids. Paths are relative, so both runs see the same arguments."""
+        _, dataset, _, _ = simulated_panel(design32, 60, seed=4, sds=(1.2, 1.0))
+        estimate = [["estimate", "mnl", "--data", "choices.csv", "--schema", LABELS_SCHEMA,
+                     "-o", "mnl.json"],
+                    ["estimate", "mmnl", "--data", "choices.csv", "--schema", LABELS_SCHEMA,
+                     "--draws", "64", "--random", "asc_drone,asc_truck", "-o", "mmnl.json"]]
+        script = ("import sys; from dce.cli import main; "
+                  "a = sys.argv[1:]; i = a.index('--'); sys.exit(main(a[:i]) or main(a[i + 1:]))")
+        runs = []
+        for threads, hash_seed in (("1", "0"), ("2", "4242")):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            write_choices_csv(dataset, cwd / "choices.csv")
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run([sys.executable, "-c", script, *estimate[0], "--", *estimate[1]],
+                                  capture_output=True, text=True, cwd=cwd, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({name: ((cwd / name).read_bytes(),
+                                manifest_of(cwd / name)["run_id"])
+                         for name in ("mnl.json", "mmnl.json")})
+        assert runs[0] == runs[1]
 
     def test_console_script_if_installed(self, workdir):
         exe = shutil.which("dce")

@@ -222,6 +222,17 @@ class TestScreening:
         assert "r8" in err.value.message
 
 
+def with_copied_records(dataset, copy):
+    """``dataset`` with respondent i's task records replaced by equal but
+    distinct objects wherever ``copy(i)`` holds."""
+    return replace(dataset, respondents=tuple(
+        replace(rec, observations=tuple(
+            Observation(o.task_id, o.block_id, dict(o.task_values),
+                        {a: dict(v) for a, v in o.alt_values.items()}, o.chosen)
+            for o in rec.observations)) if copy(i) else rec
+        for i, rec in enumerate(dataset.respondents)))
+
+
 class TestCoding:
     def test_shapes_and_pointers(self, panel50, schema_labels):
         panel = panel50["panel"]
@@ -274,12 +285,23 @@ class TestCoding:
         chosen_asc = panel.X[panel.chosen_row, 0]
         assert chosen_asc.sum() == 75
 
-    @pytest.mark.parametrize("fixture", ["panel50", "ragged_panel"])
-    def test_matches_per_row_oracle(self, fixture, request):
+    @pytest.mark.parametrize("fixture", ["panel50", "ragged_panel", "copies",
+                                         "shared_and_copies"])
+    def test_matches_per_row_oracle(self, fixture, request, panel50):
         """Every entry equals the one coded row by row from effects_code
-        and the index's entries."""
-        data = request.getfixturevalue(fixture)
-        dataset, panel = data["dataset"], data["panel"]
+        and the index's entries, whether task records are shared objects
+        (simulated), distinct (read from CSV), equal copies, or both."""
+        if fixture in ("panel50", "ragged_panel"):
+            data = request.getfixturevalue(fixture)
+            dataset, panel = data["dataset"], data["panel"]
+        else:
+            every = 1 if fixture == "copies" else 2
+            dataset = with_copied_records(panel50["dataset"], lambda i: i % every == 0)
+            panel = code_dataset(dataset, panel50["panel"].index)
+            np.testing.assert_array_equal(panel.X, panel50["panel"].X)
+        shared = {id(o) for r in dataset.respondents for o in r.observations}
+        n_tasks = sum(r.n_tasks for r in dataset.respondents)
+        assert (len(shared) < n_tasks) == (fixture in ("panel50", "shared_and_copies"))
         schema, entries = dataset.schema, panel.index.entries
         rows = []
         for rec in dataset.respondents:
@@ -318,6 +340,39 @@ class TestCoding:
         for part in ("delivery_cost_drone", "'999'", repr(first.respondent_id),
                      repr(obs.task_id)):
             assert part in err.value.message
+
+    def test_unknown_level_in_a_shared_record_names_its_first_respondent(self, panel50):
+        """A record shared by several respondents is resolved once, at the
+        first of them in dataset order, and a bad label names that one."""
+        dataset = panel50["dataset"]
+        holders = {}
+        for i, rec in enumerate(dataset.respondents):
+            for obs in rec.observations:
+                holders.setdefault(id(obs), (obs, []))[1].append(i)
+        obs, (i, j, *_) = next(v for v in holders.values() if len(v[1]) > 1 and v[1][0] > 0)
+        drone = dict(obs.alt_values["drone"], delivery_cost="999")
+        bad = replace(obs, alt_values=dict(obs.alt_values, drone=drone))
+        respondents = list(dataset.respondents)
+        for n in (i, j):
+            respondents[n] = replace(respondents[n], observations=tuple(
+                bad if o is obs else o for o in respondents[n].observations))
+        with pytest.raises(DatasetError) as err:
+            code_dataset(replace(dataset, respondents=tuple(respondents)))
+        assert err.value.code == "unknown_level"
+        assert f"(respondent {dataset.respondents[i].respondent_id!r}, " \
+               f"task {obs.task_id!r})" in err.value.message
+
+    def test_chosen_alternative_without_a_row_is_typed(self):
+        """A dataset built in code may choose an alternative the schema
+        lacks; it has no row, so no chosen row."""
+        dataset = binary_asc_dataset(3, 1)
+        first, *rest = dataset.respondents
+        obs = replace(first.observations[0], chosen="c")
+        first = replace(first, observations=(obs, *first.observations[1:]))
+        with pytest.raises(DatasetError) as err:
+            code_dataset(replace(dataset, respondents=(first, *rest)))
+        assert err.value.code == "missing_chosen"
+        assert repr(obs.task_id) in err.value.message
 
     def test_linear_coding(self):
         """A linear attribute codes its level's value on the rows it reaches

@@ -235,10 +235,10 @@ class TestGradient:
                 assert f"task index {task}" in str(err.value)
 
     def test_nan_in_a_later_block_names_its_own_task(self, panel50):
-        # at 64 draws a kernel block holds 16 respondents, so respondents 20
-        # and 37 sit in the second and third blocks
+        # at 128 draws a kernel block holds 2,048 / 128 = 16 respondents, so
+        # respondents 20 and 37 sit in the second and third blocks
         panel = panel50["panel"]
-        mixing = small_mixing(n_draws=64)
+        mixing = small_mixing(n_draws=128)
         params = np.concatenate([panel50["truth"], [0.8, 0.5]])
         assert _work(panel, mixing, None).blocks[1] == (16, 32)
         for respondent, pos, offset in ((20, 2, 1), (37, 5, 0)):
@@ -252,6 +252,30 @@ class TestGradient:
                     evaluate()
                 assert err.value.code == "non_finite_utility"
                 assert str(err.value).endswith(f"task index {task}")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("position", [0, 5, 39], ids=["asc_drone", "mean", "sd"])
+    def test_non_finite_parameter_is_typed(self, panel50, position, value):
+        """asc_drone sits on each task's first row, the kernel's reference,
+        so an infinite one makes every cell -inf while the reference stays 0.
+        Every evaluation raises "non_finite_utility" naming the parameter,
+        with no RuntimeWarning (an error under this suite's filter)."""
+        panel = panel50["panel"]
+        mixing = small_mixing(n_draws=16)
+        params = np.concatenate([panel50["truth"], [0.8, 0.5]])
+        params[position] = value
+        k = panel.X.shape[1]
+        evaluations = [lambda: msl_loglik(params, panel, mixing),
+                       lambda: _work(panel, mixing, None).hessian(params),
+                       lambda: mmnl_predict(params, panel.X[:3], mixing, index=panel.index)]
+        if position < k:
+            evaluations += [lambda: mnl_loglik(params[:k], panel),
+                            lambda: mnl_probabilities(params[:k], panel.X[:3])]
+        for evaluate in evaluations:
+            with pytest.raises(EstimationError) as err:
+                evaluate()
+            assert err.value.code == "non_finite_utility"
+            assert f"parameter {position} is {value!r}" in str(err.value)
 
     def test_parameter_count_checked(self, panel50):
         with pytest.raises(EstimationError) as err:
@@ -411,7 +435,6 @@ class TestPredict:
 
     @pytest.mark.parametrize("bad", ["sd", "mean"])
     def test_non_finite_utility_raises(self, panel50, bad):
-        # NaN, not inf: 0 * inf in the utility product would warn first
         panel = panel50["panel"]
         params = np.concatenate([panel50["truth"], [0.8, 0.6]])
         params[-1 if bad == "sd" else 0] = np.nan

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ from dce import (
 )
 
 from helpers import simulated_panel
+
+
+def digests(dataset, panel):
+    """SHA-256 of a dataset's records and of its coded panel's arrays."""
+    rows = [[r.respondent_id, r.demographics, r.extra,
+             [[o.task_id, o.block_id, o.task_values, o.alt_values, o.chosen]
+              for o in r.observations]]
+            for r in dataset.respondents]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    h = hashlib.sha256()
+    for a, dtype in ((panel.X, "<f8"), (panel.task_ptr, "<i8"),
+                     (panel.chosen_row, "<i8"), (panel.task_respondent, "<i8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), h.hexdigest()
 
 
 def degenerate_weights(schema):
@@ -44,20 +59,25 @@ class TestDeterminism:
         """SHA-256 of panel50's simulated dataset and of its coded panel, so
         a change that flips one simulated choice or one coded entry fails
         here."""
-        rows = [[r.respondent_id, r.demographics, r.extra,
-                 [[o.task_id, o.block_id, o.task_values, o.alt_values, o.chosen]
-                  for o in r.observations]]
-                for r in panel50["dataset"].respondents]
-        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-            "6640395430f9fac16a01c9f717ff1260c3673e9476f249a7088dbc9285f7b752"
-        panel = panel50["panel"]
-        h = hashlib.sha256()
-        for a, dtype in ((panel.X, "<f8"), (panel.task_ptr, "<i8"),
-                         (panel.chosen_row, "<i8"), (panel.task_respondent, "<i8")):
-            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
-        assert h.hexdigest() == \
-            "a0366c4f21a4e4e10a804f830c2dc3bec700b1e4326bf9b80fd008584256e582"
+        assert digests(panel50["dataset"], panel50["panel"]) == (
+            "6640395430f9fac16a01c9f717ff1260c3673e9476f249a7088dbc9285f7b752",
+            "a0366c4f21a4e4e10a804f830c2dc3bec700b1e4326bf9b80fd008584256e582")
+
+    @pytest.mark.parametrize("assignment, dataset_digest, panel_digest", [
+        ("balanced", "888dbff3121103234201c4a11c1704209b04ec48a04c378bf1855b9c79a1ad0d",
+         "7ad66fad29ef73e04953232409561c3e0ba18a9479122a6276bf92b1aa52776f"),
+        ("uniform", "a4d288f59964cb3f0d8f6b876601a0827cdb39e94758025e09fa5c0932c934a7",
+         "4c7f733fbcc313ed89e19eaf312bd2c6d177ad5ba7b2c5cc149d082fb545252b"),
+    ])
+    def test_mixed_bytes_are_pinned(self, mixed_panel40, assignment, dataset_digest,
+                                    panel_digest):
+        """The same pins for mixed_panel40, whose choices also depend on each
+        respondent's deviations, as simulated and with uniform block
+        assignment."""
+        cfg = replace(mixed_panel40["cfg"], block_assignment=assignment)
+        dataset = simulate_dataset(cfg)
+        panel = code_dataset(dataset, build_parameter_index(cfg.schema))
+        assert digests(dataset, panel) == (dataset_digest, panel_digest)
 
     def test_different_seed_differs(self, design32, panel50):
         cfg = panel50["cfg"]
