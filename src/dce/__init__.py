@@ -13,20 +13,18 @@ from .dataset import (ChoiceDataset, CodedPanel, Observation, RespondentRecord,
                       ScreeningReport, ScreeningRules, code_dataset,
                       ingest_choices, screen_responses, write_choices_csv)
 from .design import (BlockedDesign, DesignDiagnostics, Profile, block_design,
-                     design_diagnostics, full_factorial, read_design_csv,
-                     select_fraction, within_block_deviation, write_design_csv)
+                     design_diagnostics, read_design_csv, select_fraction,
+                     within_block_deviation, write_design_csv)
 from .errors import (DatasetError, DceError, DesignError, EstimationError,
                      PostestError, SchemaError, SimulationError)
 from .fixtures import (builtin_fixture, builtin_schema, default_schema,
                        table3_demographic_weights, table4_labels_schema,
                        table4_mmnl, table4_mnl)
 from .mmnl import (MixingSpec, SimulatedLikelihoodTrace, estimate_mmnl,
-                   make_draws, mmnl_predict, msl_gradient, msl_loglik)
-from .mnl import (check_identification, estimate_mnl, mnl_gradient,
-                  mnl_loglik, mnl_probabilities)
-from .numerics import (HaltonConfig, OptimizerOptions, OptimResult,
-                       halton_matrix, inv_normal_cdf, normal_draws,
-                       trust_newton_minimize)
+                   make_draws, msl_gradient, msl_loglik)
+from .mnl import check_identification, estimate_mnl, mnl_loglik, mnl_probabilities
+from .numerics import (HaltonConfig, OptimResult, halton_matrix, inv_normal_cdf,
+                       normal_draws, trust_newton_minimize)
 from .postest import (CostSlope, ElasticityEntry, FitStats,
                       LrTest, WtpEntry, WtpReport, cost_slope, elasticity_grid,
                       fit_stats, lr_test, own_cost_elasticity, render_wtp_table,
@@ -49,10 +47,10 @@ __all__ = [
     "DceError", "SchemaError", "DesignError", "DatasetError",
     "EstimationError", "SimulationError", "PostestError",
     # numerics
-    "HaltonConfig", "OptimizerOptions", "OptimResult", "halton_matrix",
+    "HaltonConfig", "OptimResult", "halton_matrix",
     "inv_normal_cdf", "normal_draws", "trust_newton_minimize",
     # design
-    "Profile", "DesignDiagnostics", "BlockedDesign", "full_factorial",
+    "Profile", "DesignDiagnostics", "BlockedDesign",
     "select_fraction", "block_design", "design_diagnostics",
     "within_block_deviation", "read_design_csv", "write_design_csv",
     # dataset
@@ -60,9 +58,9 @@ __all__ = [
     "ScreeningRules", "ScreeningReport", "ingest_choices", "screen_responses",
     "code_dataset", "write_choices_csv",
     # estimation
-    "mnl_probabilities", "mnl_loglik", "mnl_gradient", "check_identification",
+    "mnl_probabilities", "mnl_loglik", "check_identification",
     "estimate_mnl", "MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
-    "msl_loglik", "msl_gradient", "estimate_mmnl", "mmnl_predict",
+    "msl_loglik", "msl_gradient", "estimate_mmnl",
     # results
     "EstimationResult", "two_sided_p", "implied_base_levels", "render_table",
     # postest

@@ -123,6 +123,8 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
     except UnicodeDecodeError:
         raise DatasetError("bad_encoding", f"{path}: not UTF-8 text",
                            row=non_utf8_line(path)) from None
+    except csv.Error as exc:  # DictReader.line_num lags the row that failed
+        raise DatasetError("bad_csv", f"{path}: {exc}", row=reader.reader.line_num) from None
     return list(reader.fieldnames), rows
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "Profile",
     "DesignDiagnostics",
     "BlockedDesign",
-    "full_factorial",
     "select_fraction",
     "block_design",
     "design_diagnostics",
@@ -51,9 +50,6 @@ __all__ = [
     "write_design_csv",
     "read_design_csv",
 ]
-
-FACTORIAL_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -113,25 +109,6 @@ def _slots(schema: ExperimentSchema) -> list[tuple[str | None, AttributeDef]]:
 
 def _slot_name(alt_id: str | None, attr: AttributeDef) -> str:
     return attr.csv_column if alt_id is None else f"{alt_id}:{attr.csv_column}"
-
-
-def full_factorial(schema: ExperimentSchema, alternative_id: str,
-                   cap: int = FACTORIAL_CAP) -> list[dict[str, str]]:
-    """All level combinations of one alternative's design attributes, in
-    deterministic lexicographic order (first attribute varies slowest)."""
-    if alternative_id not in schema.alternative_ids():
-        raise DesignError("unknown_alternative", f"no alternative {alternative_id!r}")
-    attrs = schema.design_attributes(alternative_id)
-    size = 1
-    for a in attrs:
-        size *= a.n_levels
-    if size > cap:
-        raise DesignError("overflow",
-                          f"full factorial has {size} combinations, above the cap of {cap}")
-    out = []
-    for combo in itertools.product(*[a.level_labels() for a in attrs]):
-        out.append({a.csv_column: label for a, label in zip(attrs, combo)})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +463,10 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
 # Blocking
 # ---------------------------------------------------------------------------
 
-def block_design(design: BlockedDesign, n_blocks: int, seed: int,
-                 restarts: int = 8) -> BlockedDesign:
+_BLOCK_RESTARTS = 8
+
+
+def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesign:
     """Partition runs into equal blocks minimizing within-block level
     imbalance, the sum over blocks, slots, levels of (count - block_size/L)^2
     (quadratic, so one badly overfull cell costs more than several
@@ -503,7 +482,7 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int,
     A = _assignment_matrix(design)
 
     best: tuple[int, np.ndarray] | None = None
-    for restart in range(restarts):
+    for restart in range(_BLOCK_RESTARTS):
         assign, objective = _block_once(A, n_blocks, n // n_blocks,
                                         np.random.default_rng([seed, restart]))
         if best is None or objective < best[0]:
@@ -613,6 +592,8 @@ def read_design_csv(path: str | Path, schema: ExperimentSchema) -> BlockedDesign
         line = non_utf8_line(path)
         where = path if line is None else f"{path} row {line}"
         raise DesignError("bad_encoding", f"{where}: not UTF-8 text") from None
+    except csv.Error as exc:  # DictReader.line_num lags the row that failed
+        raise DesignError("bad_csv", f"{path} row {reader.reader.line_num}: {exc}") from None
     if not assignment:
         raise DesignError("empty_design", f"{path}: no runs")
     A = np.array(assignment, dtype=np.intp)

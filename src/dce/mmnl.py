@@ -16,13 +16,13 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import _finite, _fit, _MslWork, _softmax, estimate_mnl, mnl_probabilities
-from .numerics import MixingSpec, OptimizerOptions, normal_draws
+from .mnl import _fit, _MslWork, estimate_mnl
+from .numerics import MixingSpec, normal_draws
 from .results import EstimationResult
-from .schema import ParameterIndex, build_parameter_index
+from .schema import build_parameter_index
 
 __all__ = ["MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
-           "msl_loglik", "msl_gradient", "estimate_mmnl", "mmnl_predict"]
+           "msl_loglik", "msl_gradient", "estimate_mmnl"]
 
 # benchmarks/spans.py patches these names when it traces a run; nothing calls them
 bfgs_minimize = hessian_from_grad = None
@@ -87,19 +87,17 @@ def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
     return _work(panel, mixing, draws).hessian(params_with_sds)[1]
 
 
-def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
-                  options: OptimizerOptions | None = None,
-                  start: np.ndarray | None = None) -> EstimationResult:
+def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec) -> EstimationResult:
     """Maximize the simulated log likelihood over means and sds.
 
     The Halton draw matrix is built once and held fixed across iterations.
-    Unless ``start`` is given, means warm-start at the plain MNL solution and
-    sds at 0.5. The fit, sd signs and standard errors are those of
-    ``mnl._fit``: trust-region Newton on the analytic Hessian, sds reported
-    as absolute values, and standard errors from the observed information
-    at the reported point, None when it is singular. A mixing with no random
-    parameters is the MNL, so it raises EstimationError "no_random_params".
-    The result's ``mixing`` is ``mixing`` itself.
+    Means warm-start at the plain MNL solution and sds at 0.5. The fit, sd
+    signs and standard errors are those of ``mnl._fit``: trust-region Newton
+    on the analytic Hessian, sds reported as absolute values, and standard
+    errors from the observed information at the reported point, None when
+    it is singular. A mixing with no random parameters is the MNL, so it
+    raises EstimationError "no_random_params". The result's ``mixing`` is
+    ``mixing`` itself.
     """
     if mixing.n_random == 0:
         raise EstimationError("no_random_params",
@@ -110,39 +108,8 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec,
                               "panel was coded against a different index")
 
     work = _work(panel, mixing, None)
-    if start is None:
-        mnl = estimate_mnl(panel, options)
-        start = np.concatenate([mnl.params, np.full(mixing.n_random, 0.5)])
-    result, trace_ll = _fit(panel, work, index, start, options)
+    start = np.concatenate([estimate_mnl(panel).params, np.full(mixing.n_random, 0.5)])
+    result, trace_ll = _fit(panel, work, index, start)
     trace = SimulatedLikelihoodTrace(ll=trace_ll, config={"threads": 1})
     return replace(result, model="mmnl", trace=trace, mixing=mixing)
 
-
-def mmnl_predict(params_with_sds, task_rows, mixing: MixingSpec,
-                 index: ParameterIndex | None = None) -> np.ndarray:
-    """Choice probabilities for one task's coded rows, averaged over the
-    mixing's draws for one individual. A non-finite utility under any draw
-    raises EstimationError "non_finite_utility", as in ``mnl_probabilities``.
-
-    ``index`` locates the random parameters' columns; it may be omitted only
-    when the mixing has no random parameters.
-    """
-    rows = np.atleast_2d(np.asarray(task_rows, dtype=np.float64))
-    params = np.asarray(params_with_sds, dtype=np.float64).reshape(-1)
-    k = rows.shape[1]
-    m = mixing.n_random
-    if params.shape[0] != k + m:
-        raise EstimationError(
-            "parameter_mismatch",
-            f"expected {k} fixed + {m} sd parameters, got {params.shape[0]}")
-    _finite(params)
-    if m == 0:
-        return mnl_probabilities(params[:k], rows)
-    if index is None:
-        raise EstimationError("missing_index",
-                              "a parameter index is needed to place random parameters")
-    rp = index.positions(mixing.random_params)
-    z = make_draws(mixing, 1)[0]  # (n_draws, m)
-    dev = z * params[k:]  # (n_draws, m)
-    u = (rows @ params[:k])[:, None] + rows[:, rp] @ dev.T  # (J, n_draws)
-    return _softmax(u).mean(axis=1)

@@ -1,4 +1,4 @@
-"""Panel logit kernel; multinomial logit probabilities, likelihood, score and
+"""Panel logit kernel; multinomial logit probabilities, likelihood and
 estimation.
 
 Utilities are linear in the coded columns; probabilities are max-subtracted
@@ -10,11 +10,12 @@ differenced from the first, padded to (respondent, task, cell) so that
 ragged panels need no special case and each draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
 only on utility differences within a task. The kernel has two evaluations,
-``loglik`` (the log likelihood) and ``hessian`` (it, its score, which the
-gradient functions return, and its Hessian in closed form), each one block
-of respondents at a time: a block's per-draw probabilities are formed, used
-and dropped before the next block's. The MNL log likelihood is concave, so
-estimation starts from zeros and a converged optimum is the optimum.
+``loglik`` (the log likelihood) and ``hessian`` (it, its score and its
+Hessian in closed form), each one block of respondents at a time: a block's
+per-draw probabilities are formed, used and dropped before the next
+block's. Both estimators fit through ``_fit`` with the optimizer's fixed
+settings. The MNL log likelihood is concave, so estimation starts from zeros
+and a converged optimum is the optimum.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .numerics import OptimizerOptions, trust_newton_minimize
+from .numerics import trust_newton_minimize
 from .results import EstimationResult, implied_base_levels, two_sided_p
 from .schema import ParameterIndex
 
 __all__ = [
     "mnl_probabilities",
     "mnl_loglik",
-    "mnl_gradient",
     "estimate_mnl",
 ]
 
@@ -57,15 +57,6 @@ _BLOCK_CELLS = 2048
 _ONE_DRAW_BLOCK = 1024
 
 
-def _softmax(u: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over a task's alternatives (axis 0); a
-    non-finite utility raises EstimationError "non_finite_utility"."""
-    if not np.all(np.isfinite(u)):
-        raise EstimationError("non_finite_utility", "non-finite utility in task")
-    e = np.exp(u - u.max(axis=0))
-    return e / e.sum(axis=0)
-
-
 def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
     """``params`` unchanged if every entry is finite. Otherwise every utility
     is non-finite, so EstimationError "non_finite_utility" is raised naming
@@ -78,9 +69,15 @@ def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
 
 
 def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
-    """Choice probabilities for one task: softmax of row utilities."""
+    """Choice probabilities for one task: max-subtracted softmax of row
+    utilities. A non-finite utility raises EstimationError
+    "non_finite_utility"."""
     rows = np.atleast_2d(np.asarray(task_rows, dtype=np.float64))
-    return _softmax(rows @ _finite(np.asarray(params, dtype=np.float64)))
+    u = rows @ _finite(np.asarray(params, dtype=np.float64))
+    if not np.all(np.isfinite(u)):
+        raise EstimationError("non_finite_utility", "non-finite utility in task")
+    e = np.exp(u - u.max())
+    return e / e.sum()
 
 
 class _MslWork:
@@ -346,12 +343,6 @@ def mnl_loglik(params: np.ndarray, panel: CodedPanel) -> float:
     return _mnl_work(panel).loglik(params)
 
 
-def mnl_gradient(params: np.ndarray, panel: CodedPanel) -> np.ndarray:
-    """Score of the log likelihood, sum over tasks of x_chosen - E[x]: a
-    Hessian pass's score, raising whatever ``_MslWork.hessian`` raises."""
-    return _mnl_work(panel).hessian(params)[1]
-
-
 def check_identification(panel: CodedPanel) -> None:
     """Every coded column must vary within at least one task; a column
     constant within every task cancels out of all probabilities."""
@@ -382,8 +373,7 @@ def _inference(hessian_of_negll: np.ndarray, params: np.ndarray):
     return se, p
 
 
-def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start,
-         options: OptimizerOptions | None):
+def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start):
     """Maximize ``work``'s log likelihood from ``start``; the one fit behind
     both estimators.
 
@@ -409,8 +399,7 @@ def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start,
         ll, grad, hess = work.hessian(x)
         return -ll, -grad, hess
 
-    res = trust_newton_minimize(objective, x0, options or OptimizerOptions(),
-                                callback=lambda it, x, f: path.append(-f))
+    res = trust_newton_minimize(objective, x0, callback=lambda it, x, f: path.append(-f))
     k = panel.X.shape[1]
     x_hat = res.x.copy()
     x_hat[k:] = np.abs(x_hat[k:])
@@ -436,10 +425,8 @@ def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start,
     ), tuple(path)
 
 
-def estimate_mnl(panel: CodedPanel,
-                 options: OptimizerOptions | None = None) -> EstimationResult:
+def estimate_mnl(panel: CodedPanel) -> EstimationResult:
     """Maximize the MNL log likelihood from a zero start by trust-region
     Newton (``_fit``). Standard errors come from the observed information
     and are None when it is singular."""
-    return _fit(panel, _mnl_work(panel), panel.index, np.zeros(panel.X.shape[1]),
-                options)[0]
+    return _fit(panel, _mnl_work(panel), panel.index, np.zeros(panel.X.shape[1]))[0]

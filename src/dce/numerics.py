@@ -23,7 +23,6 @@ from .errors import EstimationError
 __all__ = [
     "HaltonConfig",
     "MixingSpec",
-    "OptimizerOptions",
     "OptimResult",
     "halton_matrix",
     "normal_draws",
@@ -212,27 +211,6 @@ def inv_normal_cdf(u):
 # Trust-region Newton
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Settings for trust_newton_minimize.
-
-    gradient_tolerance: infinity-norm convergence threshold on the gradient.
-    step_tolerance: stop when the trust radius falls to it after a rejected
-        step.
-    max_iterations: trial-step cap; every trial counts, accepted or not.
-    """
-
-    gradient_tolerance: float = 1e-5
-    step_tolerance: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.gradient_tolerance <= 0 or self.step_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
 @dataclass
 class OptimResult:
     """What trust_newton_minimize returns: the last accepted point and the
@@ -261,6 +239,11 @@ def _norm_inf(v: np.ndarray) -> float:
 # and the trial's f may read a few ulps high for that noise alone.
 _NOISE_ULPS = 8
 _SUBPROBLEM_ITERATIONS = 50
+
+# trust_newton_minimize's stopping rules, the same for every fit
+_GRADIENT_TOLERANCE = 1e-5
+_STEP_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 200
 
 # EstimationError codes that trust_newton_minimize treats as a rejected trial
 # point: the objective's value or its Hessian overflowed there
@@ -337,8 +320,7 @@ def _trust_region_step(g: np.ndarray, H: np.ndarray, radius: float) -> np.ndarra
     return p + np.copysign(tau, pz) * z
 
 
-def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = None,
-                          callback: Callable | None = None) -> OptimResult:
+def trust_newton_minimize(fun: Callable, x0, callback: Callable | None = None) -> OptimResult:
     """Minimize fun(x) -> (value, gradient, Hessian) by trust-region Newton.
 
     Each iteration solves the trust-region subproblem on the exact Hessian
@@ -355,13 +337,13 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
     or "hessian_non_finite", are rejected like a bad ratio; every other
     error propagates.
 
-    Reads ``gradient_tolerance`` (on the gradient's infinity norm),
-    ``step_tolerance`` (stop when the trust radius falls below it) and
-    ``max_iterations`` (trial steps, accepted or not).
-    ``callback(iteration, x, f)`` fires once for the start point and once
-    per accepted step. The result's ``hess`` is the Hessian at ``x``.
+    It stops when the gradient's infinity norm is at most
+    ``_GRADIENT_TOLERANCE``, when the trust radius falls to
+    ``_STEP_TOLERANCE`` after a rejected step, or after ``_MAX_ITERATIONS``
+    trial steps, accepted or not. ``callback(iteration, x, f)`` fires once
+    for the start point and once per accepted step. The result's ``hess`` is
+    the Hessian at ``x``.
     """
-    opts = options or OptimizerOptions()
     x = np.array(x0, dtype=np.float64, copy=True)
     f, g, H = fun(x)
     f = float(f)
@@ -373,8 +355,8 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
         callback(0, x, f)
 
     radius = 1.0
-    for it in range(1, opts.max_iterations + 1):
-        if _norm_inf(g) <= opts.gradient_tolerance:
+    for it in range(1, _MAX_ITERATIONS + 1):
+        if _norm_inf(g) <= _GRADIENT_TOLERANCE:
             return OptimResult(x, f, g, "gradient_converged", it - 1, n_evals, H)
         p = _trust_region_step(g, H, radius)
         p_norm = float(np.linalg.norm(p))
@@ -403,9 +385,9 @@ def trust_newton_minimize(fun: Callable, x0, options: OptimizerOptions | None = 
             x, f, g, H = x + p, f_new, np.asarray(g_new, dtype=np.float64), H_new
             if callback is not None:
                 callback(it, x, f)
-        elif radius <= opts.step_tolerance:
+        elif radius <= _STEP_TOLERANCE:
             return OptimResult(x, f, g, "step_converged", it, n_evals, H)
 
-    status = ("gradient_converged" if _norm_inf(g) <= opts.gradient_tolerance
+    status = ("gradient_converged" if _norm_inf(g) <= _GRADIENT_TOLERANCE
               else "max_iterations")
-    return OptimResult(x, f, g, status, opts.max_iterations, n_evals, H)
+    return OptimResult(x, f, g, status, _MAX_ITERATIONS, n_evals, H)

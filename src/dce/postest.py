@@ -40,6 +40,8 @@ class LrTest(NamedTuple):
 
 def fit_stats(ll_final: float, ll_null: float, k: int) -> FitStats:
     """rho2 = 1 - ll_final/ll_null; adjusted subtracts k from ll_final first."""
+    if not (math.isfinite(ll_final) and math.isfinite(ll_null)):
+        raise PostestError("bad_loglik", "log likelihoods must be finite")
     if ll_null >= 0:
         raise PostestError("bad_loglik", "ll_null must be negative")
     if ll_final > 0:

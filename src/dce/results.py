@@ -256,6 +256,8 @@ class EstimationResult:
     def load(cls, path: str | Path, schema: ExperimentSchema | None = None) -> "EstimationResult":
         try:
             d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise SchemaError("result_json", f"{path}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc
         return cls.from_dict(d, schema)

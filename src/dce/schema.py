@@ -59,15 +59,21 @@ class Level:
     display: str | None = None
 
 
+_MAX_DOUBLE = float(np.finfo(np.float64).max)
+
+
 def _checked(code: str, value, kind: str, what: str, optional: bool = False):
     """``value`` if its JSON type is ``kind`` ("boolean", "integer", "number",
     "string" or "array"), or null when ``optional``; else SchemaError
     ``code``. Nothing is coerced, and a boolean is neither an integer nor a
-    number. The schema and result loaders check every field with it."""
+    number. A number must be finite and within a double's range: ``json``
+    reads NaN, Infinity, 1e400 (as inf) and integers no double holds. The
+    schema and result loaders check every field with it."""
     types = {"boolean": bool, "integer": int, "number": (int, float), "string": str,
              "array": list}[kind]
     if not (optional and value is None) and (
-            not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean")):
+            not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean")
+            or (kind == "number" and not abs(value) <= _MAX_DOUBLE)):
         raise SchemaError(code, f"{what} must be a JSON {kind}, got {value!r}")
     return value
 
@@ -302,6 +308,8 @@ class ExperimentSchema:
     def load(cls, path: str | Path) -> "ExperimentSchema":
         try:
             d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise SchemaError("schema_json", f"{path}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise SchemaError("schema_json", f"malformed schema JSON: {exc!r}") from exc
         return cls.from_dict(d)

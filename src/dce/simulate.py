@@ -215,8 +215,7 @@ class RecoveryReport:
         return float(np.mean([z <= 2.0 for z in zs]))
 
 
-def recovery_experiment(cfg: SimConfig, estimator: str,
-                        options=None) -> RecoveryReport:
+def recovery_experiment(cfg: SimConfig, estimator: str) -> RecoveryReport:
     """Simulate, re-estimate, and compare against the generating truth."""
     if estimator not in ("mnl", "mmnl"):
         raise SimulationError("bad_estimator",
@@ -228,9 +227,9 @@ def recovery_experiment(cfg: SimConfig, estimator: str,
     panel = code_dataset(dataset)
     try:
         if estimator == "mnl":
-            result = estimate_mnl(panel, options)
+            result = estimate_mnl(panel)
         else:
-            result = estimate_mmnl(panel, cfg.mixing, options)
+            result = estimate_mmnl(panel, cfg.mixing)
     except DceError as e:
         raise type(e)(e.code, f"{e.message} [simulation seed {cfg.seed}]") from e
 

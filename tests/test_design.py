@@ -15,7 +15,6 @@ from dce import (
     block_design,
     default_schema,
     design_diagnostics,
-    full_factorial,
     read_design_csv,
     select_fraction,
     table4_labels_schema,
@@ -33,28 +32,6 @@ def assignment_digest(design) -> str:
     """Short digest of every run's level labels, in run order."""
     runs = [[run.alt_levels, run.context] for run in design.runs]
     return hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()[:16]
-
-
-class TestFullFactorial:
-    def test_size_and_lexicographic_order(self, schema_default):
-        combos = full_factorial(schema_default, "drone")
-        # dropoff 2 x date 2 x cost 4 x shared social influence 4
-        assert len(combos) == 2 * 2 * 4 * 4
-        assert combos[0] != combos[1]
-        # first attribute cycles slowest
-        keys = list(combos[0])
-        firsts = [c[keys[0]] for c in combos]
-        assert firsts == sorted(firsts, key=firsts.index)
-
-    def test_unknown_alternative(self, schema_default):
-        with pytest.raises(DesignError) as err:
-            full_factorial(schema_default, "zeppelin")
-        assert err.value.code == "unknown_alternative"
-
-    def test_overflow_cap(self, schema_default):
-        with pytest.raises(DesignError) as err:
-            full_factorial(schema_default, "drone", cap=10)
-        assert err.value.code == "overflow"
 
 
 class TestSelectFraction:

@@ -157,6 +157,11 @@ class TestShippedFiles:
         ("fit", {"iterations": 5.7}),
         ("n_respondents", "abc"),
         ("n_tasks", 4224.0),
+        # json reads NaN and +-Infinity; none is a JSON number
+        ("estimate", float("nan")),
+        ("std_error", float("inf")),
+        ("fit", {"ll_null": float("-inf")}),
+        ("fit", {"ll_final": float("nan")}),
     ])
     def test_malformed_result_record_is_typed(self, field, value):
         d = table4_mmnl().to_dict()

@@ -20,8 +20,6 @@ from dce import (
     estimate_mnl,
     lr_test,
     make_draws,
-    mmnl_predict,
-    mnl_gradient,
     mnl_loglik,
     mnl_probabilities,
     msl_gradient,
@@ -33,8 +31,8 @@ from dce import (
 )
 
 from dce.mmnl import _work
-from dce.mnl import _inference
-from helpers import finite_diff_grad, simulated_panel
+from dce.mnl import _fit, _inference
+from helpers import finite_diff_grad, mnl_score, simulated_panel
 
 ASC_MIX = ("asc_drone", "asc_truck")
 
@@ -43,6 +41,13 @@ def small_mixing(n_draws=100, drop=10, antithetic=False):
     return MixingSpec(random_params=ASC_MIX,
                       halton=HaltonConfig(n_draws=n_draws, drop=drop),
                       antithetic=antithetic)
+
+
+def fit_from(panel, mixing, start):
+    """estimate_mmnl's fit started at ``start`` in place of the MNL warm
+    start: the result (as an MNL one) and the log likelihood path."""
+    index = build_parameter_index(panel.schema, mixing.random_params)
+    return _fit(panel, _work(panel, mixing, None), index, start)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +104,7 @@ class TestDegeneracyOracle:
         truth = panel50["truth"]
         params = np.concatenate([truth, [0.0, 0.0]])
         g = msl_gradient(params, panel, small_mixing(n_draws=50))
-        np.testing.assert_allclose(g[:38], mnl_gradient(truth, panel),
+        np.testing.assert_allclose(g[:38], mnl_score(truth, panel),
                                    atol=1e-8)
 
     def test_single_draw_sits_at_the_median(self, design32):
@@ -190,13 +195,29 @@ class TestInvariances:
         assert msl_loglik(x, shuffled, mixing, draws=z[order]) == pytest.approx(
             msl_loglik(x, panel, mixing, draws=z), rel=1e-12, abs=0)
 
+    @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+    @given(n=st.integers(1, 49))
+    def test_respondents_added_later_leave_earlier_terms_unchanged(self, ragged_panel, n):
+        # a respondent's draws are its own slice of the Halton sequence, so
+        # the first n respondents, fitted alone, get the draws they get among
+        # all 50; at 128 draws a kernel block holds 16 respondents, so the
+        # split falls inside or between blocks
+        dataset, panel = ragged_panel["dataset"], ragged_panel["panel"]
+        mixing = small_mixing(n_draws=128)
+        x = np.concatenate([ragged_panel["truth"], [1.2, 0.8]])
+        head, tail = (code_dataset(replace(dataset, respondents=part), panel.index)
+                      for part in (dataset.respondents[:n], dataset.respondents[n:]))
+        later = make_draws(mixing, panel.n_respondents)[n:]
+        assert msl_loglik(x, head, mixing) + msl_loglik(x, tail, mixing, draws=later) \
+            == pytest.approx(msl_loglik(x, panel, mixing), rel=1e-12, abs=0)
+
     def test_thread_env_is_not_read(self, mixed_panel40, monkeypatch):
         panel, truth = mixed_panel40["panel"], mixed_panel40["truth"]
         unset_ll = msl_loglik(truth, panel, small_mixing())
-        unset_fit = estimate_mmnl(panel, small_mixing(), start=truth)
+        unset_fit = estimate_mmnl(panel, small_mixing())
         monkeypatch.setenv("DCE_THREADS", "zero")
         assert msl_loglik(truth, panel, small_mixing()) == unset_ll
-        fit = estimate_mmnl(panel, small_mixing(), start=truth)
+        fit = estimate_mmnl(panel, small_mixing())
         np.testing.assert_array_equal(fit.params, unset_fit.params)
         assert fit.ll_final == unset_fit.ll_final
 
@@ -266,8 +287,7 @@ class TestGradient:
         params[position] = value
         k = panel.X.shape[1]
         evaluations = [lambda: msl_loglik(params, panel, mixing),
-                       lambda: _work(panel, mixing, None).hessian(params),
-                       lambda: mmnl_predict(params, panel.X[:3], mixing, index=panel.index)]
+                       lambda: _work(panel, mixing, None).hessian(params)]
         if position < k:
             evaluations += [lambda: mnl_loglik(params[:k], panel),
                             lambda: mnl_probabilities(params[:k], panel.X[:3])]
@@ -331,10 +351,10 @@ class TestEstimation:
         mixing = small_mixing(n_draws=100)
         start = fitted.params.copy()
         start[-2:] = -start[-2:]
-        flipped = estimate_mmnl(panel, mixing, start=start)
+        flipped, path = fit_from(panel, mixing, start)
         assert flipped.converged
         assert np.all(flipped.params[-2:] > 0)
-        assert flipped.trace.ll[-1] != flipped.ll_final
+        assert path[-1] != flipped.ll_final
         assert flipped.ll_final == msl_loglik(flipped.params, panel, mixing)
         work = _work(panel, mixing, None)
         se, _ = _inference(work.hessian(flipped.params)[2], flipped.params)
@@ -368,14 +388,17 @@ class TestEstimation:
 
     def test_start_does_not_skip_the_identification_check(self, mixed_panel40):
         # with nobody aged 35-54 (the effects base) or 75+, the 75+ columns
-        # are zero in every row; the fit must refuse with or without a start
+        # are zero in every row; the fit must refuse from the MNL warm start
+        # (whose own fit checks first) and from a given start
         cfg = mixed_panel40["cfg"]
         ages = {"age_18_34": 0.5, "age_55_74": 0.5, "age_75_plus": 0.0, "age_35_54": 0.0}
         panel = code_dataset(simulate_dataset(
             replace(cfg, demographic_weights={"age_group": ages})))
-        for start in (None, mixed_panel40["truth"]):
+        mixing = small_mixing(n_draws=16)
+        for fit in (lambda: estimate_mmnl(panel, mixing),
+                    lambda: fit_from(panel, mixing, mixed_panel40["truth"])):
             with pytest.raises(EstimationError) as err:
-                estimate_mmnl(panel, small_mixing(n_draws=16), start=start)
+                fit()
             assert err.value.code == "degenerate_column"
             assert "age_75_plus" in err.value.message
 
@@ -387,61 +410,3 @@ class TestEstimation:
         res_index = build_parameter_index(panel.schema, ASC_MIX)
         assert list(res_index.names()[:38]) == list(panel.index.names())
 
-
-class TestPredict:
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_agrees_with_the_kernel(self, mixed_panel40, antithetic):
-        # on one respondent's one task, the log of the predicted share of
-        # the chosen alternative is the simulated log likelihood
-        panel = mixed_panel40["panel"]
-        params = mixed_panel40["truth"]
-        mixing = small_mixing(n_draws=50, antithetic=antithetic)
-        n_j = int(panel.task_sizes[0])
-        rows = panel.X[:n_j]
-        one = replace(panel, X=rows, task_ptr=np.array([0, n_j]),
-                      row_task=np.zeros(n_j, dtype=np.intp),
-                      task_respondent=np.zeros(1, dtype=np.intp),
-                      respondent_ids=panel.respondent_ids[:1],
-                      row_alternative=panel.row_alternative[:n_j])
-        p = mmnl_predict(params, rows, mixing, index=panel.index)
-        for j in range(n_j):
-            ll = msl_loglik(params, replace(one, chosen_row=np.array([j])), mixing)
-            assert abs(np.log(p[j]) - ll) <= 1e-12
-
-    def test_rows_on_simplex(self, panel50):
-        panel = panel50["panel"]
-        truth = panel50["truth"]
-        rows = panel.X[:3]
-        params = np.concatenate([truth, [0.8, 0.6]])
-        p = mmnl_predict(params, rows, small_mixing(n_draws=200), index=panel.index)
-        assert p.shape == (3,)
-        assert p.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_random_params_is_mnl(self, panel50):
-        panel = panel50["panel"]
-        truth = panel50["truth"]
-        rows = panel.X[:3]
-        mixing = MixingSpec(random_params=(), halton=HaltonConfig(n_draws=50))
-        p = mmnl_predict(truth, rows, mixing)
-        np.testing.assert_allclose(p, mnl_probabilities(truth, rows),
-                                   atol=1e-12)
-
-    def test_missing_index(self, panel50):
-        truth = panel50["truth"]
-        params = np.concatenate([truth, [0.8, 0.6]])
-        with pytest.raises(EstimationError) as err:
-            mmnl_predict(params, panel50["panel"].X[:3], small_mixing(n_draws=50))
-        assert err.value.code == "missing_index"
-
-    @pytest.mark.parametrize("bad", ["sd", "mean"])
-    def test_non_finite_utility_raises(self, panel50, bad):
-        panel = panel50["panel"]
-        params = np.concatenate([panel50["truth"], [0.8, 0.6]])
-        params[-1 if bad == "sd" else 0] = np.nan
-        with pytest.raises(EstimationError) as err:
-            mmnl_predict(params, panel.X[:3], small_mixing(n_draws=50), index=panel.index)
-        assert err.value.code == "non_finite_utility"
-        if bad == "mean":
-            with pytest.raises(EstimationError) as err:
-                mnl_probabilities(params[:panel.X.shape[1]], panel.X[:3])
-            assert err.value.code == "non_finite_utility"

@@ -16,7 +16,6 @@ from dce import (
     block_design,
     code_dataset,
     estimate_mnl,
-    mnl_gradient,
     mnl_loglik,
     mnl_probabilities,
     select_fraction,
@@ -25,7 +24,7 @@ from dce import (
     table4_mnl,
 )
 
-from helpers import binary_asc_dataset, finite_diff_grad
+from helpers import binary_asc_dataset, finite_diff_grad, mnl_score
 
 
 class TestProbabilities:
@@ -60,7 +59,7 @@ class TestLoglik:
     def test_gradient_at_zero_is_share_difference(self):
         dataset = binary_asc_dataset(75, 25)
         panel = code_dataset(dataset)
-        g = mnl_gradient(np.zeros(1), panel)
+        g = mnl_score(np.zeros(1), panel)
         # chosen count minus expected under uniform: 75 - 100/2
         assert g[0] == pytest.approx(25.0, abs=1e-10)
 
@@ -77,14 +76,14 @@ class TestLoglik:
         panel = code_dataset(ChoiceDataset(dataset.schema, respondents))
         assert set(panel.task_sizes) == {1}
         assert mnl_loglik(np.ones(1), panel) == 0.0
-        assert mnl_gradient(np.ones(1), panel).tolist() == [0.0]
+        assert mnl_score(np.ones(1), panel).tolist() == [0.0]
 
     @pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel"])
     def test_gradient_matches_finite_differences(self, panel_fixture, request, rng):
         panel = request.getfixturevalue(panel_fixture)["panel"]
         for _ in range(10):
             x = rng.normal(scale=0.5, size=38)
-            g = mnl_gradient(x, panel)
+            g = mnl_score(x, panel)
             fd = finite_diff_grad(lambda v: mnl_loglik(v, panel), x)
             denom = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(g - fd)) / denom < 1e-6
@@ -101,7 +100,7 @@ class TestLoglik:
             ll += np.log(p[panel.chosen_row[t] - panel.task_ptr[t]])
             grad += panel.X[panel.chosen_row[t]] - p @ rows
         assert mnl_loglik(x, panel) == pytest.approx(ll, rel=0, abs=1e-10)
-        np.testing.assert_allclose(mnl_gradient(x, panel), grad, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(mnl_score(x, panel), grad, rtol=0, atol=1e-10)
 
     def test_extreme_point_has_no_log_probability_floor(self, panel50, rng):
         # at this scale some chosen log probabilities fall below -700; the
@@ -117,7 +116,7 @@ class TestLoglik:
         assert min(logp) < -700
         assert mnl_loglik(x, panel) == pytest.approx(sum(logp), rel=1e-12)
         fd = finite_diff_grad(lambda v: mnl_loglik(v, panel), x)
-        g = mnl_gradient(x, panel)
+        g = mnl_score(x, panel)
         assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-6
 
     def test_nan_parameter_names_the_task(self, panel50):

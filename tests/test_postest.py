@@ -88,9 +88,11 @@ class TestFitStats:
         assert fs.rho2 == 0.0
 
     def test_validation(self):
-        with pytest.raises(PostestError) as err:
-            fit_stats(-10.0, 5.0, k=1)
-        assert err.value.code == "bad_loglik"
+        for ll_final, ll_null in ((-10.0, 5.0), (float("nan"), -20.0), (-10.0, float("nan")),
+                                  (-10.0, float("-inf"))):
+            with pytest.raises(PostestError) as err:
+                fit_stats(ll_final, ll_null, k=1)
+            assert err.value.code == "bad_loglik"
         with pytest.raises(PostestError) as err:
             fit_stats(-10.0, -20.0, k=-1)
         assert err.value.code == "bad_k"

@@ -167,7 +167,8 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         listed = {**schema_default.to_dict(), "interactions": []}
         texts = ["{not json", json.dumps(listed)]
-        for value in ("abc", True):
+        # json writes and reads NaN and Infinity, which are no JSON numbers
+        for value in ("abc", True, float("nan"), float("inf"), float("-inf")):
             d = schema_default.to_dict()
             cost = next(a for a in d["attributes"] if a["name"] == "delivery_cost_drone")
             cost["levels"][0]["value"] = value
