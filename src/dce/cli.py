@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as e:
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

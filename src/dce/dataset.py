@@ -12,6 +12,9 @@ values like any design column.
 Demographics may instead live in a companion respondent-level CSV keyed by
 ``respondent_id``. Unrecognized columns are kept as respondent-level
 passthrough when constant within a respondent and dropped otherwise.
+Both files are decoded by ``errors.read_csv``, which strips every value and
+refuses a row with more or fewer fields than the header (``bad_csv``). Every
+fault found past a file's header raises DatasetError with its row.
 
 Coding produces a panel design matrix with one row per alternative, rows
 grouped by task and tasks grouped by respondent, columns laid out by
@@ -40,8 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, non_utf8_line
-from .schema import AttributeDef, ExperimentSchema, ParameterIndex, build_parameter_index
+from .errors import DatasetError, read_csv
+from .schema import (AttributeDef, ExperimentSchema, ParameterIndex, _check_level,
+                     build_parameter_index)
 
 __all__ = [
     "Observation",
@@ -112,47 +116,18 @@ class ChoiceDataset:
 # Ingest
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    """Header and rows of a UTF-8 CSV; a leading byte-order mark is dropped."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DatasetError("empty_dataset", f"{path}: no header row")
-            rows = list(reader)
-    except UnicodeDecodeError:
-        raise DatasetError("bad_encoding", f"{path}: not UTF-8 text",
-                           row=non_utf8_line(path)) from None
-    except csv.Error as exc:  # DictReader.line_num lags the row that failed
-        raise DatasetError("bad_csv", f"{path}: {exc}", row=reader.reader.line_num) from None
-    return list(reader.fieldnames), rows
-
-
-def _require_columns(have: list[str], needed, path) -> None:
-    missing = [c for c in needed if c not in have]
-    if missing:
-        raise DatasetError("missing_column", f"{path}: missing columns {missing}")
-
-
 def _read_respondent_table(path: str | Path, demo_columns) -> dict[str, dict[str, str]]:
-    header, rows = _read_rows(path)
-    _require_columns(header, ("respondent_id", *demo_columns), path)
     table: dict[str, dict[str, str]] = {}
-    for n, row in enumerate(rows, start=2):
-        rid = (row.get("respondent_id") or "").strip()
+    for n, row in enumerate(read_csv(path, DatasetError, "empty_dataset",
+                                     ("respondent_id", *demo_columns)), start=2):
+        rid = row.pop("respondent_id")
         if not rid:
             raise DatasetError("missing_column", f"{path}: blank respondent_id", row=n)
         if rid in table:
             raise DatasetError("duplicate_respondent", f"{path}: respondent {rid!r} repeated",
                                row=n)
-        table[rid] = {k: (v or "").strip() for k, v in row.items() if k != "respondent_id"}
+        table[rid] = row
     return table
-
-
-def _check_level(attr: AttributeDef, column: str, label: str, row: int) -> None:
-    if label not in attr.level_index:
-        raise DatasetError("unknown_level",
-                           f"column {column!r}: {label!r} is not a level of {attr.name}", row=row)
 
 
 def ingest_choices(path: str | Path, schema: ExperimentSchema,
@@ -162,26 +137,23 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
     Raises DatasetError with a 1-based CSV row number wherever the offending
     row is identifiable.
     """
-    header, rows = _read_rows(path)
-    if not rows:
-        raise DatasetError("empty_dataset", f"{path}: no data rows")
-
     context_cols = tuple(a.csv_column for a in schema.context_attributes())
     design_cols = schema.design_columns()
     demo_attrs = schema.demographic_attributes()
     demo_cols = tuple(a.csv_column for a in demo_attrs)
 
+    needed = (*_CORE_COLUMNS[:2], "alt_id", "chosen", *context_cols, *design_cols)
+    if respondents_path is None:
+        needed += demo_cols
+    rows = read_csv(path, DatasetError, "empty_dataset", needed)
+    if not rows:
+        raise DatasetError("empty_dataset", f"{path}: no data rows")
     companion = None
     if respondents_path is not None:
         companion = _read_respondent_table(respondents_path, demo_cols)
 
-    needed = list(_CORE_COLUMNS[:2]) + ["alt_id", "chosen"] + list(context_cols) + list(design_cols)
-    if companion is None:
-        needed += list(demo_cols)
-    _require_columns(header, needed, path)
-
     known = set(_CORE_COLUMNS) | set(context_cols) | set(design_cols) | set(demo_cols)
-    extra_cols = [c for c in header if c not in known]
+    extra_cols = [c for c in rows[0] if c not in known]
 
     # each alternative's design columns, in design_cols order, with the
     # attribute that fills each: the first applicable one in schema order
@@ -198,21 +170,19 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
     resp_extra: dict[str, dict[str, str | None]] = {}
 
     for n, row in enumerate(rows, start=2):
-        rid = (row.get("respondent_id") or "").strip()
-        tid = (row.get("task_id") or "").strip()
-        aid = (row.get("alt_id") or "").strip()
+        rid, tid, aid = row["respondent_id"], row["task_id"], row["alt_id"]
         if not rid or not tid or not aid:
             raise DatasetError("missing_column",
                                f"blank respondent_id/task_id/alt_id", row=n)
         if aid not in alt_design:
             raise DatasetError("unknown_alternative", f"alternative {aid!r}", row=n)
 
-        chosen_raw = (row.get("chosen") or "").strip()
+        chosen_raw = row["chosen"]
         if chosen_raw not in ("0", "1"):
             raise DatasetError("bad_chosen", f"chosen must be 0 or 1, got {chosen_raw!r}", row=n)
 
         tasks = per_resp.setdefault(rid, {})
-        task = tasks.setdefault(tid, {"block": (row.get("block_id") or "").strip(),
+        task = tasks.setdefault(tid, {"block": row.get("block_id", ""),
                                       "task_values": {}, "alts": {}, "chosen": [],
                                       "first_row": n})
         if aid in task["alts"]:
@@ -221,10 +191,10 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
 
         # task-level columns must agree across the task's rows
         for col, attr in task_level_attrs:
-            val = (row.get(col) or "").strip()
+            val = row[col]
             prev = task["task_values"].get(col)
             if prev is None:
-                _check_level(attr, col, val, n)
+                _check_level(attr, col, val, n, DatasetError)
                 task["task_values"][col] = val
             elif prev != val:
                 raise DatasetError("inconsistent_task_value",
@@ -233,38 +203,34 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
         # design columns, validated against the attribute that fills each
         alt_vals: dict[str, str] = {}
         for col, attr in alt_design[aid]:
-            val = (row.get(col) or "").strip()
-            _check_level(attr, col, val, n)
+            val = row[col]
+            _check_level(attr, col, val, n, DatasetError)
             alt_vals[col] = val
         task["alts"][aid] = alt_vals
         if chosen_raw == "1":
             task["chosen"].append((aid, n))
 
         # demographics: inline, companion, or both (must then agree)
-        demo_inline = {}
-        for attr in demo_attrs:
-            col = attr.csv_column
-            if col in row and row.get(col) is not None:
-                demo_inline[col] = (row.get(col) or "").strip()
+        demo_inline = {col: row[col] for col in demo_cols if col in row}
         if companion is not None:
             comp = companion.get(rid)
             if comp is None:
                 raise DatasetError("missing_demographics",
                                    f"respondent {rid!r} absent from respondent table", row=n)
             for col, val in demo_inline.items():
-                if val and val != comp.get(col, ""):
+                if val and val != comp[col]:
                     raise DatasetError("demographic_mismatch",
                                        f"column {col!r} disagrees with respondent table "
                                        f"for {rid!r}", row=n)
-            demo = {col: comp.get(col, "") for col in demo_cols}
+            demo = {col: comp[col] for col in demo_cols}
             extras_src = {k: v for k, v in comp.items() if k not in demo_cols}
         else:
             demo = demo_inline
-            extras_src = {c: (row.get(c) or "").strip() for c in extra_cols}
+            extras_src = {c: row[c] for c in extra_cols}
 
         if rid not in resp_demo:
             for attr in demo_attrs:
-                _check_level(attr, attr.csv_column, demo.get(attr.csv_column, ""), n)
+                _check_level(attr, attr.csv_column, demo[attr.csv_column], n, DatasetError)
             resp_demo[rid] = demo
         elif companion is None and demo != resp_demo[rid]:
             raise DatasetError("demographic_mismatch",

@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DesignError, non_utf8_line
-from .schema import AttributeDef, ExperimentSchema
+from .errors import DesignError, read_csv
+from .schema import AttributeDef, ExperimentSchema, _check_level
 
 __all__ = [
     "Profile",
@@ -565,37 +565,16 @@ def read_design_csv(path: str | Path, schema: ExperimentSchema) -> BlockedDesign
     """Read a design CSV (UTF-8; a leading byte-order mark is dropped)."""
     slots = _slots(schema)
     names = [_slot_name(alt_id, attr) for alt_id, attr in slots]
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DesignError("empty_design", f"{path}: no header row")
-            missing = [c for c in ("run_id", "block_id", *names) if c not in reader.fieldnames]
-            if missing:
-                raise DesignError("missing_column", f"{path}: missing columns {missing}")
-            assignment, block_keys = [], []
-            for n, row in enumerate(reader, start=2):
-                levels = []
-                for (_, attr), col in zip(slots, names):
-                    label = (row.get(col) or "").strip()
-                    if label not in attr.level_index:
-                        raise DesignError("unknown_level",
-                                          f"{path} row {n}: {label!r} is not a level of "
-                                          f"{attr.name}")
-                    levels.append(attr.level_index[label])
-                block = (row.get("block_id") or "").strip()
-                if not block:
-                    raise DesignError("bad_block", f"{path} row {n}: blank block_id")
-                assignment.append(levels)
-                block_keys.append(block)
-    except UnicodeDecodeError:
-        line = non_utf8_line(path)
-        where = path if line is None else f"{path} row {line}"
-        raise DesignError("bad_encoding", f"{where}: not UTF-8 text") from None
-    except csv.Error as exc:  # DictReader.line_num lags the row that failed
-        raise DesignError("bad_csv", f"{path} row {reader.reader.line_num}: {exc}") from None
-    if not assignment:
+    rows = read_csv(path, DesignError, "empty_design", ("run_id", "block_id", *names))
+    if not rows:
         raise DesignError("empty_design", f"{path}: no runs")
+    assignment, block_keys = [], []
+    for n, row in enumerate(rows, start=2):
+        assignment.append([_check_level(attr, col, row[col], n, DesignError)
+                           for (_, attr), col in zip(slots, names)])
+        if not row["block_id"]:
+            raise DesignError("bad_block", f"{path}: blank block_id", row=n)
+        block_keys.append(row["block_id"])
     A = np.array(assignment, dtype=np.intp)
     unique = list(dict.fromkeys(block_keys))
     try:

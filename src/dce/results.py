@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EstimationError, SchemaError
+from .errors import EstimationError, SchemaError, read_json
 from .numerics import HaltonConfig, MixingSpec
 from .schema import (ExperimentSchema, ParameterIndex, ParamInfo, _checked,
                      build_parameter_index)
@@ -254,13 +254,7 @@ class EstimationResult:
 
     @classmethod
     def load(cls, path: str | Path, schema: ExperimentSchema | None = None) -> "EstimationResult":
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise SchemaError("result_json", f"{path}: not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
-            raise SchemaError("result_json", f"malformed result JSON: {exc!r}") from exc
-        return cls.from_dict(d, schema)
+        return cls.from_dict(read_json(path, "result_json"), schema)
 
 
 def _fmt(v, width=10, prec=4):

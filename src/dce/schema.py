@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, read_json
 
 __all__ = [
     "Level",
@@ -164,6 +164,16 @@ def effects_code(attribute: AttributeDef, label: str) -> np.ndarray:
         raise SchemaError("unknown_level",
                           f"attribute {attribute.name}: unknown level {label!r}")
     return attribute.codes[attribute.level_index[label]]
+
+
+def _check_level(attr: AttributeDef, column: str, label: str, row: int, error) -> int:
+    """``label``'s index in ``attr``'s levels, read from a file's ``column`` at
+    ``row``; a label the attribute lacks raises ``error("unknown_level")``."""
+    try:
+        return attr.level_index[label]
+    except KeyError:
+        raise error("unknown_level", f"column {column!r}: {label!r} is not a level of "
+                                     f"{attr.name}", row=row) from None
 
 
 @dataclass(frozen=True)
@@ -306,13 +316,7 @@ class ExperimentSchema:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSchema":
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise SchemaError("schema_json", f"{path}: not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
-            raise SchemaError("schema_json", f"malformed schema JSON: {exc!r}") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(read_json(path, "schema_json"))
 
 
 # ---------------------------------------------------------------------------

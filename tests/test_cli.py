@@ -309,6 +309,17 @@ class TestErrors:
         assert code == 2
         assert "missing file" in capsys.readouterr().err
 
+    def test_directory_as_input_exits_2(self, workdir, capsys):
+        folder = workdir / "a_directory"
+        folder.mkdir(exist_ok=True)
+        for argv in (["postest", "fit", "--result", str(folder)],
+                     ["estimate", "mnl", "--data", str(folder), "--schema", LABELS_SCHEMA,
+                      "-o", str(workdir / "x.json")],
+                     ["design", "--schema", str(folder), "--runs", "32", "--blocks", "4",
+                      "-o", str(workdir / "x.csv")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {folder}:"), argv
+
     def test_non_utf8_input_exits_2(self, pipeline, workdir, capsys):
         for name in ("design", "choices"):
             data = pipeline["paths"][name].read_bytes()
@@ -341,7 +352,7 @@ class TestErrors:
                      "--params", MMNL_FIXTURE, "--n", "5", "-o", str(workdir / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad_csv:") and "row 3:" in err
+        assert err.startswith("error: bad_csv:") and "(row 3)" in err
         code = main(["estimate", "mnl", "--data", str(workdir / "long_choices.csv"),
                      "--schema", LABELS_SCHEMA, "-o", str(workdir / "x.json")])
         assert code == 2

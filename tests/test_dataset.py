@@ -135,6 +135,30 @@ class TestIngest:
         assert err.value.code == "bad_encoding"
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("which", ["choices", "respondents"])
+    @pytest.mark.parametrize("surplus", [True, False])
+    def test_row_of_the_wrong_width_names_row(self, choices_csv, tmp_path, schema_labels,
+                                              which, surplus):
+        """A row with one field more or one less than the header is refused,
+        not read with the surplus dropped or the missing field blank."""
+        if which == "choices":
+            lines = choices_csv.read_text().splitlines()
+        else:
+            demo = [a.csv_column for a in schema_labels.demographic_attributes()]
+            lines = [",".join(["respondent_id", *demo])] + [
+                ",".join([r.respondent_id, *(r.demographics[c] for c in demo)])
+                for r in ingest_choices(choices_csv, schema_labels).respondents]
+        lines[3] = lines[3] + ",x" if surplus else lines[3].rsplit(",", 1)[0]  # CSV row 4
+        bad = tmp_path / f"{which}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError) as err:
+            if which == "choices":
+                ingest_choices(bad, schema_labels)
+            else:
+                ingest_choices(choices_csv, schema_labels, respondents_path=bad)
+        assert err.value.code == "bad_csv"
+        assert err.value.row == 4
+
     def test_empty_file(self, tmp_path, schema_labels):
         bad = tmp_path / "empty.csv"
         bad.write_text("respondent_id,task_id\n")

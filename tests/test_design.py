@@ -321,6 +321,22 @@ class TestDesignCsv:
         assert err.value.code == "bad_encoding"
         assert "row 5" in str(err.value)
 
+    @pytest.mark.parametrize("surplus", [True, False])
+    def test_row_of_the_wrong_width_names_row(self, tmp_path, schema_labels, design32,
+                                              surplus):
+        """A run with one field more or one less than the header is refused,
+        not read with the surplus dropped."""
+        path = tmp_path / "design.csv"
+        write_design_csv(block_design(design32, 4, seed=1), path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5] + ",x" if surplus else lines[5].rsplit(",", 1)[0]  # CSV row 6
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DesignError) as err:
+            read_design_csv(path, schema_labels)
+        assert err.value.code == "bad_csv"
+        assert err.value.row == 6
+        assert "(row 6)" in str(err.value)
+
     def test_blank_block_id_names_row(self, tmp_path, schema_labels, design32):
         """A blank block cell would otherwise make a block of its own."""
         path = tmp_path / "design.csv"

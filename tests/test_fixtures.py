@@ -140,6 +140,13 @@ class TestShippedFiles:
         r.save(path)
         assert_results_equal(EstimationResult.load(path), r)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        r = table4_mmnl()
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        r.save(plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert_results_equal(EstimationResult.load(bom), EstimationResult.load(plain))
+
     @pytest.mark.parametrize("field, value", [
         ("std_error", "abc"),
         ("p_value", "abc"),

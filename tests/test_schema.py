@@ -8,6 +8,7 @@ import pytest
 from dce import (
     AlternativeDef,
     AttributeDef,
+    EstimationResult,
     ExperimentSchema,
     Level,
     SchemaError,
@@ -162,6 +163,24 @@ class TestSerialization:
         schema_default.save(path)
         clone = ExperimentSchema.load(path)
         assert clone == schema_default
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, schema_labels):
+        """A schema saved by an editor that writes a UTF-8 BOM loads as
+        the same file without it."""
+        path = tmp_path / "schema.json"
+        schema_labels.save(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert ExperimentSchema.load(path) == schema_labels
+
+    @pytest.mark.parametrize("load, code", [(ExperimentSchema.load, "schema_json"),
+                                            (EstimationResult.load, "result_json")],
+                             ids=["schema", "result"])
+    def test_nesting_past_the_recursion_limit_is_typed(self, tmp_path, load, code):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert err.value.code == code
 
     def test_malformed_json(self, tmp_path, schema_default):
         path = tmp_path / "bad.json"
