@@ -262,11 +262,18 @@ class ElasticityEntry:
     note: str = ELASTICITY_NOTE
 
 
+def _check_price(price) -> None:
+    """A price is a finite positive number of yen; NaN fails both bounds."""
+    if not (0.0 < price < math.inf):
+        raise PostestError("bad_price", f"price must be finite and positive, got {price}")
+
+
 def own_cost_elasticity(result: EstimationResult, schema: ExperimentSchema,
                         mode: str, price: float,
                         probability: float) -> ElasticityEntry:
     """Own-price point elasticity slope * price * (1 - P) with the
     linearized cost utility. A computed extension, flagged in the entry."""
+    _check_price(price)
     if not (0.0 < probability < 1.0):
         raise PostestError("bad_probability",
                            f"baseline probability must be inside (0, 1), "
@@ -282,11 +289,13 @@ def elasticity_grid(slope: float, price0: float, prob0: float,
                     prices) -> list[tuple[float, float]]:
     """(price, probability) pairs along the linearized-cost logit curve
     anchored at (price0, prob0): only the own utility moves with price."""
+    _check_price(price0)
     if not (0.0 < prob0 < 1.0):
         raise PostestError("bad_probability",
                            "anchor probability must be inside (0, 1)")
     out = []
     for p in prices:
+        _check_price(p)
         shift = np.exp(slope * (float(p) - price0))
         prob = prob0 * shift / (1.0 - prob0 + prob0 * shift)
         out.append((float(p), float(prob)))

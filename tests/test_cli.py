@@ -203,6 +203,15 @@ class TestErrors:
         assert code == 2
         assert "bad_blocking" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "1e400", "-680", "0"])
+    def test_elasticity_price_outside_the_domain(self, workdir, capsys, price):
+        grid = workdir / "bad_price_grid.csv"
+        code = main(["postest", "elasticity", "--fixture", "table4", "--price", price,
+                     "--prob", "0.3", "--slope-mode", "drone", "--emit-grid", str(grid)])
+        assert code == 2
+        assert "bad_price" in capsys.readouterr().err
+        assert not grid.exists()
+
     def test_simulate_zero_respondents(self, pipeline, workdir, capsys):
         code = main(["simulate", "--design", str(pipeline["paths"]["design"]),
                      "--params", MMNL_FIXTURE, "--n", "0",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dce import (
     EstimationResult,
-    ExperimentSchema,
     SchemaError,
     builtin_fixture,
     builtin_schema,
@@ -21,8 +20,10 @@ from dce import (
     table4_mmnl,
     table4_mnl,
 )
+from dce.errors import read_json
 
 REPO = Path(__file__).resolve().parents[1]
+DATA = REPO / "src" / "dce" / "data"
 
 # every field of a mixed logit's result record, as a path of keys
 _RECORD = table4_mmnl().to_dict()
@@ -67,6 +68,7 @@ class TestPublishedNumbers:
         r = table4_mmnl()
         assert r.model == "mmnl"
         assert r.k_params == 40
+        assert r.ll_null == -4640.540
         assert r.ll_final == -3367.430
         assert r.estimate("sd:asc_drone") == 1.500
         assert r.estimate("sd:asc_truck") == 1.241
@@ -120,19 +122,25 @@ class TestRegistry:
 
 
 class TestShippedFiles:
-    def test_schema_files_match_builders(self):
-        for fname, builder in (
-                ("drone_delivery_japan.json", default_schema),
-                ("drone_delivery_japan_table4_labels.json",
-                 table4_labels_schema)):
-            on_disk = ExperimentSchema.load(REPO / "schemas" / fname)
-            assert on_disk.to_dict() == builder().to_dict(), fname
+    def test_one_copy_of_each_file(self, monkeypatch):
+        # the repo-root paths are links to the package data, not copies
+        linked = [*(REPO / "schemas").glob("*.json"), *(REPO / "fixtures").glob("*.json")]
+        assert sorted(p.name for p in linked) == sorted(p.name for p in DATA.iterdir())
+        for p in linked:
+            assert p.resolve() == (DATA / p.name).resolve(), p
+        # and every data file is what some builtin loads
+        opened = set()
 
-    def test_fixture_files_match_builders(self):
-        for fname, builder in (("table4_mnl.json", table4_mnl),
-                               ("table4_mmnl.json", table4_mmnl)):
-            on_disk = EstimationResult.load(REPO / "fixtures" / fname)
-            assert_results_equal(on_disk, builder())
+        def recording(path, code):
+            opened.add(Path(path).resolve())
+            return read_json(path, code)
+        monkeypatch.setattr("dce.schema.read_json", recording)
+        monkeypatch.setattr("dce.results.read_json", recording)
+        for name in ("drone_delivery_japan", "drone_delivery_japan_table4_labels"):
+            builtin_schema(name)
+        for name in ("table4", "table4-mmnl", "table4-mnl"):
+            builtin_fixture(name)
+        assert opened == {p.resolve() for p in DATA.iterdir()}
 
     def test_result_round_trip(self, tmp_path):
         r = table4_mmnl()
@@ -255,6 +263,8 @@ class TestSchemaVariants:
         truck_t = [l.label for l in t["delivery_cost_truck"].levels]
         assert moto_d == truck_t and truck_d == moto_t
         assert moto_d == ["1070", "870", "670", "470"]
+        assert truck_d == ["1180", "980", "780", "580"]
+        assert [l.value for l in t["delivery_cost_motorcycle"].levels] == [1180, 980, 780, 580]
         drone_d = [l.label for l in d["delivery_cost_drone"].levels]
         drone_t = [l.label for l in t["delivery_cost_drone"].levels]
         assert drone_d == drone_t

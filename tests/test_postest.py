@@ -279,6 +279,17 @@ class TestElasticity:
                 own_cost_elasticity(mmnl_fix, labels, "drone", 680.0, bad)
             assert err.value.code == "bad_probability"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -680.0, 0.0])
+    def test_price_domain(self, mmnl_fix, labels, bad):
+        # a price outside (0, inf) would give NaN grids or an elasticity of the wrong sign
+        slope = cost_slope(mmnl_fix, labels, "drone").slope
+        for call in (lambda: own_cost_elasticity(mmnl_fix, labels, "drone", bad, 1 / 3),
+                     lambda: elasticity_grid(slope, bad, 1 / 3, [680.0]),
+                     lambda: elasticity_grid(slope, 680.0, 1 / 3, [680.0, bad])):
+            with pytest.raises(PostestError) as err:
+                call()
+            assert err.value.code == "bad_price"
+
     def test_grid_follows_logit_curve(self, mmnl_fix, labels):
         slope = cost_slope(mmnl_fix, labels, "drone").slope
         p0, prob0 = 680.0, 1 / 3
