@@ -13,8 +13,8 @@ from .dataset import (ChoiceDataset, CodedPanel, Observation, RespondentRecord,
                       ScreeningReport, ScreeningRules, code_dataset,
                       ingest_choices, screen_responses, write_choices_csv)
 from .design import (BlockedDesign, DesignDiagnostics, Profile, block_design,
-                     design_diagnostics, read_design_csv, select_fraction,
-                     within_block_deviation, write_design_csv)
+                     read_design_csv, select_fraction, within_block_deviation,
+                     write_design_csv)
 from .errors import (DatasetError, DceError, DesignError, EstimationError,
                      PostestError, SchemaError, SimulationError)
 from .fixtures import (builtin_fixture, builtin_schema, default_schema,
@@ -51,7 +51,7 @@ __all__ = [
     "inv_normal_cdf", "normal_draws", "trust_newton_minimize",
     # design
     "Profile", "DesignDiagnostics", "BlockedDesign",
-    "select_fraction", "block_design", "design_diagnostics",
+    "select_fraction", "block_design",
     "within_block_deviation", "read_design_csv", "write_design_csv",
     # dataset
     "Observation", "RespondentRecord", "ChoiceDataset", "CodedPanel",

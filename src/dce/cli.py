@@ -23,7 +23,7 @@ from . import __version__
 from .dataset import code_dataset, ingest_choices, write_choices_csv
 from .design import (block_design, read_design_csv, select_fraction,
                      within_block_deviation, write_design_csv)
-from .errors import DceError
+from .errors import DceError, PostestError
 from .fixtures import builtin_fixture, builtin_schema
 from .mmnl import MixingSpec, estimate_mmnl
 from .mnl import estimate_mnl
@@ -31,7 +31,7 @@ from .numerics import HaltonConfig
 from .postest import (cost_slope, elasticity_grid, fit_stats,
                       own_cost_elasticity, render_wtp_table, wtp_report)
 from .results import EstimationResult, render_table
-from .schema import ExperimentSchema, build_parameter_index, validate_schema
+from .schema import ExperimentSchema, validate_schema
 from .simulate import SimConfig, simulate_dataset
 
 EXIT_OK = 0
@@ -205,8 +205,6 @@ def _cmd_estimate(args) -> int:
         mixing = MixingSpec(random_params=random_params,
                             halton=HaltonConfig(n_draws=args.draws, drop=args.drop),
                             antithetic=args.antithetic)
-        # surfaces unknown --random names before estimation starts
-        build_parameter_index(schema, random_params)
         result = estimate_mmnl(panel, mixing)
     result.run_id = manifest.run_id
     result.save(args.output)
@@ -260,6 +258,9 @@ def _cmd_postest_elasticity(args) -> int:
     schema = _schema_for_result(args, result)
     entry = own_cost_elasticity(result, schema, args.slope_mode,
                                 args.price, args.prob)
+    if args.emit_grid and not (0.0 < 0.5 * args.price and np.isfinite(1.5 * args.price)):
+        raise PostestError("bad_price", f"grid prices from 0.5 to 1.5 x {args.price} "
+                                        "must be finite and positive")
     print(f"own-cost elasticity, {entry.mode} at price {entry.price:g} "
           f"and P {entry.probability:.4f}: {entry.elasticity:.3f}")
     print(f"({entry.note})")

@@ -414,9 +414,10 @@ class CodedPanel:
         return float(-np.sum(np.log(self.task_sizes)))
 
     @classmethod
-    def from_dataset(cls, dataset: ChoiceDataset, index: ParameterIndex) -> "CodedPanel":
-        """Code ``dataset`` against ``index``, as the module docstring sets out."""
+    def from_dataset(cls, dataset: ChoiceDataset) -> "CodedPanel":
+        """Code ``dataset`` against its schema's index (see the module docstring)."""
         schema = dataset.schema
+        index = build_parameter_index(schema)
         if not dataset.respondents:
             raise DatasetError("empty_dataset", "dataset has no respondents")
         alt_ids = schema.alternative_ids()
@@ -518,6 +519,6 @@ class CodedPanel:
                    row_alternative=row_alternative)
 
 
-def code_dataset(dataset: ChoiceDataset, index: ParameterIndex | None = None) -> CodedPanel:
-    """Code a dataset against a parameter index (defaults to the schema's)."""
-    return CodedPanel.from_dataset(dataset, index or build_parameter_index(dataset.schema))
+def code_dataset(dataset: ChoiceDataset) -> CodedPanel:
+    """Code a dataset against its schema's parameter index."""
+    return CodedPanel.from_dataset(dataset)

@@ -32,6 +32,7 @@ import csv
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "BlockedDesign",
     "select_fraction",
     "block_design",
-    "design_diagnostics",
     "within_block_deviation",
     "write_design_csv",
     "read_design_csv",
@@ -77,7 +77,6 @@ class BlockedDesign:
     runs: tuple[Profile, ...]
     blocks: tuple[tuple[int, ...], ...]
     seed: int | None
-    diagnostics: DesignDiagnostics
 
     def __post_init__(self):
         seen = [i for b in self.blocks for i in b]
@@ -91,6 +90,13 @@ class BlockedDesign:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def diagnostics(self) -> DesignDiagnostics:
+        """Balance, orthogonality and d-efficiency of the runs, computed once."""
+        if not self.runs:
+            raise DesignError("empty_design", "design has no runs")
+        return _diagnostics(_assignment_matrix(self), _slots(self.schema))
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +143,11 @@ def _coded_matrix(A: np.ndarray, slots) -> tuple[np.ndarray, list[tuple[int, int
 
 
 def _d_efficiency(X: np.ndarray) -> tuple[float, bool]:
+    """d-efficiency, and whether X'X is singular: always with fewer runs than
+    columns, where slogdet can round to a tiny positive determinant."""
     n, k = X.shape
     sign, logdet = np.linalg.slogdet(X.T @ X / n)
-    if sign <= 0 or not np.isfinite(logdet):
+    if n < k or sign <= 0 or not np.isfinite(logdet):
         return 0.0, True
     return float(np.exp(logdet / k)), False
 
@@ -156,12 +164,6 @@ def _max_cross_correlation(X: np.ndarray, ranges) -> float:
     for a, b in ranges:
         mask[a:b, a:b] = False
     return float(np.max(np.abs(C[mask]))) if mask.any() else 0.0
-
-
-def design_diagnostics(design: BlockedDesign) -> DesignDiagnostics:
-    if design.n_runs == 0:
-        raise DesignError("empty_design", "design has no runs")
-    return _diagnostics(_assignment_matrix(design), _slots(design.schema))
 
 
 def _diagnostics(A: np.ndarray, slots) -> DesignDiagnostics:
@@ -423,6 +425,10 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
     decision, and hence the design and its d-efficiency, is the same as
     comparing every proposal.
     """
+    if iters < 0:
+        raise DesignError("bad_iteration_count", f"iters must be >= 0, got {iters}")
+    if restarts < 1:
+        raise DesignError("bad_restart_count", f"restarts must be >= 1, got {restarts}")
     slots = _slots(schema)
     if not slots:
         raise DesignError("empty_design", "schema has no design attributes")
@@ -437,7 +443,6 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
                           f"{_slot_name(alt_id, attr)}; balance will be approximate",
                           stacklevel=2)
 
-    iters = max(iters, 0)
     best: tuple[float, int, np.ndarray] | None = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
@@ -455,8 +460,7 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
             best = (d_cur, restart, A.copy())
 
     return BlockedDesign(schema=schema, runs=_profiles_from_assignment(best[2], slots),
-                         blocks=(tuple(range(n_runs)),), seed=seed,
-                         diagnostics=_diagnostics(best[2], slots))
+                         blocks=(tuple(range(n_runs)),), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +481,8 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesi
     cross-block pair swaps to a local minimum; the lowest-objective restart
     wins, ties to the lowest restart index. Deterministic given seed."""
     n = design.n_runs
+    if n_blocks < 1:
+        raise DesignError("bad_block_count", f"n_blocks must be >= 1, got {n_blocks}")
     if n % n_blocks:
         raise DesignError("non_divisible", f"{n_blocks} blocks must divide {n} runs")
     A = _assignment_matrix(design)
@@ -490,8 +496,7 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesi
 
     blocks = tuple(tuple(int(i) for i in np.flatnonzero(best[1] == b))
                    for b in range(n_blocks))
-    return BlockedDesign(schema=design.schema, runs=design.runs, blocks=blocks,
-                         seed=seed, diagnostics=design.diagnostics)
+    return BlockedDesign(schema=design.schema, runs=design.runs, blocks=blocks, seed=seed)
 
 
 def _block_once(A: np.ndarray, n_blocks: int, size: int, rng) -> tuple[np.ndarray, int]:
@@ -584,4 +589,4 @@ def read_design_csv(path: str | Path, schema: ExperimentSchema) -> BlockedDesign
     blocks = tuple(tuple(i for i, k in enumerate(block_keys) if k == key)
                    for key in unique)
     return BlockedDesign(schema=schema, runs=_profiles_from_assignment(A, slots),
-                         blocks=blocks, seed=None, diagnostics=_diagnostics(A, slots))
+                         blocks=blocks, seed=None)

@@ -51,16 +51,14 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     """
     m = mixing.n_random
     cfg = mixing.halton
-    if m == 0:
-        return np.zeros((n_individuals, cfg.n_draws, 0))
     if mixing.antithetic:
         half = replace(cfg, n_draws=cfg.n_draws // 2)
-        z = normal_draws(half, n_individuals)
+        z = normal_draws(half, n_individuals, m)
         out = np.empty((n_individuals, cfg.n_draws, m))
         out[:, 0::2, :] = z
         out[:, 1::2, :] = -z
         return out
-    return normal_draws(cfg, n_individuals)
+    return normal_draws(cfg, n_individuals, m)
 
 
 def _work(panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray | None) -> _MslWork:
@@ -103,10 +101,6 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec) -> EstimationResult:
         raise EstimationError("no_random_params",
                               "a mixed logit needs at least one random parameter")
     index = build_parameter_index(panel.schema, mixing.random_params)
-    if index.names()[:panel.X.shape[1]] != panel.index.names():
-        raise EstimationError("parameter_mismatch",
-                              "panel was coded against a different index")
-
     work = _work(panel, mixing, None)
     start = np.concatenate([estimate_mnl(panel).params, np.full(mixing.n_random, 0.5)])
     result, trace_ll = _fit(panel, work, index, start)

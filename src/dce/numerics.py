@@ -7,13 +7,14 @@ result stores it and the result JSON round-trips it.
 the subproblem solved by Moré–Sorensen; both estimators use it.
 
 Everything in this module is deterministic given its inputs; nothing reads
-global RNG state. It needs only numpy and the standard library's ``math``.
+global RNG state. It needs only numpy and the standard library.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,22 +40,14 @@ __all__ = [
 class HaltonConfig:
     """Low-discrepancy draw settings.
 
-    primes: one base per mixing dimension, in order; pairwise coprime, so
-        that the dimensions' sequences do not correlate.
     drop: leading sequence points discarded once, ahead of every individual's slice.
     n_draws: points per individual per dimension.
     """
 
-    primes: tuple[int, ...] = (2, 3)
     drop: int = 10
     n_draws: int = 500
 
     def __post_init__(self):
-        if len(self.primes) == 0 or min(self.primes) < 2 or any(
-                math.gcd(a, b) != 1
-                for i, a in enumerate(self.primes) for b in self.primes[i + 1:]):
-            raise EstimationError(
-                "bad_primes", f"primes must be pairwise coprime bases >= 2, got {self.primes}")
         if self.drop < 0:
             raise EstimationError("bad_drop", f"drop must be >= 0, got {self.drop}")
         if self.n_draws < 1:
@@ -62,13 +55,18 @@ class HaltonConfig:
                                   f"n_draws must be >= 1, got {self.n_draws}")
 
 
+def _first_primes(n: int) -> tuple[int, ...]:
+    """The first ``n`` primes: dimension d of the draws has the d-th prime
+    as its base (Train, Discrete Choice Methods with Simulation,
+    2nd ed., 9.3.3), so no two dimensions' sequences correlate."""
+    return tuple(itertools.islice(
+        (k for k in itertools.count(2) if all(k % d for d in range(2, k))), n))
+
+
 @dataclass(frozen=True)
 class MixingSpec:
-    """Which coefficients are random, and how their draws are generated.
-
-    A spec with random parameters keeps only the first ``n_random`` of the
-    Halton bases it is given, one per random parameter.
-    """
+    """Which coefficients are random, and how their draws are generated:
+    random parameter d draws in the d-th prime base, ``primes[d - 1]``."""
 
     random_params: tuple[str, ...] = ("asc_drone", "asc_truck")
     halton: HaltonConfig = field(default_factory=HaltonConfig)
@@ -76,18 +74,9 @@ class MixingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "random_params", tuple(self.random_params))
-        m = len(self.random_params)
-        if len(set(self.random_params)) != m:
+        if len(set(self.random_params)) != len(self.random_params):
             raise EstimationError("duplicate_random_param",
                                   "random_params contains duplicates")
-        if m > len(self.halton.primes):
-            raise EstimationError(
-                "too_few_primes",
-                f"{m} random parameters need {m} Halton bases, "
-                f"got {len(self.halton.primes)}")
-        if m:
-            object.__setattr__(self, "halton",
-                               replace(self.halton, primes=self.halton.primes[:m]))
         if self.antithetic and self.halton.n_draws % 2:
             raise EstimationError("odd_draw_count",
                                   "antithetic pairing needs an even n_draws")
@@ -99,6 +88,10 @@ class MixingSpec:
     @property
     def n_draws(self) -> int:
         return self.halton.n_draws
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return _first_primes(self.n_random)
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -114,11 +107,12 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def halton_matrix(config: HaltonConfig, n_individuals: int) -> np.ndarray:
+def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
     """Uniform draws shaped (n_individuals, n_draws, n_dims).
 
-    A single global sequence per dimension; individual ``i`` takes the
-    contiguous index slice ``[drop + i*n_draws + 1, drop + (i+1)*n_draws]``.
+    A single global sequence per dimension, dimension d in the d-th prime
+    base; individual ``i`` takes the contiguous index slice
+    ``[drop + i*n_draws + 1, drop + (i+1)*n_draws]``.
     Growing the individual count therefore never changes earlier
     individuals' draws.
     """
@@ -126,14 +120,15 @@ def halton_matrix(config: HaltonConfig, n_individuals: int) -> np.ndarray:
         raise ValueError("n_individuals must be >= 0")
     total = n_individuals * config.n_draws
     idx = config.drop + 1 + np.arange(total)
-    dims = [_radical_inverse(idx, p) for p in config.primes]
-    stacked = np.stack(dims, axis=-1)  # (total, n_dims)
-    return stacked.reshape(n_individuals, config.n_draws, len(config.primes))
+    out = np.empty((total, n_dims))
+    for d, p in enumerate(_first_primes(n_dims)):
+        out[:, d] = _radical_inverse(idx, p)
+    return out.reshape(n_individuals, config.n_draws, n_dims)
 
 
-def normal_draws(config: HaltonConfig, n_individuals: int) -> np.ndarray:
+def normal_draws(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
     """Standard-normal draws (n_individuals, n_draws, n_dims) via the inverse CDF."""
-    return inv_normal_cdf(halton_matrix(config, n_individuals))
+    return inv_normal_cdf(halton_matrix(config, n_individuals, n_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ class EstimationResult:
                 "random_params": list(self.mixing.random_params),
                 "sds": sds,
                 "n_draws": halton.n_draws,
-                "primes": list(halton.primes),
+                "primes": list(self.mixing.primes),
                 "drop": halton.drop,
                 "antithetic": self.mixing.antithetic,
             }
@@ -225,12 +225,14 @@ class EstimationResult:
                 mixing = MixingSpec(
                     random_params=rps,
                     halton=HaltonConfig(
-                        primes=tuple(_field(p, "integer", "prime")
-                                     for p in _field(mix["primes"], "array", "primes")),
                         drop=_field(mix["drop"], "integer", "drop"),
                         n_draws=_field(mix["n_draws"], "integer", "n_draws")),
                     antithetic=_field(mix.get("antithetic", False), "boolean", "antithetic"),
                 )
+                primes = _field(mix["primes"], "array", "primes")
+                if [_field(p, "integer", "prime") for p in primes] != list(mixing.primes):
+                    raise SchemaError("result_json", f"Halton bases {primes} are not the "
+                                                     f"first {mixing.n_random} primes")
             return cls(
                 index=index,
                 params=params,

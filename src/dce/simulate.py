@@ -165,7 +165,7 @@ def simulate_dataset(cfg: SimConfig) -> ChoiceDataset:
     coded = CodedPanel.from_dataset(ChoiceDataset(schema, tuple(
         RespondentRecord(str(t), dict(profile),
                          tuple(observation(r, "", alt_ids[0]) for r in cfg.design.blocks[block]))
-        for t, (profile, block) in enumerate(pairs))), index)
+        for t, (profile, block) in enumerate(pairs))))
     # (task, alternative, column) per pair. Products stacked by task are one
     # product per task, so each utility's bits do not depend on the block size
     rows = coded.X.reshape(-1, len(alt_ids), k)

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dce import (build_parameter_index, code_dataset, default_schema,
-                 ingest_choices, table4_labels_schema, write_choices_csv)
+from dce import (code_dataset, default_schema, ingest_choices, table4_labels_schema,
+                 write_choices_csv)
 
 from helpers import simulated_panel, small_labels_design
 
@@ -56,7 +56,7 @@ def ragged_panel(panel50, tmp_path_factory):
     path = tmp_path_factory.mktemp("ragged") / "choices.csv"
     write_choices_csv(replace(dataset, respondents=respondents), path)
     ingested = ingest_choices(path, dataset.schema)
-    panel = code_dataset(ingested, build_parameter_index(dataset.schema))
+    panel = code_dataset(ingested)
     assert np.bincount(panel.task_respondent)[0] == 6
     assert sorted(set(panel.task_sizes)) == [2, 3]
     return {"dataset": ingested, "panel": panel, "truth": panel50["truth"]}

@@ -77,7 +77,7 @@ def select_fraction_oracle(schema, n_runs: int, seed: int, iters: int = 5000,
     (slot, run, run) in turn, swaps, and keeps the swap only if d-efficiency
     computed from the whole coded matrix rises."""
     from dce.design import (BlockedDesign, _balanced_levels, _coded_matrix, _d_efficiency,
-                            _diagnostics, _oa_init, _profiles_from_assignment, _slots)
+                            _oa_init, _profiles_from_assignment, _slots)
 
     slots = _slots(schema)
     best = None
@@ -109,8 +109,7 @@ def select_fraction_oracle(schema, n_runs: int, seed: int, iters: int = 5000,
             best = (d_cur, restart, A.copy())
 
     return BlockedDesign(schema=schema, runs=_profiles_from_assignment(best[2], slots),
-                         blocks=(tuple(range(n_runs)),), seed=seed,
-                         diagnostics=_diagnostics(best[2], slots))
+                         blocks=(tuple(range(n_runs)),), seed=seed)
 
 
 def small_labels_design(n_runs: int = 32, n_blocks: int = 4, seed: int = 3):
@@ -142,7 +141,7 @@ def simulated_panel(design, n_respondents: int, seed: int,
     cfg = SimConfig(schema=schema, design=design, true_params=truth,
                     mixing=mixing, n_respondents=n_respondents, seed=seed)
     dataset = simulate_dataset(cfg)
-    panel = code_dataset(dataset, build_parameter_index(schema))
+    panel = code_dataset(dataset)
     return cfg, dataset, panel, truth
 
 

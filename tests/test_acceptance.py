@@ -21,10 +21,8 @@ from dce import (
     MixingSpec,
     SimConfig,
     block_design,
-    build_parameter_index,
     code_dataset,
     default_schema,
-    design_diagnostics,
     estimate_mnl,
     fit_stats,
     lr_test,
@@ -244,7 +242,7 @@ def test_criterion_07_parameter_recovery(design32, schema_labels):
 def test_criterion_08_small_instance_closed_form():
     t0 = time.perf_counter()
     dataset = binary_asc_dataset(75, 25)
-    panel = code_dataset(dataset, build_parameter_index(binary_asc_schema()))
+    panel = code_dataset(dataset)
     result = estimate_mnl(panel)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -260,7 +258,7 @@ def test_criterion_09_design_quality():
     t0 = time.perf_counter()
     design = select_fraction(default_schema(), 64, seed=7, iters=2000)
     design = block_design(design, 8, seed=7)
-    diag = design_diagnostics(design)
+    diag = design.diagnostics
     dev = within_block_deviation(design)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -295,7 +293,7 @@ def test_criterion_10_simulation_convergence(design32, schema_labels):
     probe = simulate_dataset(SimConfig(
         schema=schema_labels, design=design32, true_params=truth,
         n_respondents=4, seed=0, demographic_weights=fixed_demo))
-    panel = code_dataset(probe, build_parameter_index(schema_labels))
+    panel = code_dataset(probe)
     assert panel.n_tasks == 32
     p_runs = [mnl_probabilities(truth,
                                 panel.X[panel.task_ptr[t]:panel.task_ptr[t + 1]])

@@ -6,12 +6,13 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from dce import (EstimationResult, ExperimentSchema, design_diagnostics, read_design_csv,
-                 within_block_deviation, write_choices_csv)
+from dce import (EstimationResult, ExperimentSchema, read_design_csv, within_block_deviation,
+                 write_choices_csv)
 from dce.cli import main
 
 from helpers import simulated_panel
@@ -78,7 +79,7 @@ class TestPipeline:
         assert str(pipeline["paths"]["design"]) in m["outputs"]
         design = read_design_csv(pipeline["paths"]["design"],
                                  ExperimentSchema.load(LABELS_SCHEMA))
-        diag = design_diagnostics(design)
+        diag = design.diagnostics
         assert m["diagnostics"] == {
             "d_efficiency": diag.d_efficiency,
             "max_abs_column_correlation": diag.max_abs_column_correlation,
@@ -99,6 +100,20 @@ class TestPipeline:
         assert r.ll_final > r.ll_null
         assert r.status == "gradient_converged"
         assert r.run_id == manifest_of(pipeline["paths"]["mnl"])["run_id"]
+
+    def test_three_random_coefficients(self, workdir):
+        # README's design and choices; the third coefficient draws in base 5
+        design, choices, out = (workdir / n for n in ("d64.csv", "c200.csv", "mmnl3.json"))
+        assert main(["design", "--schema", LABELS_SCHEMA, "--runs", "64", "--blocks", "8",
+                     "--seed", "7", "-o", str(design)]) == 0
+        assert main(["simulate", "--design", str(design), "--params", MMNL_FIXTURE,
+                     "--n", "200", "--seed", "11", "-o", str(choices)]) == 0
+        assert main(["estimate", "mmnl", "--data", str(choices), "--schema", LABELS_SCHEMA,
+                     "--random", "asc_drone,asc_truck,social_influence:neighbor_30",
+                     "--draws", "100", "-o", str(out)]) == 0
+        mixing = json.loads(out.read_text())["mixing"]
+        assert mixing["primes"] == [2, 3, 5]
+        assert EstimationResult.load(out).mixing.primes == (2, 3, 5)
 
     def test_mmnl_result_file(self, pipeline):
         r = EstimationResult.load(pipeline["paths"]["mmnl"])
@@ -203,13 +218,25 @@ class TestErrors:
         assert code == 2
         assert "bad_blocking" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("price", ["nan", "inf", "1e400", "-680", "0"])
-    def test_elasticity_price_outside_the_domain(self, workdir, capsys, price):
-        grid = workdir / "bad_price_grid.csv"
-        code = main(["postest", "elasticity", "--fixture", "table4", "--price", price,
-                     "--prob", "0.3", "--slope-mode", "drone", "--emit-grid", str(grid)])
+    def test_negative_iters(self, workdir, capsys):
+        code = main(["design", "--schema", LABELS_SCHEMA, "--runs", "32",
+                     "--blocks", "4", "--iters", "-5", "-o", str(workdir / "x.csv")])
         assert code == 2
-        assert "bad_price" in capsys.readouterr().err
+        assert "bad_iteration_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "1e400", "-680", "0", "1.7e308", "5e-324"])
+    def test_elasticity_price_outside_the_domain(self, workdir, capsys, price):
+        # 1.7e308 and 5e-324 are positive floats, but the grid's top price
+        # 1.5 x 1.7e308 overflows and its bottom price 0.5 x 5e-324 rounds to 0
+        grid = workdir / "bad_price_grid.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["postest", "elasticity", "--fixture", "table4", "--price", price,
+                         "--prob", "0.3", "--slope-mode", "drone", "--emit-grid", str(grid)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad_price" in err and str(float(price)) in err
         assert not grid.exists()
 
     def test_simulate_zero_respondents(self, pipeline, workdir, capsys):

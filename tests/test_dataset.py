@@ -11,7 +11,6 @@ from dce import (
     Observation,
     RespondentRecord,
     ScreeningRules,
-    build_parameter_index,
     code_dataset,
     effects_code,
     ingest_choices,
@@ -321,7 +320,7 @@ class TestCoding:
         else:
             every = 1 if fixture == "copies" else 2
             dataset = with_copied_records(panel50["dataset"], lambda i: i % every == 0)
-            panel = code_dataset(dataset, panel50["panel"].index)
+            panel = code_dataset(dataset)
             np.testing.assert_array_equal(panel.X, panel50["panel"].X)
         shared = {id(o) for r in dataset.respondents for o in r.observations}
         n_tasks = sum(r.n_tasks for r in dataset.respondents)

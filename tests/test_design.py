@@ -14,7 +14,6 @@ from dce import (
     DesignError,
     block_design,
     default_schema,
-    design_diagnostics,
     read_design_csv,
     select_fraction,
     table4_labels_schema,
@@ -58,10 +57,12 @@ class TestSelectFraction:
                                  restarts=1)
         assert max(design.diagnostics.level_balance.values()) <= 1.0
 
-    def test_negative_iters_search_nothing(self, schema_default):
-        none = select_fraction(schema_default, 32, seed=5, iters=0, restarts=2)
-        negative = select_fraction(schema_default, 32, seed=5, iters=-3, restarts=2)
-        assert negative.runs == none.runs
+    @pytest.mark.parametrize("iters, restarts, code", [
+        (-3, 2, "bad_iteration_count"), (10, 0, "bad_restart_count")])
+    def test_bad_search_settings_are_typed(self, schema_default, iters, restarts, code):
+        with pytest.raises(DesignError) as err:
+            select_fraction(schema_default, 32, seed=5, iters=iters, restarts=restarts)
+        assert err.value.code == code
 
     def test_linear_slots_code_their_values(self):
         """Diagnostics of a design with linear slots use the level values."""
@@ -73,7 +74,6 @@ class TestSelectFraction:
                        value["wait"][run.alt_levels["b"]["wait"]]] for run in design.runs])
         want = np.linalg.det(X.T @ X / 6) ** (1 / 3)
         assert design.diagnostics.d_efficiency == pytest.approx(want, rel=1e-12)
-        assert design_diagnostics(design) == design.diagnostics
 
     # (schema, n_runs, seed, iters, restarts) -> (assignment digest, exact
     # d_efficiency), frozen from the per-proposal search before the screen:
@@ -171,6 +171,21 @@ class TestSelectFraction:
         assert err.value.code == "infeasible"
 
 
+class TestDiagnostics:
+    def test_follow_the_runs(self, design32):
+        # a design's diagnostics are those of its own runs: its first 16
+        # runs cannot identify the labels schema's coded columns
+        head = replace(design32, runs=design32.runs[:16], blocks=(tuple(range(16)),))
+        assert not design32.diagnostics.singular
+        assert head.diagnostics.singular
+        assert head.diagnostics.d_efficiency == 0.0
+
+    def test_no_runs_is_typed(self, design32):
+        with pytest.raises(DesignError) as err:
+            replace(design32, runs=(), blocks=()).diagnostics
+        assert err.value.code == "empty_design"
+
+
 class TestBlocking:
     def test_blocks_partition_runs(self, schema_default):
         design = select_fraction(schema_default, 32, seed=5, iters=200,
@@ -191,6 +206,11 @@ class TestBlocking:
         with pytest.raises(DesignError) as err:
             block_design(design, 3, seed=0)
         assert err.value.code == "non_divisible"
+
+    def test_zero_blocks_are_typed(self, design32):
+        with pytest.raises(DesignError) as err:
+            block_design(design32, 0, seed=0)
+        assert err.value.code == "bad_block_count"
 
     def test_deterministic(self, schema_default):
         design = select_fraction(schema_default, 32, seed=5, iters=100,
@@ -260,10 +280,8 @@ class TestDesignCsv:
         clone = read_design_csv(path, schema_labels)
         assert clone.runs == blocked.runs
         assert clone.blocks == blocked.blocks
-        d0 = design_diagnostics(blocked)
-        d1 = design_diagnostics(clone)
-        assert d1.d_efficiency == pytest.approx(d0.d_efficiency, abs=1e-12)
-        assert clone.diagnostics == design_diagnostics(clone) == d1
+        assert clone.diagnostics.d_efficiency == pytest.approx(
+            blocked.diagnostics.d_efficiency, abs=1e-12)
 
     def test_write_is_byte_deterministic(self, tmp_path, design32):
         blocked = block_design(design32, 4, seed=1)

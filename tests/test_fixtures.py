@@ -177,6 +177,9 @@ class TestShippedFiles:
         ("std_error", float("inf")),
         ("fit", {"ll_null": float("-inf")}),
         ("fit", {"ll_final": float("nan")}),
+        # Halton bases are the first primes, one per random parameter
+        ("mixing", {"primes": [3, 5]}),
+        ("mixing", {"primes": [2, 3, 5]}),
     ])
     def test_malformed_result_record_is_typed(self, field, value):
         d = table4_mmnl().to_dict()

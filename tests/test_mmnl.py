@@ -18,6 +18,7 @@ from dce import (
     code_dataset,
     estimate_mmnl,
     estimate_mnl,
+    inv_normal_cdf,
     lr_test,
     make_draws,
     mnl_loglik,
@@ -65,24 +66,26 @@ class TestMixingSpec:
         assert err.value.code == "duplicate_random_param"
 
         with pytest.raises(EstimationError) as err:
-            MixingSpec(random_params=("a", "b", "c"),
-                       halton=HaltonConfig(primes=(2, 3)))
-        assert err.value.code == "too_few_primes"
-
-        with pytest.raises(EstimationError) as err:
             MixingSpec(antithetic=True,
                        halton=HaltonConfig(n_draws=501))
         assert err.value.code == "odd_draw_count"
 
-    def test_keeps_one_base_per_random_param(self):
-        spec = MixingSpec(random_params=("asc_drone",), halton=HaltonConfig(primes=(2, 3, 5)))
-        assert spec == MixingSpec(random_params=("asc_drone",),
-                                  halton=HaltonConfig(primes=(2,)))
-        assert MixingSpec(random_params=()).halton.primes == (2, 3)
-
     def test_make_draws_shape(self):
         z = make_draws(small_mixing(n_draws=40), 7)
         assert z.shape == (7, 40, 2)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_a_third_random_param_draws_in_base_5(self, antithetic):
+        three = MixingSpec(random_params=(*ASC_MIX, "social_influence:neighbor_30"),
+                           halton=HaltonConfig(n_draws=40), antithetic=antithetic)
+        assert three.primes == (2, 3, 5)
+        z = make_draws(three, 7)
+        assert z.shape == (7, 40, 3)
+        # the first two columns are the two-parameter draws, bit for bit
+        np.testing.assert_array_equal(z[:, :, :2],
+                                      make_draws(small_mixing(40, 10, antithetic), 7))
+        # past drop=10 the first point is index 11, "21" in base 5: 1/5 + 2/25
+        assert z[0, 0, 2] == pytest.approx(inv_normal_cdf(7 / 25), abs=1e-15)
 
     def test_antithetic_pairs(self):
         z = make_draws(small_mixing(n_draws=40, antithetic=True), 3)
@@ -113,8 +116,7 @@ class TestDegeneracyOracle:
         # zero, so any sd leaves the likelihood at its no-mixing value
         cfg, dataset, panel, truth = simulated_panel(design32, 1, seed=2)
         mixing = MixingSpec(random_params=("asc_drone",),
-                            halton=HaltonConfig(primes=(2,), n_draws=1,
-                                                drop=0))
+                            halton=HaltonConfig(n_draws=1, drop=0))
         params = np.concatenate([truth, [2.0]])
         assert msl_loglik(params, panel, mixing) == pytest.approx(
             mnl_loglik(truth, panel), abs=1e-12)
@@ -190,8 +192,7 @@ class TestInvariances:
         z = make_draws(mixing, panel.n_respondents)
         x = np.concatenate([ragged_panel["truth"], [1.2, 0.8]])
         shuffled = code_dataset(
-            replace(dataset, respondents=tuple(dataset.respondents[i] for i in order)),
-            panel.index)
+            replace(dataset, respondents=tuple(dataset.respondents[i] for i in order)))
         assert msl_loglik(x, shuffled, mixing, draws=z[order]) == pytest.approx(
             msl_loglik(x, panel, mixing, draws=z), rel=1e-12, abs=0)
 
@@ -205,7 +206,7 @@ class TestInvariances:
         dataset, panel = ragged_panel["dataset"], ragged_panel["panel"]
         mixing = small_mixing(n_draws=128)
         x = np.concatenate([ragged_panel["truth"], [1.2, 0.8]])
-        head, tail = (code_dataset(replace(dataset, respondents=part), panel.index)
+        head, tail = (code_dataset(replace(dataset, respondents=part))
                       for part in (dataset.respondents[:n], dataset.respondents[n:]))
         later = make_draws(mixing, panel.n_respondents)[n:]
         assert msl_loglik(x, head, mixing) + msl_loglik(x, tail, mixing, draws=later) \
@@ -405,8 +406,8 @@ class TestEstimation:
     def test_index_names_panel_mismatch(self, panel50):
         panel = panel50["panel"]
         other = small_mixing()
-        # the panel's index has no sd entries; estimate_mmnl builds its own
-        # and cross-checks the fixed part, so a doctored panel index fails
+        # the panel's index has no sd entries; estimate_mmnl builds its own,
+        # whose fixed part is the panel's
         res_index = build_parameter_index(panel.schema, ASC_MIX)
         assert list(res_index.names()[:38]) == list(panel.index.names())
 

@@ -1,7 +1,9 @@
 """Halton sequences, inverse normal CDF, trust-region Newton, and the
 finite-difference oracles in ``helpers``."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,9 +51,24 @@ UNIT = st.floats(min_value=1e-12, max_value=1 - 1e-12)
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 def halton(n_points, base, drop=0):
-    """One individual's draws in one base: the sequence from index drop + 1."""
-    return halton_matrix(HaltonConfig(primes=(base,), drop=drop, n_draws=n_points), 1)[0, :, 0]
+    """One individual's draws in one base: the sequence from index drop + 1,
+    read from the dimension whose base it is."""
+    d = PRIMES.index(base)
+    return halton_matrix(HaltonConfig(drop=drop, n_draws=n_points), 1, d + 1)[0, :, d]
+
+
+def radical_inverse(i, base):
+    """Exact base-b radical inverse of the integer i."""
+    out, scale = Fraction(0), Fraction(1)
+    while i:
+        i, digit = divmod(i, base)
+        scale /= base
+        out += digit * scale
+    return out
 
 
 class TestHalton:
@@ -73,18 +90,9 @@ class TestHalton:
             u = halton(200, base)
             assert np.all(u > 0) and np.all(u < 1)
 
-    def test_invalid_base(self):
-        with pytest.raises(EstimationError) as err:
-            halton(4, 1)
-        assert err.value.code == "bad_primes"
-
     @pytest.mark.parametrize("kwargs, code", [
         ({"n_draws": 0}, "bad_draw_count"),
         ({"drop": -1}, "bad_drop"),
-        ({"primes": ()}, "bad_primes"),
-        ({"primes": (2, 2)}, "bad_primes"),
-        ({"primes": (2, 1)}, "bad_primes"),
-        ({"primes": (2, 4)}, "bad_primes"),
     ])
     def test_config_errors_are_typed(self, kwargs, code):
         with pytest.raises(EstimationError) as err:
@@ -93,22 +101,36 @@ class TestHalton:
 
     def test_matrix_slices_one_stream_per_individual(self):
         # individual i takes global indices drop + [i*D+1 .. (i+1)*D]
-        cfg = HaltonConfig(primes=(2,), drop=0, n_draws=2)
-        u = halton_matrix(cfg, 2)
+        cfg = HaltonConfig(drop=0, n_draws=2)
+        u = halton_matrix(cfg, 2, 1)
         assert u.shape == (2, 2, 1)
         np.testing.assert_array_equal(u[0, :, 0], [0.5, 0.25])
         np.testing.assert_array_equal(u[1, :, 0], [0.75, 0.125])
 
     def test_matrix_drop_shifts_indices(self):
-        cfg = HaltonConfig(primes=(2,), drop=10, n_draws=3)
-        u = halton_matrix(cfg, 1)
+        cfg = HaltonConfig(drop=10, n_draws=3)
+        u = halton_matrix(cfg, 1, 1)
         np.testing.assert_array_equal(u[0, :, 0], halton(13, 2)[10:])
 
     def test_matrix_dimensions_follow_primes(self):
-        cfg = HaltonConfig(primes=(2, 3), drop=4, n_draws=5)
-        u = halton_matrix(cfg, 3)
-        assert u.shape == (3, 5, 2)
-        np.testing.assert_array_equal(u[:, :, 1].ravel(), halton(15, 3, drop=4))
+        # dimension d is the sequence in the d-th prime, whatever the count
+        u = halton_matrix(HaltonConfig(drop=4, n_draws=5), 3, len(PRIMES))
+        assert u.shape == (3, 5, len(PRIMES))
+        for d, base in enumerate(PRIMES):
+            want = [radical_inverse(i, base) for i in range(5, 20)]
+            np.testing.assert_allclose(u[:, :, d].ravel(), [float(w) for w in want],
+                                       rtol=0, atol=1e-15)
+        # a dimension's draws do not depend on how many dimensions follow
+        np.testing.assert_array_equal(halton_matrix(HaltonConfig(drop=4, n_draws=5), 3, 2),
+                                      u[:, :, :2])
+
+    @pytest.mark.parametrize("n_dims, digest", [(1, "dce061104cb11be9"),
+                                                (2, "b2a67d37fbde1da1")])
+    def test_one_and_two_dimensions_keep_their_bits(self, n_dims, digest):
+        # frozen from the draws in bases (2,) and (2, 3) before the bases
+        # were derived from the dimension count
+        z = normal_draws(HaltonConfig(drop=10, n_draws=500), 20, n_dims)
+        assert hashlib.sha256(z.tobytes()).hexdigest()[:16] == digest
 
 
 class TestInverseNormalCdf:
@@ -159,8 +181,8 @@ class TestInverseNormalCdf:
                 inv_normal_cdf(bad)
 
     def test_normal_draws_single_is_median(self):
-        cfg = HaltonConfig(primes=(2,), drop=0, n_draws=1)
-        z = normal_draws(cfg, 1)
+        cfg = HaltonConfig(drop=0, n_draws=1)
+        z = normal_draws(cfg, 1, 1)
         assert z.shape == (1, 1, 1)
         assert z[0, 0, 0] == 0.0
 

@@ -12,7 +12,6 @@ from dce import (
     MixingSpec,
     SimConfig,
     SimulationError,
-    build_parameter_index,
     code_dataset,
     mnl_probabilities,
     recovery_experiment,
@@ -76,7 +75,7 @@ class TestDeterminism:
         assignment."""
         cfg = replace(mixed_panel40["cfg"], block_assignment=assignment)
         dataset = simulate_dataset(cfg)
-        panel = code_dataset(dataset, build_parameter_index(cfg.schema))
+        panel = code_dataset(dataset)
         assert digests(dataset, panel) == (dataset_digest, panel_digest)
 
     def test_different_seed_differs(self, design32, panel50):
@@ -175,8 +174,7 @@ class TestChoiceLaw:
                         true_params=truth, n_respondents=2000, seed=17,
                         demographic_weights=degenerate_weights(schema_labels))
         dataset = simulate_dataset(cfg)
-        panel = code_dataset(dataset,
-                             build_parameter_index(schema_labels))
+        panel = code_dataset(dataset)
         alt_order = [a.id for a in schema_labels.alternatives]
         p_all = []
         for t in range(panel.n_tasks):
