@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import _fit, _MslWork, estimate_mnl
+from .mnl import _fit, _MslWork, estimate_mnl  # noqa: F401
 from .numerics import MixingSpec, normal_draws
 from .results import EstimationResult
 from .schema import build_parameter_index
@@ -24,7 +24,8 @@ from .schema import build_parameter_index
 __all__ = ["MixingSpec", "SimulatedLikelihoodTrace", "make_draws",
            "msl_loglik", "msl_gradient", "estimate_mmnl"]
 
-# benchmarks/spans.py patches these names when it traces a run; nothing calls them
+# benchmarks/spans.py patches these names, and estimate_mnl, when it traces a
+# run; nothing here calls them: the warm start fits on the MMNL's own layout
 bfgs_minimize = hessian_from_grad = None
 
 
@@ -47,7 +48,9 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     Individual ``i`` always receives the same contiguous slice of the global
     Halton sequence, so adding respondents never perturbs existing draws.
     With ``antithetic``, draws come in adjacent ``(z, -z)`` pairs built from
-    half as many Halton points.
+    half as many Halton points. ``normal_draws`` builds them in slices of
+    sequence points, byte-identical to building them whole, so the call
+    peaks at about the result's size (1.5 times it with ``antithetic``).
     """
     m = mixing.n_random
     cfg = mixing.halton
@@ -56,7 +59,7 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
         z = normal_draws(half, n_individuals, m)
         out = np.empty((n_individuals, cfg.n_draws, m))
         out[:, 0::2, :] = z
-        out[:, 1::2, :] = -z
+        np.negative(z, out=out[:, 1::2, :])
         return out
     return normal_draws(cfg, n_individuals, m)
 
@@ -64,8 +67,8 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
 def _work(panel: CodedPanel, mixing: MixingSpec, draws: np.ndarray | None) -> _MslWork:
     if draws is None:
         draws = make_draws(mixing, panel.n_respondents)
-    return _MslWork(panel, panel.index.positions(mixing.random_params),
-                    mixing.antithetic, draws)
+    return _MslWork(panel).mix(panel.index.positions(mixing.random_params),
+                               mixing.antithetic, draws)
 
 
 # msl_loglik and msl_gradient ignore n_threads but still accept it:
@@ -88,8 +91,10 @@ def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
 def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec) -> EstimationResult:
     """Maximize the simulated log likelihood over means and sds.
 
-    The Halton draw matrix is built once and held fixed across iterations.
-    Means warm-start at the plain MNL solution and sds at 0.5. The fit, sd
+    The kernel's layout is built once: the MNL warm start is fitted on it
+    before any draws are made, and the mixed kernel adds the Halton draw
+    matrix and the random columns to it, held fixed across iterations.
+    Means warm-start at the MNL solution and sds at 0.5. The fit, sd
     signs and standard errors are those of ``mnl._fit``: trust-region Newton
     on the analytic Hessian, sds reported as absolute values, and standard
     errors from the observed information at the reported point, None when
@@ -101,9 +106,10 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec) -> EstimationResult:
         raise EstimationError("no_random_params",
                               "a mixed logit needs at least one random parameter")
     index = build_parameter_index(panel.schema, mixing.random_params)
-    work = _work(panel, mixing, None)
-    start = np.concatenate([estimate_mnl(panel).params, np.full(mixing.n_random, 0.5)])
-    result, trace_ll = _fit(panel, work, index, start)
+    work = _MslWork(panel)
+    means = _fit(panel, work, panel.index, np.zeros(panel.X.shape[1]))[0].params
+    work.mix(panel.index.positions(mixing.random_params), mixing.antithetic,
+             make_draws(mixing, panel.n_respondents))
+    result, trace_ll = _fit(panel, work, index, np.concatenate([means, np.full(mixing.n_random, 0.5)]))
     trace = SimulatedLikelihoodTrace(ll=trace_ll, config={"threads": 1})
     return replace(result, model="mmnl", trace=trace, mixing=mixing)
-

@@ -9,16 +9,25 @@ holds the panel in one layout: each task's alternatives after its first,
 differenced from the first, padded to (respondent, task, cell) so that
 ragged panels need no special case and each draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
-only on utility differences within a task. The kernel has two evaluations,
-``loglik`` (the log likelihood) and ``hessian`` (it, its score and its
-Hessian in closed form), each one block of respondents at a time: a block's
-per-draw probabilities are formed, used and dropped before the next
-block's. Both estimators fit through ``_fit`` with the optimizer's fixed
+only on utility differences within a task. The layout is built once per fit
+without copying the coded design; the MMNL fits its MNL warm start on it and
+then adds its draws and random columns to it. The kernel has two
+evaluations, ``loglik`` (the log likelihood) and ``hessian`` (it, its score
+and its Hessian in closed form), each one block of respondents at a time: a
+block's per-draw probabilities are formed, used and dropped before the next
+block's. With one draw (the MNL) a block is a fixed number of cells and its
+Hessian is sum p x x' - sum_t m_t m_t', so no call holds more than one
+block's products whatever the panel's size. Every block-sized array lives in
+a workspace that the kernel allocates once: per-call arrays of 128 KiB or
+more, glibc's default mmap threshold, would be served fresh pages on each
+call. Both estimators fit through ``_fit`` with the optimizer's fixed
 settings. The MNL log likelihood is concave, so estimation starts from zeros
 and a converged optimum is the optimum.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,10 +60,13 @@ _CHUNK = 256
 # 105 for 64-draw chunks and 1,024 cells; 4,096 cells took 3.0 ms at 40 x 100
 _BLOCK_CELLS = 2048
 
-# respondents per one-draw (MNL) block. 128-256 would be faster from ~1,000
-# respondents (48 ms against 71 at 5,000), but no benchmark workload fits an
-# MNL that large, and any other size reorders the block sums
-_ONE_DRAW_BLOCK = 1024
+# cells (rows of the differenced layout) per one-draw (MNL) block, in whole
+# respondents: 64 of the study's 8 tasks x 2 cells. Wider blocks make fewer
+# calls per pass but a larger workspace, whose (respondent, k, k) stack is
+# 0.74 MB at 64 respondents and 38 columns. Hessian calls (one thread, min of
+# 31) took 0.25 ms at 40 respondents, 1.2 at 264 and 26 at 5,000 with 1,024
+# cells, against 0.42, 2.2 and 27 with 512
+_ONE_DRAW_CELLS = 1024
 
 
 def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
@@ -81,12 +93,13 @@ def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
 
 
 class _MslWork:
-    """The panel's layout and draws for one (panel, draws) pair, reused
-    across evaluations.
+    """The panel's layout, its draws and a workspace, reused across
+    evaluations. ``_MslWork(panel)`` is the MNL: no random columns and one
+    draw. ``mix`` turns it into the mixed logit's kernel on the same layout.
 
-    ``rp`` holds the positions of the random columns and ``draws`` is shaped
-    (n_respondents, n_draws, len(rp)); parameters are the fixed part followed
-    by one sd per random column.
+    ``rp`` holds the positions of the random columns and ``z`` the draws,
+    shaped (n_respondents, len(rp), n_draws); parameters are the fixed part
+    followed by one sd per random column.
 
     The panel is held differenced from each task's first (positional, hence
     always real) row, the task's reference, whose utility is 0 and is left
@@ -100,33 +113,29 @@ class _MslWork:
     and so adds log 1 = 0. ``A`` holds each respondent's chosen rows minus
     their tasks' first rows, summed over tasks, and ``Arp`` its random
     columns: the chosen cells' utilities summed over tasks are
-    A mean + Arp (sd z).
+    A mean + Arp (sd z). The layout is built once, from ``panel.X`` without
+    a copy of it, and ``mix`` keeps it.
 
     Both evaluations, ``loglik`` and ``hessian``, run over ``blocks`` of
     respondents in order. Draw weights are per respondent, so a block's
     likelihood, weights, score and Hessian all come from its own tile of
-    per-draw probabilities (``_tile``); no evaluation holds the panel's.
+    per-draw probabilities (``_tile``); no evaluation holds the panel's. With
+    one draw and no random columns a block holds ``_ONE_DRAW_CELLS`` cells
+    and its Hessian is the MNL's closed form (``_one_draw_block``).
+
+    Every array of a block's size (the tile, its chunks' maxima and
+    denominators, the Hessian's per-chunk products p w, y, y w z, y z and
+    Pm's operand, and the per-respondent stacks) is a view into a workspace
+    that ``mix`` allocates once, one buffer per role. A call then allocates
+    only arrays of a few kilobytes.
+    glibc serves an allocation of 128 KiB or more, its default mmap
+    threshold, with fresh pages unless earlier large frees have raised that
+    threshold, so per-call block arrays would be page-faulted on every call
+    and a small fit's time would depend on what the process had run before.
     """
 
-    def __init__(self, panel: CodedPanel, rp, antithetic: bool, draws: np.ndarray):
-        self.rp = np.asarray(rp, dtype=np.intp)
-        draws = np.asarray(draws, dtype=np.float64)
-        if draws.ndim != 3 or draws.shape[0] != panel.n_respondents \
-                or draws.shape[2] != len(self.rp):
-            raise EstimationError(
-                "draw_shape_mismatch",
-                f"draws must be (n_respondents, n_draws, {len(self.rp)}), "
-                f"got {draws.shape}")
+    def __init__(self, panel: CodedPanel):
         self.panel = panel
-        self.antithetic = antithetic
-        self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))  # (n, rp, draw)
-        self.n_draws = draws.shape[1]
-        self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
-                       for c0 in range(0, self.n_draws, _CHUNK)]
-        block = _ONE_DRAW_BLOCK if self.n_draws == 1 else _BLOCK_CELLS // min(self.n_draws, _CHUNK)
-        self.blocks = [(n0, min(n0 + block, panel.n_respondents))
-                       for n0 in range(0, panel.n_respondents, block)]
-
         # tasks are grouped by respondent, so searching the respondent column
         # for itself finds each respondent's first task
         task_pos = np.arange(panel.n_tasks) \
@@ -141,19 +150,57 @@ class _MslWork:
         ref = first[panel.row_task]
         rows = np.flatnonzero(np.arange(panel.n_rows) != ref)
         cell = task[panel.row_task[rows]] * n_d + rows - ref[rows] - 1
-        # each flat cell's coded row and its task's first row; -1 in an empty
-        # cell picks the zero row appended to the design
-        self.cell_row, cell_ref = np.full((2, n_r * n_t * n_d), -1)
-        self.cell_row[cell], cell_ref[cell] = rows, ref[rows]
+        self.cell_row = np.full(n_r * n_t * n_d, -1)
+        self.cell_row[cell] = rows
         self.offset = np.where(self.cell_row < 0, -np.inf, 0.0)[:, None]
         k = panel.X.shape[1]
-        X = np.concatenate([panel.X, np.zeros((1, k))])
-        self.D = (X[self.cell_row] - X[cell_ref]).reshape(n_r, n_t * n_d, k)
-        self.Drp = np.ascontiguousarray(self.D[:, :, self.rp])
+        D = np.zeros((n_r * n_t * n_d, k))
+        D[cell] = panel.X[rows]
+        D[cell] -= panel.X[ref[rows]]
+        self.D = D.reshape(n_r, n_t * n_d, k)
         A = np.zeros((n_r * n_t, k))
-        A[task] = X[panel.chosen_row] - X[first]
+        A[task] = panel.X[panel.chosen_row] - panel.X[first]
         self.A = A.reshape(n_r, n_t, k).sum(axis=1)
+        self.mix((), False, np.zeros((n_r, 1, 0)))
+
+    def mix(self, rp, antithetic: bool, draws: np.ndarray) -> _MslWork:
+        """Put random columns ``rp`` and their draws, shaped (n_respondents,
+        n_draws, len(rp)), on this kernel's layout, in place of the ones it
+        had; set the blocks and allocate the workspace. Returns the kernel."""
+        self.rp = np.asarray(rp, dtype=np.intp)
+        draws = np.asarray(draws, dtype=np.float64)
+        n_r, n_t, n_d = self.shape
+        m, k = len(self.rp), self.D.shape[2]
+        if draws.ndim != 3 or draws.shape[0] != n_r or draws.shape[2] != m:
+            raise EstimationError(
+                "draw_shape_mismatch",
+                f"draws must be (n_respondents, n_draws, {m}), got {draws.shape}")
+        self.antithetic = antithetic
+        self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))  # (n, rp, draw)
+        self.n_draws = draws.shape[1]
+        self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
+                       for c0 in range(0, self.n_draws, _CHUNK)]
+        self.Drp = np.ascontiguousarray(self.D[:, :, self.rp])
         self.Arp = self.A[:, self.rp]
+        self.one_draw = self.n_draws == 1 and m == 0
+        n_c, width = n_t * n_d, min(self.n_draws, _CHUNK)
+        block = max(_ONE_DRAW_CELLS // n_c, 1) if self.one_draw \
+            else _BLOCK_CELLS // width
+        self.blocks = [(n0, min(n0 + block, n_r)) for n0 in range(0, n_r, block)]
+        # each role's buffer size per respondent. "tmp" holds a value only
+        # until the statement that fills it has used it
+        roles = {"p": n_c * self.n_draws, "top": n_t * width, "denom": n_t * width,
+                 "tmp": max(n_c, n_t * m) * width, "y": n_t * m * width,
+                 "yw": n_t * m * width, "ops": (1 + 2 * m + m * m) * width,
+                 "xbar": n_t * k, "XV": n_c * k, "stack": k * k}
+        self._buffers = {}  # the previous workspace goes before this one is made
+        for role, size in roles.items():
+            self._buffers[role] = np.empty(min(block, n_r) * size)
+        return self
+
+    def _view(self, role, shape, start=0):
+        """A C-contiguous ``shape`` of ``role``'s workspace buffer from ``start``."""
+        return self._buffers[role][start:start + math.prod(shape)].reshape(shape)
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -177,38 +224,45 @@ class _MslWork:
     def _tile(self, mean, sds, n0, n1):
         """Respondents [n0, n1)'s (respondent, draw) log products and, per
         draw chunk, their cells' probabilities shaped (respondent,
-        task * cell, chunk draws). Per chunk, every cell's utility comes from
+        task * cell, chunk draws), views into the workspace that the next
+        block's tile overwrites. Per chunk, every cell's utility comes from
         one batched product, then a log-softmax over each task's cells and
         its reference's 0 is summed over tasks, each sum in a fixed order."""
         _, n_t, n_d = self.shape
-        nb = n1 - n0
+        nb, n_c = n1 - n0, n_t * n_d
         Drp, z = self.Drp[n0:n1], self.z[n0:n1]
         # einsum, not BLAS: OpenBLAS runs this product on two threads from
         # ~10,000 rows, which buys no time and burns a second core
-        u_base = self.offset[n0 * n_t * n_d:n1 * n_t * n_d] \
+        u_base = self.offset[n0 * n_c:n1 * n_c] \
             + np.einsum("rk,k->r", self.D[n0:n1].reshape(-1, mean.size), mean)[:, None]
         # each respondent's chosen cells' utilities summed over tasks, per draw
         chosen = np.einsum("rk,k->r", self.A[n0:n1], mean)[:, None] \
             + np.einsum("rm,rmc->rc", self.Arp[n0:n1] * sds, z)
         log_pr, probs = np.empty((nb, self.n_draws)), []
         for c0, c1 in self.chunks:
-            cells = (Drp @ (z[:, :, c0:c1] * sds[:, None])).reshape(-1, c1 - c0)
+            width = c1 - c0
+            cells = np.matmul(Drp, z[:, :, c0:c1] * sds[:, None],
+                              out=self._view("p", (nb, n_c, width), nb * n_c * c0))
+            probs.append(cells)
+            cells = cells.reshape(-1, width)
             cells += u_base
-            u = cells.reshape(nb, n_t, n_d, c1 - c0)
+            u = cells.reshape(nb, n_t, n_d, width)
             # loops over the few cells are faster than max and sum over axis 2
-            top = np.maximum(u[:, :, 0], 0.0)
+            top = np.maximum(u[:, :, 0], 0.0, out=self._view("top", (nb, n_t, width)))
             for j in range(1, n_d):
                 np.maximum(top, u[:, :, j], out=top)
             if not np.isfinite(top).all():
                 self._non_finite(np.isfinite(cells).all(axis=1), n0)
             u -= top[:, :, None]
             e = np.exp(u, out=u)
-            denom = e[:, :, 0].copy()
+            denom = self._view("denom", (nb, n_t, width))
+            np.copyto(denom, e[:, :, 0])
             for j in range(1, n_d):
                 denom += e[:, :, j]
-            denom += np.exp(-top)
-            probs.append(np.divide(e, denom[:, :, None], out=e).reshape(nb, -1, c1 - c0))
-            top += np.log(denom)
+            tmp = self._view("tmp", (nb, n_t, width))
+            denom += np.exp(np.negative(top, out=tmp), out=tmp)
+            np.divide(e, denom[:, :, None], out=e)
+            top += np.log(denom, out=tmp)
             log_pr[:, c0:c1] = chosen[:, c0:c1] - top.sum(axis=1)
         return log_pr, probs
 
@@ -272,8 +326,9 @@ class _MslWork:
         mean, sds = self._split(params)
         ll_i = np.empty(self.shape[0])
         grad = h = 0
+        evaluate = self._one_draw_block if self.one_draw else self._hessian_block
         for n0, n1 in self.blocks:
-            score, block = self._hessian_block(mean, sds, n0, n1, ll_i)
+            score, block = evaluate(mean, sds, n0, n1, ll_i)
             grad += score
             h += block
         if not np.all(np.isfinite(h)):
@@ -281,10 +336,31 @@ class _MslWork:
                                   "analytic Hessian contains non-finite entries")
         return float(ll_i.sum()), grad, 0.5 * (h + h.T)
 
+    def _one_draw_block(self, mean, sds, n0, n1, ll_i):
+        """``_hessian_block`` with one draw and no random columns, in closed
+        form: with m_t = sum_j p_j x_j each task's expected row, the score is
+        a - sum_t m_t and the Hessian of the negative log likelihood
+        sum_tj p_j x_j x_j' - sum_t m_t m_t' = sum_tj x_j (p_j (x_j - m_t))',
+        over the differenced cells (the reference's row is zero). Its
+        per-respondent products are batched, as in ``_hessian_block``."""
+        log_pr, (p,) = self._tile(mean, sds, n0, n1)
+        ll_i[n0:n1] = self.respondent_ll(log_pr)
+        _, n_t, n_d = self.shape
+        nb, k = n1 - n0, mean.size
+        X = self.D[n0:n1]
+        X_task = X.reshape(nb * n_t, n_d, k)
+        p = p.reshape(nb * n_t, n_d)
+        xbar = np.einsum("tj,tjk->tk", p, X_task, out=self._view("xbar", (nb * n_t, k)))
+        V = np.subtract(X_task, xbar[:, None], out=self._view("XV", (nb * n_t, n_d, k)))
+        V *= p[:, :, None]
+        stack = np.matmul(X.transpose(0, 2, 1), V.reshape(nb, n_t * n_d, k),
+                          out=self._view("stack", (nb, k, k)))
+        return self.A[n0:n1].sum(axis=0) - xbar.sum(axis=0), stack.sum(axis=0)
+
     def _hessian_block(self, mean, sds, n0, n1, ll_i):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood; fills their ``ll_i``. Their tile and
-        draw weights are locals, so one block's tile is alive at a time.
+        the negative log likelihood; fills their ``ll_i``. Their tile, draw
+        weights and per-chunk products live until the next block's.
         Every product is batched per respondent and summed afterwards: one
         product over the block would be large enough to wake OpenBLAS's
         threads, which then spin through the estimator's serial work."""
@@ -302,19 +378,25 @@ class _MslWork:
         Py, g = np.zeros((nb, n_c, m)), np.zeros((nb, m))  # (P y_d)(w z_d); g_d
         sd = np.zeros((nb, m, m))  # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
         for (c0, c1), p in zip(self.chunks, probs):
-            p_task = p.reshape(nb, n_t, n_d, c1 - c0)
+            width = c1 - c0
+            p_task = p.reshape(nb, n_t, n_d, width)
             wc, z = w[:, None, c0:c1], self.z[n0:n1, :, c0:c1]
-            G += (p * wc) @ p.transpose(0, 2, 1)
-            y = x_task @ p_task  # (respondent, task, sd, draw)
+            G += np.multiply(p, wc, out=self._view("tmp", p.shape)) @ p.transpose(0, 2, 1)
+            y = np.matmul(x_task, p_task, out=self._view("y", (nb, n_t, m, width)))
             f = a_rp[:, :, None] - y.sum(axis=1)
-            wz = wc * z
-            v, yw = wz * f, y * wz[:, None]
+            # Pm's operand [w, v_d, w z_d, w z_d z_e], written in place
+            ops = self._view("ops", (nb, 1 + 2 * m + m * m, width))
+            ops[:, :1] = wc
+            wz = np.multiply(wc, z, out=ops[:, 1 + m:1 + 2 * m])
+            v = np.multiply(wz, f, out=ops[:, 1:1 + m])
+            yw = np.multiply(y, wz[:, None], out=self._view("yw", y.shape))
             g += v.sum(axis=2)
-            wzz = (wz[:, :, None] * z[:, None]).reshape(nb, m * m, c1 - c0)
-            Pm += p @ np.concatenate([wc, v, wz, wzz], axis=1).transpose(0, 2, 1)
+            np.multiply(wz[:, :, None], z[:, None], out=ops[:, 1 + 2 * m:].reshape(nb, m, m, width))
+            Pm += p @ ops.transpose(0, 2, 1)
             Py += (p_task @ yw.transpose(0, 1, 3, 2)).reshape(nb, n_c, m)
+            yz = np.multiply(y, z[:, None], out=self._view("tmp", y.shape))
             sd += v @ (z * f).transpose(0, 2, 1) \
-                + (yw @ (y * z[:, None]).transpose(0, 1, 3, 2)).sum(axis=1)
+                + (yw @ yz.transpose(0, 1, 3, 2)).sum(axis=1)
         xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(nb, n_c, m * m)
         sd -= (xx * Pm[:, :, 1 + 2 * m:]).sum(axis=1).reshape(nb, m, m)  # sum_c p x_d x_e
         q = Pm[:, :, 0]
@@ -326,21 +408,17 @@ class _MslWork:
         Xt = X.transpose(0, 2, 1)
         Xc = (Xt @ np.concatenate([Pm[:, :, :1], Pm[:, :, 1:1 + m] - Py - q[:, :, None] * g[:, None]
                                    + x * Pm[:, :, 1 + m:1 + 2 * m]], axis=2)).sum(axis=0)
+        MX = np.matmul(M, X, out=self._view("XV", X.shape))
         h = np.empty((k + m, k + m))
-        h[:k, :k] = (Xt @ (M @ X)).sum(axis=0)
+        h[:k, :k] = np.matmul(Xt, MX, out=self._view("stack", (nb, k, k))).sum(axis=0)
         h[:k, k:] = Xc[:, 1:]
         h[k:, :k] = Xc[:, 1:].T
         h[k:, k:] = g.T @ g - sd.sum(axis=0)
         return np.concatenate([a - Xc[:, 0], g.sum(axis=0)]), h
 
 
-def _mnl_work(panel: CodedPanel) -> _MslWork:
-    """The kernel with no random columns and one draw."""
-    return _MslWork(panel, (), False, np.zeros((panel.n_respondents, 1, 0)))
-
-
 def mnl_loglik(params: np.ndarray, panel: CodedPanel) -> float:
-    return _mnl_work(panel).loglik(params)
+    return _MslWork(panel).loglik(params)
 
 
 def check_identification(panel: CodedPanel) -> None:
@@ -429,4 +507,4 @@ def estimate_mnl(panel: CodedPanel) -> EstimationResult:
     """Maximize the MNL log likelihood from a zero start by trust-region
     Newton (``_fit``). Standard errors come from the observed information
     and are None when it is singular."""
-    return _fit(panel, _mnl_work(panel), panel.index, np.zeros(panel.X.shape[1]))[0]
+    return _fit(panel, _MslWork(panel), panel.index, np.zeros(panel.X.shape[1]))[0]

@@ -107,6 +107,27 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
+# sequence points per slice: draws are built one slice at a time, so their
+# temporaries stay this size whatever the draw count. Every step is
+# elementwise, so the slicing leaves each value's bits as they were
+_SLICE = 4096
+
+
+def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) -> np.ndarray:
+    """``transform`` of the uniform draws, shaped (n_individuals, n_draws,
+    n_dims) and built one slice of sequence points at a time."""
+    if n_individuals < 0:
+        raise ValueError("n_individuals must be >= 0")
+    total = n_individuals * config.n_draws
+    out = np.empty((total, n_dims))
+    primes = _first_primes(n_dims)
+    for s0 in range(0, total, _SLICE):
+        idx = config.drop + 1 + np.arange(s0, min(s0 + _SLICE, total))
+        for d, p in enumerate(primes):
+            out[s0:s0 + idx.size, d] = transform(_radical_inverse(idx, p))
+    return out.reshape(n_individuals, config.n_draws, n_dims)
+
+
 def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
     """Uniform draws shaped (n_individuals, n_draws, n_dims).
 
@@ -114,21 +135,17 @@ def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.n
     base; individual ``i`` takes the contiguous index slice
     ``[drop + i*n_draws + 1, drop + (i+1)*n_draws]``.
     Growing the individual count therefore never changes earlier
-    individuals' draws.
+    individuals' draws. Built in slices of ``_SLICE`` points.
     """
-    if n_individuals < 0:
-        raise ValueError("n_individuals must be >= 0")
-    total = n_individuals * config.n_draws
-    idx = config.drop + 1 + np.arange(total)
-    out = np.empty((total, n_dims))
-    for d, p in enumerate(_first_primes(n_dims)):
-        out[:, d] = _radical_inverse(idx, p)
-    return out.reshape(n_individuals, config.n_draws, n_dims)
+    return _halton(config, n_individuals, n_dims, lambda u: u)
 
 
 def normal_draws(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
-    """Standard-normal draws (n_individuals, n_draws, n_dims) via the inverse CDF."""
-    return inv_normal_cdf(halton_matrix(config, n_individuals, n_dims))
+    """Standard-normal draws (n_individuals, n_draws, n_dims): the inverse CDF
+    of ``halton_matrix``'s draws, taken one slice of ``_SLICE`` points at a
+    time, so that no uniform matrix is held beside the result. The values
+    are byte-identical to ``inv_normal_cdf(halton_matrix(...))``."""
+    return _halton(config, n_individuals, n_dims, _quantile)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +197,27 @@ def _icdf_lower(u: np.ndarray) -> np.ndarray:
     return x - t / (1.0 + x * t / 2.0)
 
 
+def _quantile(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of a 1-D array in (0, 1), unchecked. For
+    u > 0.5 the complement 1 - u is formed first (exact in floating point
+    for u >= 0.5), so tail accuracy is symmetric."""
+    upper = u > 0.5
+    x = _icdf_lower(np.where(upper, 1.0 - u, u))
+    x[upper] = -x[upper]
+    return x
+
+
 def inv_normal_cdf(u):
     """Standard normal quantile function.
 
     Accepts a scalar or array with every element in the open interval (0, 1);
     absolute error is a few ulp over (1e-12, 1 - 1e-12), far inside the 1e-9
-    contract. Values outside (0, 1) raise ValueError. For u > 0.5 the
-    complement 1 - u is formed first (exact in floating point for u >= 0.5),
-    so tail accuracy is symmetric.
+    contract. Values outside (0, 1) raise ValueError.
     """
     arr = np.asarray(u, dtype=np.float64)
     if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0) | np.any(~np.isfinite(arr))):
         raise ValueError("inv_normal_cdf requires u in the open interval (0, 1)")
-    flat = arr.reshape(-1).astype(np.float64, copy=True)
-    upper = flat > 0.5
-    flat[upper] = 1.0 - flat[upper]
-    x = _icdf_lower(flat)
-    x[upper] = -x[upper]
+    x = _quantile(arr.reshape(-1))
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(x[0])
     return x.reshape(arr.shape)

@@ -288,15 +288,19 @@ def own_cost_elasticity(result: EstimationResult, schema: ExperimentSchema,
 def elasticity_grid(slope: float, price0: float, prob0: float,
                     prices) -> list[tuple[float, float]]:
     """(price, probability) pairs along the linearized-cost logit curve
-    anchored at (price0, prob0): only the own utility moves with price."""
+    anchored at (price0, prob0): only the own utility moves with price, so
+    the log-odds are logit(prob0) + slope * (price - price0). Each
+    probability is their logistic, taken through exp of a non-positive
+    argument, so it is finite and in [0, 1] at any price."""
     _check_price(price0)
     if not (0.0 < prob0 < 1.0):
         raise PostestError("bad_probability",
                            "anchor probability must be inside (0, 1)")
+    logit0 = math.log(prob0 / (1.0 - prob0))
     out = []
     for p in prices:
         _check_price(p)
-        shift = np.exp(slope * (float(p) - price0))
-        prob = prob0 * shift / (1.0 - prob0 + prob0 * shift)
-        out.append((float(p), float(prob)))
+        log_odds = logit0 + slope * (float(p) - price0)
+        e = math.exp(-abs(log_odds))
+        out.append((float(p), 1.0 / (1.0 + e) if log_odds >= 0 else e / (1.0 + e)))
     return out

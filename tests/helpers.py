@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from dce import (
@@ -148,9 +150,9 @@ def simulated_panel(design, n_respondents: int, seed: int,
 def mnl_score(params, panel):
     """The MNL log likelihood's score, sum over tasks of x_chosen - E[x]:
     the kernel's Hessian pass's score."""
-    from dce.mnl import _mnl_work
+    from dce.mnl import _MslWork
 
-    return _mnl_work(panel).hessian(params)[1]
+    return _MslWork(panel).hessian(params)[1]
 
 
 def finite_diff_grad(fun, x, step=None):
@@ -285,3 +287,14 @@ def hessian_oracle(work, params):
         grad += score.sum(axis=0)
         h += within + score.T @ score - outer
     return float(ll), grad, 0.5 * (h + h.T)
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes that tracemalloc saw while it
+    ran; what was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

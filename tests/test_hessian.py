@@ -2,7 +2,7 @@
 and against the per-draw score form, and the score it returns against that
 form's."""
 
-import tracemalloc
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from dce import HaltonConfig, MixingSpec, code_dataset, estimate_mmnl, estimate_mnl
 from dce.mmnl import _work
-from dce.mnl import _mnl_work
-from helpers import finite_diff_grad, hessian_from_grad, hessian_oracle, simulated_panel
+from dce.mnl import _MslWork
+from dce.errors import EstimationError
+from helpers import (finite_diff_grad, hessian_from_grad, hessian_oracle, simulated_panel,
+                     traced_peak)
 
 MODELS = {
     "mnl": None,
@@ -25,7 +27,7 @@ AGES = ("age_18_34", "age_55_74", "age_75_plus", "age_35_54")
 
 
 def kernel(panel, mixing):
-    return _mnl_work(panel) if mixing is None else _work(panel, mixing, None)
+    return _MslWork(panel) if mixing is None else _work(panel, mixing, None)
 
 
 @pytest.fixture(scope="module")
@@ -167,21 +169,43 @@ def test_flipping_every_sd_negates_only_the_sd_derivatives(mixed_panel40, seed, 
     assert np.max(np.abs(H_flip - flip[:, None] * H * flip)) <= 1e-12 * np.max(np.abs(H))
 
 
+def workspace_bytes(work):
+    """The bytes of the block workspace that the kernel allocated when built."""
+    return sum(buffer.nbytes for buffer in work._buffers.values())
+
+
 def test_a_call_holds_no_full_panel_probability_store(design32):
-    """The first Hessian call on a fresh kernel allocates less than half of
-    what one probability per (respondent, task, cell, draw) would take."""
+    """The first Hessian call on a fresh kernel, together with the workspace
+    the kernel allocated for its blocks, takes less than half of what one
+    probability per (respondent, task, cell, draw) would."""
     panel = simulated_panel(design32, 96, seed=4, sds=(1.0, 1.0))[2]
     work = _work(panel, MixingSpec(halton=HaltonConfig(n_draws=512)), None)
     x = np.concatenate([np.zeros(panel.X.shape[1]), [0.5, 0.5]])
     n_r, n_t, n_d = work.shape
     assert (n_r, n_t, n_d, work.n_draws) == (96, 8, 2, 512)
-    tracemalloc.start()
-    try:
-        work.hessian(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * n_r * n_t * n_d * work.n_draws * 8
+    peak = traced_peak(lambda: work.hessian(x))[1]
+    assert workspace_bytes(work) + peak < 0.5 * n_r * n_t * n_d * work.n_draws * 8
+
+
+def test_a_steady_state_call_allocates_no_block_sized_array(study_panel264):
+    """A second Hessian call on a kernel writes its tile and every per-chunk
+    product into the kernel's workspace: 0.35 MB traced, against 1.34 MB
+    when each block allocated its own."""
+    work = kernel(study_panel264["panel"], ORACLE_CASES["study264-mmnl128"][1])
+    x = study_panel264["truth"]
+    work.hessian(x)
+    assert traced_peak(lambda: work.hessian(x))[1] < 0.5e6
+
+
+@pytest.mark.parametrize("n_respondents", [2000, 5000])
+def test_an_mnl_call_holds_fixed_size_blocks(design32, n_respondents):
+    """One-draw blocks hold a fixed number of cells, so neither the kernel's
+    workspace (1.2 MB) nor a call's peak grows with the panel; whole-panel
+    products would take ~20 MB at 5,000."""
+    panel = simulated_panel(design32, n_respondents, seed=1)[2]
+    work = _MslWork(panel)
+    x = np.full(panel.X.shape[1], 0.01)
+    assert workspace_bytes(work) + traced_peak(lambda: work.hessian(x))[1] < 2e6
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +240,69 @@ def test_first_cell_without_the_first_alternative(model, droneless_panel, panel5
     assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
     fd = hessian_from_grad(lambda v: -work.hessian(v)[1], x)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.fixture(scope="module")
+def panel150(design32):
+    """150 respondents without mixing: one-draw blocks of 64, 64 and 22."""
+    _, _, panel, truth = simulated_panel(design32, 150, seed=8)
+    return {"panel": panel, "truth": truth}
+
+
+def block_path(work):
+    """``work`` evaluated by the mixed logit's block algebra
+    (``_hessian_block``) in place of the one-draw closed form."""
+    generic = copy.copy(work)
+    generic.one_draw = False
+    return generic
+
+
+@pytest.mark.parametrize("panel_fixture", ["panel50", "ragged_panel", "panel150"])
+def test_one_draw_hessian_matches_the_block_path(panel_fixture, request):
+    fixture = request.getfixturevalue(panel_fixture)
+    work = _MslWork(fixture["panel"])
+    assert work.one_draw
+    if panel_fixture == "panel150":
+        assert [n1 - n0 for n0, n1 in work.blocks] == [64, 64, 22]
+    x = fixture["truth"] + np.random.default_rng(5).normal(scale=0.3, size=fixture["truth"].size)
+    ll, grad, H = work.hessian(x)
+    ll_want, grad_want, H_want = block_path(work).hessian(x)
+    assert ll == ll_want == work.loglik(x)
+    assert np.max(np.abs(grad - grad_want)) <= 1e-12 * np.max(np.abs(grad_want))
+    assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
+    fd = hessian_from_grad(lambda v: -work.hessian(v)[1], x)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_one_draw_path_at_utilities_beyond_700(panel150, sign):
+    panel = panel150["panel"]
+    work = _MslWork(panel)
+    x = sign * 400 * panel150["truth"]
+    assert np.abs(panel.X @ x).max() > 700
+    ll, grad, H = work.hessian(x)
+    ll_want, grad_want, H_want = block_path(work).hessian(x)
+    assert np.isfinite(ll) and ll == ll_want == work.loglik(x)
+    assert np.max(np.abs(grad - grad_want)) <= 1e-12 * np.max(np.abs(grad_want))
+    assert np.max(np.abs(H - H_want)) <= 1e-12 * np.max(np.abs(H_want))
+
+
+@pytest.mark.parametrize("case", ["coefficient", "row_in_last_block"])
+def test_one_draw_path_names_the_same_non_finite_task(panel150, case):
+    panel, x = panel150["panel"], panel150["truth"].copy()
+    if case == "coefficient":
+        x[5] = np.inf
+    else:
+        task = int(np.flatnonzero(panel.task_respondent == 140)[3])
+        X = panel.X.copy()
+        X[panel.task_ptr[task] + 1, 0] = np.nan
+        panel = replace(panel, X=X)
+    work = _MslWork(panel)
+    messages = set()
+    for evaluate in (work.hessian, block_path(work).hessian, work.loglik):
+        with pytest.raises(EstimationError) as err:
+            evaluate(x)
+        assert err.value.code == "non_finite_utility"
+        messages.add(str(err.value))
+    want = "task index 0: parameter 5 is inf" if case == "coefficient" else f"task index {task}"
+    assert len(messages) == 1 and messages.pop().endswith(want)

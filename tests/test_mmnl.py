@@ -1,5 +1,6 @@
 """Mixed logit: simulated likelihood, gradients, estimation."""
 
+import hashlib
 import os
 from dataclasses import replace
 
@@ -33,7 +34,7 @@ from dce import (
 
 from dce.mmnl import _work
 from dce.mnl import _fit, _inference
-from helpers import finite_diff_grad, mnl_score, simulated_panel
+from helpers import finite_diff_grad, mnl_score, simulated_panel, traced_peak
 
 ASC_MIX = ("asc_drone", "asc_truck")
 
@@ -90,6 +91,28 @@ class TestMixingSpec:
     def test_antithetic_pairs(self):
         z = make_draws(small_mixing(n_draws=40, antithetic=True), 3)
         np.testing.assert_array_equal(z[:, 0::2, :], -z[:, 1::2, :])
+
+    # SHA-256 of the draws' bytes, frozen from the draws made before they
+    # were built in slices: (respondents, draws, antithetic) -> digest
+    DIGESTS = {
+        (40, 100, False): "c45ef9a8f9d57e3c0866d1459785a27f8f516e9d95da58a747fa4cb038d210d6",
+        (264, 128, False): "47211c10fa43cb26c750c0176c55cc663f25a9a1135bad9177e488d8e13bde0e",
+        (528, 500, True): "05a77fddc1ffe3582c8af064890294517c2dcc54899cbd3f4175616be0fd9df5",
+    }
+
+    @pytest.mark.parametrize("case", DIGESTS)
+    def test_draws_keep_their_bits(self, case):
+        n, n_draws, antithetic = case
+        z = make_draws(MixingSpec(halton=HaltonConfig(n_draws=n_draws), antithetic=antithetic), n)
+        assert hashlib.sha256(z.tobytes()).hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_paper_scale_draws_peak_at_twice_their_size(self, antithetic):
+        # built a slice at a time: no full-size uniform matrix, list of
+        # floats or intermediate is held beside the result
+        mixing = MixingSpec(halton=HaltonConfig(n_draws=500), antithetic=antithetic)
+        z, peak = traced_peak(lambda: make_draws(mixing, 528))
+        assert peak <= 2 * z.nbytes
 
 
 class TestDegeneracyOracle:
@@ -317,6 +340,16 @@ def fitted(mixed_panel40):
 
 
 class TestEstimation:
+    def test_paper_scale_fit_peaks_under_16_mb(self, design32):
+        # 528 x 8 tasks x 500 draws: the draws are 4.2 MB and the layout 2.6;
+        # the MNL warm start shares the layout and no block array is
+        # allocated per call
+        panel = simulated_panel(design32, 528, seed=5, sds=(1.2, 1.0))[2]
+        mixing = MixingSpec(halton=HaltonConfig(n_draws=500))
+        result, peak = traced_peak(lambda: estimate_mmnl(panel, mixing))
+        assert result.converged
+        assert peak <= 16e6
+
     def test_converges_with_positive_sds(self, fitted):
         assert fitted.converged
         assert fitted.model == "mmnl"

@@ -170,10 +170,18 @@ class TestInverseNormalCdf:
         assert 0.5 * math.erfc(-z / math.sqrt(2.0)) == pytest.approx(u, rel=1e-12, abs=0)
 
     def test_vectorized_matches_scalar(self):
-        u = np.array([0.1, 0.5, 0.9])
-        z = inv_normal_cdf(u)
-        np.testing.assert_allclose(
-            z, [inv_normal_cdf(v) for v in u], rtol=0, atol=0)
+        # three points, then 2 x 500 Halton points on both sides of 0.5
+        for u in (np.array([0.1, 0.5, 0.9]),
+                  halton_matrix(HaltonConfig(n_draws=500), 2, 1)[:, :, 0]):
+            z = inv_normal_cdf(u)
+            assert z.shape == u.shape
+            np.testing.assert_array_equal(z.ravel(), [inv_normal_cdf(v) for v in u.ravel()])
+
+    def test_normal_draws_are_the_quantiles_of_the_uniform_draws(self):
+        # built slice by slice, bit for bit the quantiles of the whole matrix
+        cfg = HaltonConfig(n_draws=3000)
+        np.testing.assert_array_equal(normal_draws(cfg, 3, 2),
+                                      inv_normal_cdf(halton_matrix(cfg, 3, 2)))
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.5, 1.5):

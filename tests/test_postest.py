@@ -301,3 +301,15 @@ class TestElasticity:
             want = prob0 / (1 - prob0) * np.exp(slope * (price - p0))
             assert odds == pytest.approx(want, rel=1e-10)
         assert grid[0][1] > prob0 > grid[2][1]
+
+    @pytest.mark.parametrize("price0", [300000.0, 1e308])
+    def test_grid_is_a_probability_at_any_price(self, mmnl_fix, labels, price0):
+        # far from the anchor the odds exp(slope * (p - p0)) overflow; the
+        # curve is then 1 below the anchor and 0 above it, with no warning
+        slope = cost_slope(mmnl_fix, labels, "drone").slope
+        grid = elasticity_grid(slope, price0, 0.3, np.linspace(0.5 * price0, 1.5 * price0, 21))
+        probs = np.array([prob for _, prob in grid])
+        assert np.all((probs >= 0) & (probs <= 1))
+        assert np.all(np.diff(probs) <= 0)
+        assert probs[0] == 1.0 and probs[-1] == 0.0
+        assert probs[10] == pytest.approx(0.3, rel=1e-12)
