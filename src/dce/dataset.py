@@ -410,8 +410,11 @@ class CodedPanel:
         return np.diff(self.task_ptr)
 
     def null_loglik(self) -> float:
-        """Log likelihood of equal shares: -sum over tasks of ln(task size)."""
-        return float(-np.sum(np.log(self.task_sizes)))
+        """Log likelihood of equal shares: -sum over tasks of ln(task size).
+        The sizes are written as floats and their logs over them, so the
+        call holds one array of the task count."""
+        logs = np.subtract(self.task_ptr[1:], self.task_ptr[:-1], out=np.empty(self.n_tasks))
+        return float(-np.sum(np.log(logs, out=logs)))
 
     @classmethod
     def from_dataset(cls, dataset: ChoiceDataset) -> "CodedPanel":

@@ -48,19 +48,23 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     Individual ``i`` always receives the same contiguous slice of the global
     Halton sequence, so adding respondents never perturbs existing draws.
     With ``antithetic``, draws come in adjacent ``(z, -z)`` pairs built from
-    half as many Halton points. ``normal_draws`` builds them in slices of
-    sequence points, byte-identical to building them whole, so the call
+    half as many Halton points. The matrix is the transposed view of a
+    C-contiguous (individuals, random dims, draws) array, the kernel's
+    layout, so ``_MslWork.mix`` uses it without a copy; its values and
+    ``tobytes()`` are those of the (individuals, draws, dims) matrix.
+    ``normal_draws`` builds it in slices of whole individuals, so the call
     peaks at about the result's size (1.5 times it with ``antithetic``).
+    EstimationError "bad_drop" if a Halton index would pass int64's range.
     """
     m = mixing.n_random
     cfg = mixing.halton
     if mixing.antithetic:
         half = replace(cfg, n_draws=cfg.n_draws // 2)
-        z = normal_draws(half, n_individuals, m)
-        out = np.empty((n_individuals, cfg.n_draws, m))
-        out[:, 0::2, :] = z
-        np.negative(z, out=out[:, 1::2, :])
-        return out
+        z = normal_draws(half, n_individuals, m).transpose(0, 2, 1)
+        out = np.empty((n_individuals, m, cfg.n_draws))
+        out[:, :, 0::2] = z
+        np.negative(z, out=out[:, :, 1::2])
+        return out.transpose(0, 2, 1)
     return normal_draws(cfg, n_individuals, m)
 
 

@@ -9,9 +9,12 @@ holds the panel in one layout: each task's alternatives after its first,
 differenced from the first, padded to (respondent, task, cell) so that
 ragged panels need no special case and each draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
-only on utility differences within a task. The layout is built once per fit
-without copying the coded design; the MMNL fits its MNL warm start on it and
-then adds its draws and random columns to it. The kernel has two
+only on utility differences within a task. The layout is built once per fit,
+in place, a chunk of respondents at a time, so no copy of the coded design
+is made; identification is checked once per kernel, a chunk of rows at a
+time. The MMNL fits its MNL warm start on the layout and then adds its
+random columns and its draws, which the kernel holds without a copy:
+``make_draws`` builds them in the kernel's layout. The kernel has two
 evaluations, ``loglik`` (the log likelihood) and ``hessian`` (it, its score
 and its Hessian in closed form), each one block of respondents at a time: a
 block's per-draw probabilities are formed, used and dropped before the next
@@ -68,6 +71,12 @@ _BLOCK_CELLS = 2048
 # cells, against 0.42, 2.2 and 27 with 512
 _ONE_DRAW_CELLS = 1024
 
+# values per chunk of the panel's rows when the layout is filled and when
+# identification is checked: 128 KB of float64, 26 respondents of the
+# study's 8 tasks x 2 cells x 38 columns. Their temporaries are a few times
+# this whatever the panel's size
+_LAYOUT_VALUES = 1 << 14
+
 
 def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
     """``params`` unchanged if every entry is finite. Otherwise every utility
@@ -113,8 +122,14 @@ class _MslWork:
     and so adds log 1 = 0. ``A`` holds each respondent's chosen rows minus
     their tasks' first rows, summed over tasks, and ``Arp`` its random
     columns: the chosen cells' utilities summed over tasks are
-    A mean + Arp (sd z). The layout is built once, from ``panel.X`` without
-    a copy of it, and ``mix`` keeps it.
+    A mean + Arp (sd z). The layout is built once and ``mix`` keeps it. It
+    is filled in place from ``panel.X``, a chunk of whole respondents at a
+    time (``_LAYOUT_VALUES``), so the chunk's gathered rows are its only
+    temporaries, and ``A`` sums each respondent's tasks in order.
+    ``check_identification`` runs on a kernel's first fit only, so the
+    MMNL's warm start and mixed fit share one check. ``z`` is the draws
+    given to ``mix`` themselves, not a copy, when they are the transposed
+    view that ``make_draws`` returns.
 
     Both evaluations, ``loglik`` and ``hessian``, run over ``blocks`` of
     respondents in order. Draw weights are per respondent, so a block's
@@ -137,36 +152,52 @@ class _MslWork:
     def __init__(self, panel: CodedPanel):
         self.panel = panel
         # tasks are grouped by respondent, so searching the respondent column
-        # for itself finds each respondent's first task
-        task_pos = np.arange(panel.n_tasks) \
-            - np.searchsorted(panel.task_respondent, panel.task_respondent)
+        # finds each respondent's first task
+        n_r = panel.n_respondents
+        respondent_tasks = np.searchsorted(panel.task_respondent, np.arange(n_r + 1))
         # at least one cell per task: when every task has one alternative,
         # all cells are empty and each task adds log 1 = 0
-        self.shape = (panel.n_respondents, int(task_pos.max()) + 1,
+        self.shape = (n_r, int(np.diff(respondent_tasks).max()),
                       max(int(panel.task_sizes.max()) - 1, 1))
-        n_r, n_t, n_d = self.shape
-        task = panel.task_respondent * n_t + task_pos
-        first = panel.task_ptr[:-1]
-        ref = first[panel.row_task]
-        rows = np.flatnonzero(np.arange(panel.n_rows) != ref)
-        cell = task[panel.row_task[rows]] * n_d + rows - ref[rows] - 1
-        self.cell_row = np.full(n_r * n_t * n_d, -1)
-        self.cell_row[cell] = rows
-        self.offset = np.where(self.cell_row < 0, -np.inf, 0.0)[:, None]
+        _, n_t, n_d = self.shape
         k = panel.X.shape[1]
-        D = np.zeros((n_r * n_t * n_d, k))
-        D[cell] = panel.X[rows]
-        D[cell] -= panel.X[ref[rows]]
-        self.D = D.reshape(n_r, n_t * n_d, k)
-        A = np.zeros((n_r * n_t, k))
-        A[task] = panel.X[panel.chosen_row] - panel.X[first]
-        self.A = A.reshape(n_r, n_t, k).sum(axis=1)
+        first = panel.task_ptr[:-1]
+        self.cell_row = np.full(n_r * n_t * n_d, -1)
+        self.D = np.zeros((n_r, n_t * n_d, k))
+        D = self.D.reshape(-1, k)
+        self.A = np.empty((n_r, k))
+        # filled a chunk of whole respondents at a time, so that the chunk's
+        # gathered rows are the only temporaries; A sums each respondent's
+        # tasks in order
+        per_chunk = max(_LAYOUT_VALUES // (n_t * n_d * k or 1), 1)
+        for n0 in range(0, n_r, per_chunk):
+            n1 = min(n0 + per_chunk, n_r)
+            t0, t1 = respondent_tasks[n0], respondent_tasks[n1]
+            # each task's (respondent, task) slot, counted from the chunk's first
+            respondent = panel.task_respondent[t0:t1]
+            slot = (respondent - n0) * n_t + np.arange(t0, t1) - respondent_tasks[respondent]
+            r0, r1 = panel.task_ptr[t0], panel.task_ptr[t1]
+            ref = first[panel.row_task[r0:r1]]
+            rows = r0 + np.flatnonzero(np.arange(r0, r1) != ref)
+            ref = ref[rows - r0]
+            cell = (n0 * n_t + slot[panel.row_task[rows] - t0]) * n_d + rows - ref - 1
+            self.cell_row[cell] = rows
+            D[cell] = panel.X[rows]
+            D[cell] -= panel.X[ref]
+            chosen = np.zeros(((n1 - n0) * n_t, k))
+            chosen[slot] = panel.X[panel.chosen_row[t0:t1]] - panel.X[first[t0:t1]]
+            self.A[n0:n1] = chosen.reshape(n1 - n0, n_t, k).sum(axis=1)
+        self.offset = np.where(self.cell_row < 0, -np.inf, 0.0)[:, None]
+        self.identified = False
         self.mix((), False, np.zeros((n_r, 1, 0)))
 
     def mix(self, rp, antithetic: bool, draws: np.ndarray) -> _MslWork:
         """Put random columns ``rp`` and their draws, shaped (n_respondents,
         n_draws, len(rp)), on this kernel's layout, in place of the ones it
-        had; set the blocks and allocate the workspace. Returns the kernel."""
+        had; set the blocks and allocate the workspace. Returns the kernel.
+        Draws that are the transposed view of a C-contiguous (respondent,
+        dim, draw) array, as ``make_draws`` returns them, are held as they
+        are; others are copied into that layout."""
         self.rp = np.asarray(rp, dtype=np.intp)
         draws = np.asarray(draws, dtype=np.float64)
         n_r, n_t, n_d = self.shape
@@ -176,7 +207,8 @@ class _MslWork:
                 "draw_shape_mismatch",
                 f"draws must be (n_respondents, n_draws, {m}), got {draws.shape}")
         self.antithetic = antithetic
-        self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))  # (n, rp, draw)
+        # (n, rp, draw): a view, not a copy, of make_draws' draws
+        self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))
         self.n_draws = draws.shape[1]
         self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
                        for c0 in range(0, self.n_draws, _CHUNK)]
@@ -197,6 +229,13 @@ class _MslWork:
         for role, size in roles.items():
             self._buffers[role] = np.empty(min(block, n_r) * size)
         return self
+
+    def check_identification(self):
+        """``check_identification`` of the panel, on the first call only: one
+        kernel serves the MMNL's warm start and its mixed fit."""
+        if not self.identified:
+            check_identification(self.panel)
+            self.identified = True
 
     def _view(self, role, shape, start=0):
         """A C-contiguous ``shape`` of ``role``'s workspace buffer from ``start``."""
@@ -423,8 +462,15 @@ def mnl_loglik(params: np.ndarray, panel: CodedPanel) -> float:
 
 def check_identification(panel: CodedPanel) -> None:
     """Every coded column must vary within at least one task; a column
-    constant within every task cancels out of all probabilities."""
-    dead = np.all(panel.X == panel.X[panel.task_ptr[panel.row_task]], axis=0)
+    constant within every task cancels out of all probabilities. Each row is
+    compared with its task's first, a chunk of rows at a time, so no copy of
+    the design is made."""
+    X = panel.X
+    dead = np.ones(X.shape[1], dtype=bool)
+    per_chunk = max(_LAYOUT_VALUES // (X.shape[1] or 1), 1)
+    for r0 in range(0, panel.n_rows, per_chunk):
+        r1 = r0 + per_chunk
+        dead &= np.all(X[r0:r1] == X[panel.task_ptr[panel.row_task[r0:r1]]], axis=0)
     if np.any(dead):
         names = [panel.index.entries[i].name for i in np.flatnonzero(dead)]
         raise EstimationError("degenerate_column",
@@ -464,9 +510,10 @@ def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start):
     sign was flipped. They are None when that matrix is singular.
     Non-convergence is reported through ``converged`` and ``status``, not
     raised. Returns the result, as an MNL one with no trace, and the log
-    likelihood at the start and after each accepted step.
+    likelihood at the start and after each accepted step. The first fit on
+    a kernel checks identification (``_MslWork.check_identification``).
     """
-    check_identification(panel)
+    work.check_identification()
     x0 = np.asarray(start, dtype=np.float64).reshape(-1)
     if x0.shape[0] != index.n_params:
         raise EstimationError("parameter_mismatch",

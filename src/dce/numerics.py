@@ -12,6 +12,7 @@ global RNG state. It needs only numpy and the standard library.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,11 +49,13 @@ class HaltonConfig:
     n_draws: int = 500
 
     def __post_init__(self):
-        if self.drop < 0:
-            raise EstimationError("bad_drop", f"drop must be >= 0, got {self.drop}")
-        if self.n_draws < 1:
-            raise EstimationError("bad_draw_count",
-                                  f"n_draws must be >= 1, got {self.n_draws}")
+        for name, code, least in (("drop", "bad_drop", 0), ("n_draws", "bad_draw_count", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise EstimationError(code, f"{name} must be an integer >= {least}, "
+                                            f"got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 def _first_primes(n: int) -> tuple[int, ...]:
@@ -94,38 +97,79 @@ class MixingSpec:
         return _first_primes(self.n_random)
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Base-b radical inverse of non-negative integer indices (vectorized)."""
-    rem = np.asarray(indices, dtype=np.int64).copy()
-    out = np.zeros(rem.shape, dtype=np.float64)
-    scale = np.float64(1.0)
+def _add_digits(rem: np.ndarray, out: np.ndarray, scale, base: int):
+    """Add ``rem``'s base-b digits to ``out``, lowest first, the j-th times
+    ``scale`` / b^j; ``rem`` ends at 0. Returns the last scale used."""
     while np.any(rem > 0):
         scale /= base
         digit = rem % base
         out += digit * scale
         rem //= base
+    return scale
+
+
+# entries per radical-inverse table: a base's table holds the radical
+# inverses of 0 .. b^k - 1 for the largest b^k within this. A table is made
+# once per base (the last 16 bases' are kept) and, at 32 KB, is read from the
+# CPU cache; a 65,536-entry one would cost a small fit's draws more to make
+# than it saves them
+_TABLE = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_table(base: int):
+    """The radical inverses of 0 .. b^k - 1, made by the digit loop, with b^k
+    and the scale the loop reaches after k digits (k = 0 if b > _TABLE)."""
+    size = 1
+    while size * base <= _TABLE:
+        size *= base
+    table = np.zeros(size)
+    scale = _add_digits(np.arange(size), table, np.float64(1.0), base)
+    table.flags.writeable = False
+    return table, size, scale
+
+
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
+    """Base-b radical inverse of non-negative integer indices (vectorized):
+    each index's digits times b^-1, b^-2, ..., added lowest digit first. The
+    sum of the low k digits is read from ``_digit_table``, which the same
+    loop made, and the high digits are added after it in the same order, so
+    every value has the digit loop's bits."""
+    table, size, scale = _digit_table(base)
+    rem, low = np.divmod(np.asarray(indices, dtype=np.int64), size)
+    out = table[low]
+    _add_digits(rem, out, scale, base)
     return out
 
 
-# sequence points per slice: draws are built one slice at a time, so their
-# temporaries stay this size whatever the draw count. Every step is
-# elementwise, so the slicing leaves each value's bits as they were
+# sequence points per slice: draws are built a slice of whole individuals at
+# a time, so their temporaries stay this size unless one individual's draws
+# are more. Every step is elementwise, so the slicing leaves each value's
+# bits as they were
 _SLICE = 4096
 
 
 def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) -> np.ndarray:
     """``transform`` of the uniform draws, shaped (n_individuals, n_draws,
-    n_dims) and built one slice of sequence points at a time."""
+    n_dims): the transposed view of a C-contiguous (n_individuals, n_dims,
+    n_draws) array, filled a slice of whole individuals at a time.
+    EstimationError "bad_drop" if a sequence index would pass int64's range."""
     if n_individuals < 0:
         raise ValueError("n_individuals must be >= 0")
-    total = n_individuals * config.n_draws
-    out = np.empty((total, n_dims))
+    n_draws = config.n_draws
+    if config.drop + n_individuals * n_draws > np.iinfo(np.int64).max:
+        raise EstimationError(
+            "bad_drop", f"drop {config.drop} with {n_individuals} x {n_draws} draws "
+                        f"passes the largest Halton index, 2**63 - 1")
+    out = np.empty((n_individuals, n_dims, n_draws))
+    per_slice = max(_SLICE // n_draws, 1)
     primes = _first_primes(n_dims)
-    for s0 in range(0, total, _SLICE):
-        idx = config.drop + 1 + np.arange(s0, min(s0 + _SLICE, total))
+    for i0 in range(0, n_individuals, per_slice):
+        i1 = min(i0 + per_slice, n_individuals)
+        idx = np.arange((i1 - i0) * n_draws) + (config.drop + 1 + i0 * n_draws)
         for d, p in enumerate(primes):
-            out[s0:s0 + idx.size, d] = transform(_radical_inverse(idx, p))
-    return out.reshape(n_individuals, config.n_draws, n_dims)
+            out[i0:i1, d] = transform(_radical_inverse(idx, p)).reshape(i1 - i0, n_draws)
+    return out.transpose(0, 2, 1)
 
 
 def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
@@ -135,16 +179,21 @@ def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.n
     base; individual ``i`` takes the contiguous index slice
     ``[drop + i*n_draws + 1, drop + (i+1)*n_draws]``.
     Growing the individual count therefore never changes earlier
-    individuals' draws. Built in slices of ``_SLICE`` points.
+    individuals' draws. The matrix is the transposed view of a C-contiguous
+    (n_individuals, n_dims, n_draws) array, built a slice of about
+    ``_SLICE`` points, whole individuals, at a time. EstimationError
+    "bad_drop" if an index would pass int64's range.
     """
     return _halton(config, n_individuals, n_dims, lambda u: u)
 
 
 def normal_draws(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
     """Standard-normal draws (n_individuals, n_draws, n_dims): the inverse CDF
-    of ``halton_matrix``'s draws, taken one slice of ``_SLICE`` points at a
-    time, so that no uniform matrix is held beside the result. The values
-    are byte-identical to ``inv_normal_cdf(halton_matrix(...))``."""
+    of ``halton_matrix``'s draws, taken one slice of whole individuals at a
+    time, so that no uniform matrix is held beside the result. Like
+    ``halton_matrix``'s, the matrix is the transposed view of a C-contiguous
+    (n_individuals, n_dims, n_draws) array. The values are byte-identical to
+    ``inv_normal_cdf(halton_matrix(...))``."""
     return _halton(config, n_individuals, n_dims, _quantile)
 
 

@@ -32,6 +32,7 @@ from dce import (
     table4_mmnl,
 )
 
+from dce import mnl
 from dce.mmnl import _work
 from dce.mnl import _fit, _inference
 from helpers import finite_diff_grad, mnl_score, simulated_panel, traced_peak
@@ -105,6 +106,15 @@ class TestMixingSpec:
         n, n_draws, antithetic = case
         z = make_draws(MixingSpec(halton=HaltonConfig(n_draws=n_draws), antithetic=antithetic), n)
         assert hashlib.sha256(z.tobytes()).hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_draws_are_the_kernels_layout(self, mixed_panel40, antithetic):
+        # (respondent, draw, dim) over an (respondent, dim, draw) array: the
+        # kernel's draws are that array, not a copy
+        mixing = small_mixing(n_draws=16, antithetic=antithetic)
+        z = make_draws(mixing, mixed_panel40["panel"].n_respondents)
+        assert z.transpose(0, 2, 1).flags.c_contiguous
+        assert np.shares_memory(_work(mixed_panel40["panel"], mixing, z).z, z)
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_paper_scale_draws_peak_at_twice_their_size(self, antithetic):
@@ -340,15 +350,24 @@ def fitted(mixed_panel40):
 
 
 class TestEstimation:
-    def test_paper_scale_fit_peaks_under_16_mb(self, design32):
+    def test_paper_scale_fit_peaks_under_11_mb(self, design32):
         # 528 x 8 tasks x 500 draws: the draws are 4.2 MB and the layout 2.6;
-        # the MNL warm start shares the layout and no block array is
-        # allocated per call
+        # the MNL warm start shares the layout, the kernel holds the draws
+        # without a copy, identification is checked without one and no block
+        # array is allocated per call
         panel = simulated_panel(design32, 528, seed=5, sds=(1.2, 1.0))[2]
         mixing = MixingSpec(halton=HaltonConfig(n_draws=500))
         result, peak = traced_peak(lambda: estimate_mmnl(panel, mixing))
         assert result.converged
-        assert peak <= 16e6
+        assert peak <= 11e6
+
+    def test_identification_is_checked_once(self, mixed_panel40, monkeypatch):
+        # the warm start and the mixed fit share one kernel and one check
+        calls = []
+        check = mnl.check_identification
+        monkeypatch.setattr(mnl, "check_identification", lambda panel: calls.append(check(panel)))
+        estimate_mmnl(mixed_panel40["panel"], small_mixing(n_draws=16))
+        assert len(calls) == 1
 
     def test_converges_with_positive_sds(self, fitted):
         assert fitted.converged

@@ -1,12 +1,18 @@
 """Multinomial logit likelihood, gradient, and estimation."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dce import (
     AlternativeDef,
     AttributeDef,
     ChoiceDataset,
+    CodedPanel,
     EstimationError,
     ExperimentSchema,
     Level,
@@ -14,6 +20,7 @@ from dce import (
     RespondentRecord,
     SimConfig,
     block_design,
+    check_identification,
     code_dataset,
     estimate_mnl,
     mnl_loglik,
@@ -24,6 +31,8 @@ from dce import (
     table4_mnl,
 )
 
+from dce import mnl
+from dce.mnl import _MslWork
 from helpers import binary_asc_dataset, finite_diff_grad, mnl_score
 
 
@@ -196,3 +205,49 @@ class TestEstimation:
         result = estimate_mnl(panel)
         assert result.status == "gradient_converged"
         assert result.std_errors is not None
+
+
+# a column's values: one per task (constant within it), or one per row; the
+# values repeat often, and nan and inf are never equal to a different value
+VALUES = st.sampled_from([0.0, 1.0, -2.5, np.nan, np.inf])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_identification_names_the_columns_constant_within_tasks(data):
+    # small random panels, ragged ones included, checked in chunks of one
+    # row up to all of them, by the function and by a kernel
+    tasks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))  # per respondent
+    sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=sum(tasks),
+                                        max_size=sum(tasks))))
+    task_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    row_task = np.repeat(np.arange(sizes.size), sizes)
+    columns = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            columns.append(np.array(data.draw(st.lists(VALUES, min_size=sizes.size,
+                                                       max_size=sizes.size)))[row_task])
+        else:
+            columns.append(data.draw(st.lists(VALUES, min_size=row_task.size,
+                                              max_size=row_task.size)))
+    X = np.array(columns).T
+    panel = CodedPanel(
+        schema=None,
+        index=SimpleNamespace(entries=[SimpleNamespace(name=f"c{j}") for j in range(X.shape[1])]),
+        X=X, task_ptr=task_ptr, row_task=row_task, chosen_row=task_ptr[:-1],
+        task_respondent=np.repeat(np.arange(len(tasks)), tasks),
+        respondent_ids=tuple(f"r{i}" for i in range(len(tasks))),
+        row_alternative=("a",) * row_task.size)
+    dead = np.flatnonzero(np.all(X == X[task_ptr[row_task]], axis=0))
+    with mock.patch.object(mnl, "_LAYOUT_VALUES", data.draw(st.integers(1, 2 * X.size))):
+        with np.errstate(invalid="ignore"):  # the layout differences inf - inf
+            work = _MslWork(panel)
+        for check in (lambda: check_identification(panel), work.check_identification):
+            if dead.size == 0:
+                check()
+                continue
+            with pytest.raises(EstimationError) as err:
+                check()
+            assert err.value.code == "degenerate_column"
+            assert err.value.message == ("no within-task variation for parameter(s): "
+                                         + ", ".join(f"c{j}" for j in dead))

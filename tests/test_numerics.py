@@ -18,7 +18,7 @@ from dce import (
     normal_draws,
     trust_newton_minimize,
 )
-from dce.numerics import _trust_region_step
+from dce.numerics import _radical_inverse, _trust_region_step
 
 from helpers import finite_diff_grad, hessian_from_grad
 
@@ -93,11 +93,65 @@ class TestHalton:
     @pytest.mark.parametrize("kwargs, code", [
         ({"n_draws": 0}, "bad_draw_count"),
         ({"drop": -1}, "bad_drop"),
+        # integers only, and not bool
+        ({"drop": 1.5}, "bad_drop"),
+        ({"drop": True}, "bad_drop"),
+        ({"drop": "3"}, "bad_drop"),
+        ({"n_draws": 10.0}, "bad_draw_count"),
+        ({"n_draws": True}, "bad_draw_count"),
     ])
     def test_config_errors_are_typed(self, kwargs, code):
         with pytest.raises(EstimationError) as err:
             HaltonConfig(**kwargs)
         assert err.value.code == code
+
+    def test_numpy_integers_are_held_as_ints(self):
+        cfg = HaltonConfig(drop=np.int64(3), n_draws=np.int32(7))
+        assert cfg == HaltonConfig(drop=3, n_draws=7)
+        assert type(cfg.drop) is int and type(cfg.n_draws) is int
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_indices_past_int64_are_typed(self, spare):
+        # 40 individuals x 20 draws use indices drop + 1 .. drop + 800, which
+        # must stay within int64; past it they would wrap negative
+        drop = np.iinfo(np.int64).max - 800 - spare
+        cfg = HaltonConfig(drop=drop, n_draws=20)
+        if spare < 0:
+            for build in (halton_matrix, normal_draws):
+                with pytest.raises(EstimationError) as err:
+                    build(cfg, 40, 2)
+                assert err.value.code == "bad_drop"
+        else:
+            u = halton_matrix(cfg, 40, 2)
+            for d, base in enumerate((2, 3)):
+                assert u[0, 0, d] == pytest.approx(float(radical_inverse(drop + 1, base)),
+                                                   rel=0, abs=1e-15)
+                assert u[-1, -1, d] == pytest.approx(
+                    float(radical_inverse(2 ** 63 - 1, base)), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("build", [halton_matrix, normal_draws])
+    def test_draws_are_a_transposed_view(self, build):
+        # (individual, draw, dim) over an (individual, dim, draw) array
+        u = build(HaltonConfig(drop=10, n_draws=30), 5, 3)
+        assert u.shape == (5, 30, 3)
+        assert u.transpose(0, 2, 1).flags.c_contiguous
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(base=st.one_of(st.sampled_from([2, 3, 4, 16, 64, 4096, 4097]),
+                          st.integers(2, 10_000)),
+           start=st.one_of(st.integers(0, 10_000), st.integers(0, 2 ** 63 - 5_000)),
+           n=st.integers(1, 5_000))
+    def test_radical_inverse_table_is_the_digit_loop(self, base, start, n):
+        # the low digits' partial sums come from a table, the high digits are
+        # added after them: each value has the loop's bits
+        indices = np.arange(n, dtype=np.int64) + start
+        rem, want = indices.copy(), np.zeros(n)
+        scale = np.float64(1.0)
+        while np.any(rem > 0):
+            scale /= base
+            want += rem % base * scale
+            rem //= base
+        assert _radical_inverse(indices, base).tobytes() == want.tobytes()
 
     def test_matrix_slices_one_stream_per_individual(self):
         # individual i takes global indices drop + [i*D+1 .. (i+1)*D]
