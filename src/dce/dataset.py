@@ -38,6 +38,7 @@ other entry is 0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -349,9 +350,11 @@ def screen_responses(dataset: ChoiceDataset,
             try:
                 seconds = float(raw)
             except ValueError:
+                seconds = math.nan
+            if not math.isfinite(seconds):
                 raise DatasetError("bad_number",
                                    f"response_seconds {raw!r} for respondent "
-                                   f"{rec.respondent_id!r}") from None
+                                   f"{rec.respondent_id!r}")
             if seconds < rules.fast_seconds:
                 dropped[rec.respondent_id] = "fast_response"
                 continue

@@ -16,6 +16,9 @@ import csv
 import json
 from pathlib import Path
 
+__all__ = ["DceError", "SchemaError", "DesignError", "DatasetError",
+           "EstimationError", "SimulationError", "PostestError"]
+
 
 class DceError(Exception):
     """Base class for all package errors."""

@@ -54,7 +54,8 @@ def make_draws(mixing: MixingSpec, n_individuals: int) -> np.ndarray:
     ``tobytes()`` are those of the (individuals, draws, dims) matrix.
     ``normal_draws`` builds it in slices of whole individuals, so the call
     peaks at about the result's size (1.5 times it with ``antithetic``).
-    EstimationError "bad_drop" if a Halton index would pass int64's range.
+    EstimationError "bad_drop" if a Halton index would pass int64's range
+    or a draw would round out of (0, 1).
     """
     m = mixing.n_random
     cfg = mixing.halton

@@ -2,19 +2,19 @@
 estimation.
 
 Utilities are linear in the coded columns; probabilities are max-subtracted
-softmaxes within each task. ``_MslWork`` is the one panel likelihood for both
-models: the mixed logit adds normal deviations ``sd*z`` on its random columns,
-and MNL is the case with no random columns and a single draw. The kernel
-holds the panel in one layout: each task's alternatives after its first,
-differenced from the first, padded to (respondent, task, cell) so that
-ragged panels need no special case and each draw chunk's utilities come
+softmaxes within each task. ``_MslWork`` is the one panel likelihood for
+both models: the mixed logit adds normal deviations ``sd*z`` on its random
+columns, and MNL is the case with no random columns and a single draw. The
+kernel holds the panel in one layout: each task's alternatives after its
+first, differenced from the first, padded to (respondent, task, cell) so
+that ragged panels need no special case and each draw chunk's utilities come
 from one batched product. This is exact because logit probabilities depend
 only on utility differences within a task. The layout is built once per fit,
 in place, a chunk of respondents at a time, so no copy of the coded design
-is made; identification is checked once per kernel, a chunk of rows at a
-time. The MMNL fits its MNL warm start on the layout and then adds its
-random columns and its draws, which the kernel holds without a copy:
-``make_draws`` builds them in the kernel's layout. The kernel has two
+is made; the same pass records which columns vary within some task, the only
+ones a fit can identify. The MMNL fits its MNL warm start on the layout and
+then adds its random columns and its draws, which the kernel holds without a
+copy: ``make_draws`` builds them in the kernel's layout. The kernel has two
 evaluations, ``loglik`` (the log likelihood) and ``hessian`` (it, its score
 and its Hessian in closed form), each one block of respondents at a time: a
 block's per-draw probabilities are formed, used and dropped before the next
@@ -41,7 +41,6 @@ from .results import EstimationResult, implied_base_levels, two_sided_p
 from .schema import ParameterIndex
 
 __all__ = [
-    "mnl_probabilities",
     "mnl_loglik",
     "estimate_mnl",
 ]
@@ -71,10 +70,9 @@ _BLOCK_CELLS = 2048
 # cells, against 0.42, 2.2 and 27 with 512
 _ONE_DRAW_CELLS = 1024
 
-# values per chunk of the panel's rows when the layout is filled and when
-# identification is checked: 128 KB of float64, 26 respondents of the
-# study's 8 tasks x 2 cells x 38 columns. Their temporaries are a few times
-# this whatever the panel's size
+# values per chunk of the panel's rows when the layout is filled: 128 KB of
+# float64, 26 respondents of the study's 8 tasks x 2 cells x 38 columns. Its
+# temporaries are a few times this whatever the panel's size
 _LAYOUT_VALUES = 1 << 14
 
 
@@ -87,18 +85,6 @@ def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
         raise EstimationError("non_finite_utility", f"non-finite utility{where}: "
                                                     f"parameter {bad[0]} is {float(params[bad[0]])!r}")
     return params
-
-
-def mnl_probabilities(params: np.ndarray, task_rows: np.ndarray) -> np.ndarray:
-    """Choice probabilities for one task: max-subtracted softmax of row
-    utilities. A non-finite utility raises EstimationError
-    "non_finite_utility"."""
-    rows = np.atleast_2d(np.asarray(task_rows, dtype=np.float64))
-    u = rows @ _finite(np.asarray(params, dtype=np.float64))
-    if not np.all(np.isfinite(u)):
-        raise EstimationError("non_finite_utility", "non-finite utility in task")
-    e = np.exp(u - u.max())
-    return e / e.sum()
 
 
 class _MslWork:
@@ -116,18 +102,19 @@ class _MslWork:
     longest respondent has and one cell per alternative after the first in
     the largest task. ``D`` holds each cell's row minus its task's first,
     shaped (respondent, task * cell, column) and zero in empty cells, and
-    ``Drp`` its random columns. ``cell_row`` is each flat cell's coded row,
-    -1 if empty. ``offset`` is -inf in an empty cell, so that it has
-    probability 0, and 0 in a real one; a padded task has only empty cells
-    and so adds log 1 = 0. ``A`` holds each respondent's chosen rows minus
-    their tasks' first rows, summed over tasks, and ``Arp`` its random
-    columns: the chosen cells' utilities summed over tasks are
+    ``Drp`` its random columns. ``offset`` is -inf in an empty cell, so
+    that it has probability 0, and 0 in a real one; a padded task has only
+    empty cells and so adds log 1 = 0. ``A`` holds each respondent's chosen
+    rows minus their tasks' first rows, summed over tasks, and ``Arp`` its
+    random columns: the chosen cells' utilities summed over tasks are
     A mean + Arp (sd z). The layout is built once and ``mix`` keeps it. It
     is filled in place from ``panel.X``, a chunk of whole respondents at a
     time (``_LAYOUT_VALUES``), so the chunk's gathered rows are its only
-    temporaries, and ``A`` sums each respondent's tasks in order.
-    ``check_identification`` runs on a kernel's first fit only, so the
-    MMNL's warm start and mixed fit share one check. ``z`` is the draws
+    temporaries, and ``A`` sums each respondent's tasks in order. The same
+    pass sets ``varies``: per column, whether some row differs from its
+    task's first (``!=``, so a nan differs even from itself). A column that
+    does not cancels out of every probability; ``mix`` keeps it too, so the
+    MMNL's warm start and mixed fit read one record. ``z`` is the draws
     given to ``mix`` themselves, not a copy, when they are the transposed
     view that ``make_draws`` returns.
 
@@ -154,7 +141,8 @@ class _MslWork:
         # tasks are grouped by respondent, so searching the respondent column
         # finds each respondent's first task
         n_r = panel.n_respondents
-        respondent_tasks = np.searchsorted(panel.task_respondent, np.arange(n_r + 1))
+        self.respondent_tasks = respondent_tasks = np.searchsorted(
+            panel.task_respondent, np.arange(n_r + 1))
         # at least one cell per task: when every task has one alternative,
         # all cells are empty and each task adds log 1 = 0
         self.shape = (n_r, int(np.diff(respondent_tasks).max()),
@@ -162,10 +150,11 @@ class _MslWork:
         _, n_t, n_d = self.shape
         k = panel.X.shape[1]
         first = panel.task_ptr[:-1]
-        self.cell_row = np.full(n_r * n_t * n_d, -1)
         self.D = np.zeros((n_r, n_t * n_d, k))
         D = self.D.reshape(-1, k)
+        self.offset = np.full((n_r * n_t * n_d, 1), -np.inf)
         self.A = np.empty((n_r, k))
+        self.varies = np.zeros(k, dtype=bool)
         # filled a chunk of whole respondents at a time, so that the chunk's
         # gathered rows are the only temporaries; A sums each respondent's
         # tasks in order
@@ -181,14 +170,16 @@ class _MslWork:
             rows = r0 + np.flatnonzero(np.arange(r0, r1) != ref)
             ref = ref[rows - r0]
             cell = (n0 * n_t + slot[panel.row_task[rows] - t0]) * n_d + rows - ref - 1
-            self.cell_row[cell] = rows
-            D[cell] = panel.X[rows]
-            D[cell] -= panel.X[ref]
+            self.offset[cell] = 0.0
+            x, x_ref = panel.X[rows], panel.X[ref]
+            self.varies |= (x != x_ref).any(axis=0)
+            D[cell] = np.subtract(x, x_ref, out=x)
+            # a task's first row differs from itself where it is nan
+            x_first = panel.X[first[t0:t1]]
+            self.varies |= (x_first != x_first).any(axis=0)
             chosen = np.zeros(((n1 - n0) * n_t, k))
-            chosen[slot] = panel.X[panel.chosen_row[t0:t1]] - panel.X[first[t0:t1]]
+            chosen[slot] = panel.X[panel.chosen_row[t0:t1]] - x_first
             self.A[n0:n1] = chosen.reshape(n1 - n0, n_t, k).sum(axis=1)
-        self.offset = np.where(self.cell_row < 0, -np.inf, 0.0)[:, None]
-        self.identified = False
         self.mix((), False, np.zeros((n_r, 1, 0)))
 
     def mix(self, rp, antithetic: bool, draws: np.ndarray) -> _MslWork:
@@ -230,13 +221,6 @@ class _MslWork:
             self._buffers[role] = np.empty(min(block, n_r) * size)
         return self
 
-    def check_identification(self):
-        """``check_identification`` of the panel, on the first call only: one
-        kernel serves the MMNL's warm start and its mixed fit."""
-        if not self.identified:
-            check_identification(self.panel)
-            self.identified = True
-
     def _view(self, role, shape, start=0):
         """A C-contiguous ``shape`` of ``role``'s workspace buffer from ``start``."""
         return self._buffers[role][start:start + math.prod(shape)].reshape(shape)
@@ -253,12 +237,16 @@ class _MslWork:
         return params[:k], params[k:]
 
     def _non_finite(self, cell_finite, n0):
-        """Raise for the first coded row, from respondent n0 on, whose
-        differenced cell is not finite."""
-        rows = self.cell_row[n0 * self.shape[1] * self.shape[2]:][:cell_finite.size]
-        rows = rows[~cell_finite & (rows >= 0)]
-        raise EstimationError("non_finite_utility",
-                              f"non-finite utility at task index {self.panel.row_task[rows[0]]}")
+        """Raise for the first real cell, from respondent n0 on, that is not
+        finite, naming its task: the respondent's first task plus the
+        cell's task slot."""
+        _, n_t, n_d = self.shape
+        c0 = n0 * n_t * n_d
+        real = np.isfinite(self.offset[c0:c0 + cell_finite.size, 0])
+        cell = np.flatnonzero(~cell_finite & real)[0]
+        respondent, slot = divmod(n0 * n_t + cell // n_d, n_t)
+        raise EstimationError("non_finite_utility", f"non-finite utility at task index "
+                                                    f"{self.respondent_tasks[respondent] + slot}")
 
     def _tile(self, mean, sds, n0, n1):
         """Respondents [n0, n1)'s (respondent, draw) log products and, per
@@ -460,24 +448,6 @@ def mnl_loglik(params: np.ndarray, panel: CodedPanel) -> float:
     return _MslWork(panel).loglik(params)
 
 
-def check_identification(panel: CodedPanel) -> None:
-    """Every coded column must vary within at least one task; a column
-    constant within every task cancels out of all probabilities. Each row is
-    compared with its task's first, a chunk of rows at a time, so no copy of
-    the design is made."""
-    X = panel.X
-    dead = np.ones(X.shape[1], dtype=bool)
-    per_chunk = max(_LAYOUT_VALUES // (X.shape[1] or 1), 1)
-    for r0 in range(0, panel.n_rows, per_chunk):
-        r1 = r0 + per_chunk
-        dead &= np.all(X[r0:r1] == X[panel.task_ptr[panel.row_task[r0:r1]]], axis=0)
-    if np.any(dead):
-        names = [panel.index.entries[i].name for i in np.flatnonzero(dead)]
-        raise EstimationError("degenerate_column",
-                              "no within-task variation for parameter(s): "
-                              + ", ".join(names))
-
-
 def _inference(hessian_of_negll: np.ndarray, params: np.ndarray):
     """Standard errors and p-values from the observed information matrix;
     (None, None) when it is singular to working precision (its 1-norm
@@ -510,10 +480,14 @@ def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start):
     sign was flipped. They are None when that matrix is singular.
     Non-convergence is reported through ``converged`` and ``status``, not
     raised. Returns the result, as an MNL one with no trace, and the log
-    likelihood at the start and after each accepted step. The first fit on
-    a kernel checks identification (``_MslWork.check_identification``).
+    likelihood at the start and after each accepted step. EstimationError
+    "degenerate_column" names the columns that vary within no task
+    (``_MslWork.varies``): they cancel out of every probability.
     """
-    work.check_identification()
+    dead = np.flatnonzero(~work.varies)
+    if dead.size:
+        raise EstimationError("degenerate_column", "no within-task variation for parameter(s): "
+                              + ", ".join(panel.index.entries[i].name for i in dead))
     x0 = np.asarray(start, dtype=np.float64).reshape(-1)
     if x0.shape[0] != index.n_params:
         raise EstimationError("parameter_mismatch",

@@ -153,7 +153,10 @@ def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) ->
     """``transform`` of the uniform draws, shaped (n_individuals, n_draws,
     n_dims): the transposed view of a C-contiguous (n_individuals, n_dims,
     n_draws) array, filled a slice of whole individuals at a time.
-    EstimationError "bad_drop" if a sequence index would pass int64's range."""
+    EstimationError "bad_drop" if a sequence index would pass int64's range,
+    or if a uniform is not inside (0, 1): far into the sequence, an index
+    whose low digits are all b - 1 rounds to 1.0 (in base 5 from index
+    5**22 - 1, about 2**51)."""
     if n_individuals < 0:
         raise ValueError("n_individuals must be >= 0")
     n_draws = config.n_draws
@@ -168,7 +171,12 @@ def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) ->
         i1 = min(i0 + per_slice, n_individuals)
         idx = np.arange((i1 - i0) * n_draws) + (config.drop + 1 + i0 * n_draws)
         for d, p in enumerate(primes):
-            out[i0:i1, d] = transform(_radical_inverse(idx, p)).reshape(i1 - i0, n_draws)
+            u = _radical_inverse(idx, p)
+            if not (u.min() > 0.0 and u.max() < 1.0):
+                raise EstimationError(
+                    "bad_drop", f"drop {config.drop} reaches Halton indices whose base-{p} "
+                                f"draws round out of (0, 1)")
+            out[i0:i1, d] = transform(u).reshape(i1 - i0, n_draws)
     return out.transpose(0, 2, 1)
 
 
@@ -182,7 +190,8 @@ def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.n
     individuals' draws. The matrix is the transposed view of a C-contiguous
     (n_individuals, n_dims, n_draws) array, built a slice of about
     ``_SLICE`` points, whole individuals, at a time. EstimationError
-    "bad_drop" if an index would pass int64's range.
+    "bad_drop" if an index would pass int64's range or a draw would round
+    out of (0, 1).
     """
     return _halton(config, n_individuals, n_dims, lambda u: u)
 

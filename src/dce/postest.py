@@ -218,6 +218,9 @@ def wtp(result: EstimationResult, schema: ExperimentSchema, attribute: str,
     else:
         raise PostestError("ambiguous_levels",
                            f"{attribute!r} has {attr.n_levels} levels; pass levels=(to, from)")
+    if slope.slope == 0.0:
+        raise PostestError("zero_cost_slope",
+                           f"the {slope_owner} cost slope is 0, so WTP is undefined")
     return WtpEntry(attribute=attribute, mode=owner, levels=levels,
                     delta_utility=float(delta), cost_slope_mode=slope_owner,
                     wtp_yen=float(-delta / slope.slope))

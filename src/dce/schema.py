@@ -41,7 +41,6 @@ __all__ = [
     "ParamInfo",
     "ParameterIndex",
     "SchemaIssue",
-    "effects_code",
     "build_parameter_index",
     "validate_schema",
 ]
@@ -151,19 +150,6 @@ class AttributeDef:
             table = np.array([[l.value] for l in self.levels], dtype=np.float64)
         table.flags.writeable = False
         return table
-
-
-def effects_code(attribute: AttributeDef, label: str) -> np.ndarray:
-    """Code one level of an attribute: its read-only row of ``attribute.codes``.
-
-    Effects coding returns a length L-1 vector: unit vector for a non-base
-    level, all -1 for the base (last listed) level. Linear coding returns the
-    level's numeric value as a length-1 vector.
-    """
-    if label not in attribute.level_index:
-        raise SchemaError("unknown_level",
-                          f"attribute {attribute.name}: unknown level {label!r}")
-    return attribute.codes[attribute.level_index[label]]
 
 
 def _check_level(attr: AttributeDef, column: str, label: str, row: int, error) -> int:

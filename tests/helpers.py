@@ -147,6 +147,32 @@ def simulated_panel(design, n_respondents: int, seed: int,
     return cfg, dataset, panel, truth
 
 
+def effects_code(attribute, label):
+    """One level's code from the coding's definition, not from
+    ``AttributeDef.codes``: an L-level effects-coded attribute gives level
+    i < L - 1 the unit vector e_i and its base (last listed) level -1 in
+    each of its L - 1 columns; a linear attribute gives the level's value."""
+    labels = [l.label for l in attribute.levels]
+    i = labels.index(label)
+    if attribute.coding == "linear":
+        return np.array([attribute.levels[i].value])
+    code = np.zeros(len(labels) - 1)
+    if i == len(labels) - 1:
+        code -= 1.0
+    else:
+        code[i] = 1.0
+    return code
+
+
+def mnl_probabilities(params, task_rows):
+    """One task's choice probabilities, the max-subtracted softmax of its
+    rows' utilities: the per-task oracle for the panel kernel."""
+    rows = np.atleast_2d(np.asarray(task_rows, dtype=np.float64))
+    u = rows @ np.asarray(params, dtype=np.float64)
+    e = np.exp(u - u.max())
+    return e / e.sum()
+
+
 def mnl_score(params, panel):
     """The MNL log likelihood's score, sum over tasks of x_chosen - E[x]:
     the kernel's Hessian pass's score."""

@@ -27,7 +27,6 @@ from dce import (
     fit_stats,
     lr_test,
     mnl_loglik,
-    mnl_probabilities,
     msl_gradient,
     msl_loglik,
     recovery_experiment,
@@ -40,7 +39,7 @@ from dce import (
 )
 
 from helpers import (binary_asc_dataset, binary_asc_schema, finite_diff_grad,
-                     mnl_score, simulated_panel)
+                     mnl_probabilities, mnl_score, simulated_panel)
 
 
 def report(n, ok, detail):

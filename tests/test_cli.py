@@ -290,6 +290,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "parameter_mismatch" in err and "sd:asc_truck" in err
 
+    def test_wtp_with_a_zero_cost_slope(self, workdir, capsys):
+        # every cost level's coefficient, the implied base levels' too, is 0
+        doc = json.loads(Path(MMNL_FIXTURE).read_text())
+        for name, entry in doc["parameters"].items():
+            if name.startswith("delivery_cost_"):
+                entry["estimate"] = 0.0
+        for name in doc["base_levels"]:
+            if name.startswith("delivery_cost_"):
+                doc["base_levels"][name] = 0.0
+        result = workdir / "zero_cost.json"
+        result.write_text(json.dumps(doc))
+        assert main(["postest", "wtp", "--result", str(result)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero_cost_slope:") and "Traceback" not in err
+
     def test_result_that_is_not_json(self, workdir, capsys):
         result = workdir / "not_json.json"
         # json reads NaN and -Infinity, which are no JSON numbers
@@ -317,11 +332,13 @@ class TestErrors:
             assert err.startswith("error: schema_json:") and "Traceback" not in err
 
     # past int64's range the drop itself, or the indices of 40 respondents x
-    # 10 draws after it, would overflow or wrap negative
+    # 10 draws after it, would overflow or wrap negative; at 2**54 - 1 the
+    # base-2 draw rounds to 1.0
     @pytest.mark.parametrize("flag, value, error", [("--draws", "0", "bad_draw_count"),
                                                     ("--drop", "-1", "bad_drop"),
                                                     ("--drop", "9223372036854775807", "bad_drop"),
-                                                    ("--drop", "9223372036854775500", "bad_drop")])
+                                                    ("--drop", "9223372036854775500", "bad_drop"),
+                                                    ("--drop", "18014398509481982", "bad_drop")])
     def test_bad_halton_setting(self, pipeline, workdir, capsys, flag, value, error):
         code = main(["estimate", "mmnl",
                      "--data", str(pipeline["paths"]["choices"]),

@@ -12,13 +12,12 @@ from dce import (
     RespondentRecord,
     ScreeningRules,
     code_dataset,
-    effects_code,
     ingest_choices,
     screen_responses,
     write_choices_csv,
 )
 
-from helpers import binary_asc_dataset, linear_schema
+from helpers import binary_asc_dataset, effects_code, linear_schema
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +233,10 @@ class TestScreening:
         assert "r4" not in {r.respondent_id for r in kept.respondents}
 
     @pytest.mark.parametrize("value, code", [(None, "missing_column"),
-                                             ("quick", "bad_number")])
+                                             ("quick", "bad_number"),
+                                             ("nan", "bad_number"),
+                                             ("inf", "bad_number"),
+                                             ("-inf", "bad_number")])
     def test_bad_response_seconds(self, panel50, value, code):
         seconds = ["300"] * 50
         seconds[7] = value

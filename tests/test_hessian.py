@@ -224,7 +224,7 @@ def test_an_mnl_fit_holds_its_layout_and_little_else(large_mnl_panel):
 
 
 def whole_panel_layout(panel, shape):
-    """``D``, ``A`` and ``cell_row`` of ``_MslWork`` by gathers over the
+    """``D``, ``A`` and ``offset`` of ``_MslWork`` by gathers over the
     whole panel at once."""
     n_r, n_t, n_d = shape
     task_pos = np.arange(panel.n_tasks) \
@@ -234,15 +234,15 @@ def whole_panel_layout(panel, shape):
     ref = first[panel.row_task]
     rows = np.flatnonzero(np.arange(panel.n_rows) != ref)
     cell = task[panel.row_task[rows]] * n_d + rows - ref[rows] - 1
-    cell_row = np.full(n_r * n_t * n_d, -1)
-    cell_row[cell] = rows
+    offset = np.full((n_r * n_t * n_d, 1), -np.inf)
+    offset[cell] = 0.0
     k = panel.X.shape[1]
     D = np.zeros((n_r * n_t * n_d, k))
     D[cell] = panel.X[rows]
     D[cell] -= panel.X[ref[rows]]
     A = np.zeros((n_r * n_t, k))
     A[task] = panel.X[panel.chosen_row] - panel.X[first]
-    return D.reshape(n_r, n_t * n_d, k), A.reshape(n_r, n_t, k).sum(axis=1), cell_row
+    return D.reshape(n_r, n_t * n_d, k), A.reshape(n_r, n_t, k).sum(axis=1), offset
 
 
 @pytest.mark.parametrize("layout_values", [1, 700, 1 << 14])
@@ -254,10 +254,10 @@ def test_layout_in_chunks_has_the_whole_panel_bits(panel_fixture, layout_values,
     panel = panel if panel_fixture == "droneless_panel" else panel["panel"]
     monkeypatch.setattr(mnl, "_LAYOUT_VALUES", layout_values)
     work = _MslWork(panel)
-    D, A, cell_row = whole_panel_layout(panel, work.shape)
+    D, A, offset = whole_panel_layout(panel, work.shape)
     assert work.D.tobytes() == D.tobytes()
     assert work.A.tobytes() == A.tobytes()
-    np.testing.assert_array_equal(work.cell_row, cell_row)
+    assert work.offset.tobytes() == offset.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from dce import (
     lr_test,
     make_draws,
     mnl_loglik,
-    mnl_probabilities,
     msl_gradient,
     msl_loglik,
     select_fraction,
@@ -35,7 +34,7 @@ from dce import (
 from dce import mnl
 from dce.mmnl import _work
 from dce.mnl import _fit, _inference
-from helpers import finite_diff_grad, mnl_score, simulated_panel, traced_peak
+from helpers import finite_diff_grad, mnl_probabilities, mnl_score, simulated_panel, traced_peak
 
 ASC_MIX = ("asc_drone", "asc_truck")
 
@@ -323,8 +322,7 @@ class TestGradient:
         evaluations = [lambda: msl_loglik(params, panel, mixing),
                        lambda: _work(panel, mixing, None).hessian(params)]
         if position < k:
-            evaluations += [lambda: mnl_loglik(params[:k], panel),
-                            lambda: mnl_probabilities(params[:k], panel.X[:3])]
+            evaluations.append(lambda: mnl_loglik(params[:k], panel))
         for evaluate in evaluations:
             with pytest.raises(EstimationError) as err:
                 evaluate()
@@ -361,11 +359,13 @@ class TestEstimation:
         assert result.converged
         assert peak <= 11e6
 
-    def test_identification_is_checked_once(self, mixed_panel40, monkeypatch):
-        # the warm start and the mixed fit share one kernel and one check
+    def test_layout_is_built_once(self, mixed_panel40, monkeypatch):
+        # the warm start and the mixed fit share one kernel: one pass over
+        # the panel lays it out and records its identification
         calls = []
-        check = mnl.check_identification
-        monkeypatch.setattr(mnl, "check_identification", lambda panel: calls.append(check(panel)))
+        build = mnl._MslWork.__init__
+        monkeypatch.setattr(mnl._MslWork, "__init__",
+                            lambda work, panel: calls.append(build(work, panel)))
         estimate_mmnl(mixed_panel40["panel"], small_mixing(n_draws=16))
         assert len(calls) == 1
 

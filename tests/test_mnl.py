@@ -20,11 +20,9 @@ from dce import (
     RespondentRecord,
     SimConfig,
     block_design,
-    check_identification,
     code_dataset,
     estimate_mnl,
     mnl_loglik,
-    mnl_probabilities,
     select_fraction,
     simulate_dataset,
     table4_labels_schema,
@@ -33,7 +31,7 @@ from dce import (
 
 from dce import mnl
 from dce.mnl import _MslWork
-from helpers import binary_asc_dataset, finite_diff_grad, mnl_score
+from helpers import binary_asc_dataset, finite_diff_grad, mnl_probabilities, mnl_score
 
 
 class TestProbabilities:
@@ -215,8 +213,9 @@ VALUES = st.sampled_from([0.0, 1.0, -2.5, np.nan, np.inf])
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_identification_names_the_columns_constant_within_tasks(data):
-    # small random panels, ragged ones included, checked in chunks of one
-    # row up to all of them, by the function and by a kernel
+    # small random panels, ragged ones included, laid out in chunks of one
+    # row up to all of them; the kernel records the columns, and _fit names
+    # them before it looks at its start
     tasks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))  # per respondent
     sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=sum(tasks),
                                         max_size=sum(tasks))))
@@ -233,7 +232,8 @@ def test_identification_names_the_columns_constant_within_tasks(data):
     X = np.array(columns).T
     panel = CodedPanel(
         schema=None,
-        index=SimpleNamespace(entries=[SimpleNamespace(name=f"c{j}") for j in range(X.shape[1])]),
+        index=SimpleNamespace(entries=[SimpleNamespace(name=f"c{j}") for j in range(X.shape[1])],
+                              n_params=X.shape[1]),
         X=X, task_ptr=task_ptr, row_task=row_task, chosen_row=task_ptr[:-1],
         task_respondent=np.repeat(np.arange(len(tasks)), tasks),
         respondent_ids=tuple(f"r{i}" for i in range(len(tasks))),
@@ -242,12 +242,12 @@ def test_identification_names_the_columns_constant_within_tasks(data):
     with mock.patch.object(mnl, "_LAYOUT_VALUES", data.draw(st.integers(1, 2 * X.size))):
         with np.errstate(invalid="ignore"):  # the layout differences inf - inf
             work = _MslWork(panel)
-        for check in (lambda: check_identification(panel), work.check_identification):
-            if dead.size == 0:
-                check()
-                continue
-            with pytest.raises(EstimationError) as err:
-                check()
-            assert err.value.code == "degenerate_column"
-            assert err.value.message == ("no within-task variation for parameter(s): "
-                                         + ", ".join(f"c{j}" for j in dead))
+    np.testing.assert_array_equal(np.flatnonzero(~work.varies), dead)
+    with pytest.raises(EstimationError) as err:
+        mnl._fit(panel, work, panel.index, start=())
+    if dead.size == 0:
+        assert err.value.code == "parameter_mismatch"
+    else:
+        assert err.value.code == "degenerate_column"
+        assert err.value.message == ("no within-task variation for parameter(s): "
+                                     + ", ".join(f"c{j}" for j in dead))

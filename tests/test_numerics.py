@@ -113,21 +113,32 @@ class TestHalton:
     @pytest.mark.parametrize("spare", [-1, 0])
     def test_indices_past_int64_are_typed(self, spare):
         # 40 individuals x 20 draws use indices drop + 1 .. drop + 800, which
-        # must stay within int64; past it they would wrap negative
+        # must stay within int64; past it they would wrap negative. At the
+        # limit they fit, but the last, 2**63 - 1, is 63 ones in base 2, so
+        # its draw rounds to 1.0. One individual fewer is exact
         drop = np.iinfo(np.int64).max - 800 - spare
         cfg = HaltonConfig(drop=drop, n_draws=20)
-        if spare < 0:
-            for build in (halton_matrix, normal_draws):
-                with pytest.raises(EstimationError) as err:
-                    build(cfg, 40, 2)
-                assert err.value.code == "bad_drop"
-        else:
-            u = halton_matrix(cfg, 40, 2)
-            for d, base in enumerate((2, 3)):
-                assert u[0, 0, d] == pytest.approx(float(radical_inverse(drop + 1, base)),
-                                                   rel=0, abs=1e-15)
-                assert u[-1, -1, d] == pytest.approx(
-                    float(radical_inverse(2 ** 63 - 1, base)), rel=0, abs=1e-15)
+        for build in (halton_matrix, normal_draws):
+            with pytest.raises(EstimationError) as err:
+                build(cfg, 40, 2)
+            assert err.value.code == "bad_drop"
+            assert ("round out of (0, 1)" in err.value.message) == (spare == 0)
+        u = halton_matrix(cfg, 39, 2)
+        for d, base in enumerate((2, 3)):
+            assert u[0, 0, d] == pytest.approx(float(radical_inverse(drop + 1, base)),
+                                               rel=0, abs=1e-15)
+            assert u[-1, -1, d] == pytest.approx(float(radical_inverse(drop + 780, base)),
+                                                 rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("drop, n_dims", [(5 ** 22 - 2, 3), (2 ** 54 - 2, 1)])
+    def test_draws_that_round_to_one_are_typed(self, drop, n_dims):
+        # index drop + 1 has every digit b - 1 in the last dimension's base,
+        # more of them than float64 holds, so its radical inverse rounds to
+        # exactly 1.0, whose normal quantile is not finite
+        for build in (halton_matrix, normal_draws):
+            with pytest.raises(EstimationError) as err:
+                build(HaltonConfig(drop=drop, n_draws=1), 1, n_dims)
+            assert err.value.code == "bad_drop"
 
     @pytest.mark.parametrize("build", [halton_matrix, normal_draws])
     def test_draws_are_a_transposed_view(self, build):

@@ -14,10 +14,10 @@ from dce import (
     SchemaError,
     build_parameter_index,
     default_schema,
-    effects_code,
     table4_labels_schema,
     validate_schema,
 )
+from dce.schema import _check_level
 
 
 class TestDefaultSchema:
@@ -72,25 +72,24 @@ class TestEffectsCoding:
         for attr in schema_default.attributes:
             if attr.coding != "effects":
                 continue
-            total = sum(effects_code(attr, l.label) for l in attr.levels)
-            np.testing.assert_array_equal(total, np.zeros(len(attr.levels) - 1))
+            np.testing.assert_array_equal(attr.codes.sum(axis=0), np.zeros(len(attr.levels) - 1))
 
     def test_base_level_is_minus_one(self):
         attr = AttributeDef(
             name="x", scope="alternative_specific",
             levels=(Level("lo"), Level("mid"), Level("hi")),
             applies_to=("a",))
-        np.testing.assert_array_equal(effects_code(attr, "lo"), [1.0, 0.0])
-        np.testing.assert_array_equal(effects_code(attr, "mid"), [0.0, 1.0])
-        np.testing.assert_array_equal(effects_code(attr, "hi"), [-1.0, -1.0])
+        np.testing.assert_array_equal(attr.codes, [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
 
     def test_unknown_level_raises(self):
         attr = AttributeDef(
             name="x", scope="alternative_specific",
             levels=(Level("lo"), Level("hi")), applies_to=("a",))
+        # every reader of a level label looks it up through _check_level
         with pytest.raises(SchemaError) as err:
-            effects_code(attr, "medium")
+            _check_level(attr, "x", "medium", 3, SchemaError)
         assert err.value.code == "unknown_level"
+        assert err.value.row == 3
 
 
 class TestValidation:

@@ -13,13 +13,12 @@ from dce import (
     SimConfig,
     SimulationError,
     code_dataset,
-    mnl_probabilities,
     recovery_experiment,
     simulate_dataset,
     table3_demographic_weights,
 )
 
-from helpers import simulated_panel
+from helpers import mnl_probabilities, simulated_panel
 
 
 def digests(dataset, panel):
