@@ -312,13 +312,22 @@ class ScreeningRules:
     straight_line  drop respondents who picked the same alternative in every
                    task (two or more tasks)
     fast_seconds   drop respondents whose response_seconds passthrough value
-                   is below this threshold
+                   is below this threshold; the threshold and each duration
+                   must be a number, finite and >= 0 (DatasetError "bad_number")
     """
 
     incomplete: bool = True
     straight_line: bool = True
     fast_seconds: float | None = None
     expected_tasks: int | None = None
+
+    def __post_init__(self):
+        value = self.fast_seconds
+        number = isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool)
+        if value is not None and not (number and math.isfinite(value) and value >= 0):
+            raise DatasetError("bad_number", f"fast_seconds must be a number, finite and "
+                                             f">= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -351,7 +360,7 @@ def screen_responses(dataset: ChoiceDataset,
                 seconds = float(raw)
             except ValueError:
                 seconds = math.nan
-            if not math.isfinite(seconds):
+            if not (math.isfinite(seconds) and seconds >= 0):
                 raise DatasetError("bad_number",
                                    f"response_seconds {raw!r} for respondent "
                                    f"{rec.respondent_id!r}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -77,11 +77,28 @@ class BlockedDesign:
     runs: tuple[Profile, ...]
     blocks: tuple[tuple[int, ...], ...]
     seed: int | None
+    # the runs' (run, slot) level indices, resolved once
+    _assignment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """DesignError "bad_blocks" unless the blocks partition the runs, and
+        "unknown_level" naming the first run and slot whose label is missing
+        or not one of the slot's levels."""
         seen = [i for b in self.blocks for i in b]
         if sorted(seen) != list(range(len(self.runs))):
             raise DesignError("bad_blocks", "blocks must partition the runs exactly")
+        slots = _slots(self.schema)
+        A = np.empty((len(self.runs), len(slots)), dtype=np.intp)
+        for r, run in enumerate(self.runs):
+            for s, (alt_id, attr) in enumerate(slots):
+                labels = run.context if alt_id is None else run.alt_levels.get(alt_id, {})
+                label = labels.get(attr.csv_column)
+                if label not in attr.level_index:
+                    raise DesignError("unknown_level",
+                                      f"run {r + 1}, slot {_slot_name(alt_id, attr)!r}: "
+                                      f"{label!r} is not a level of {attr.name}")
+                A[r, s] = attr.level_index[label]
+        object.__setattr__(self, "_assignment", A)
 
     @property
     def n_runs(self) -> int:
@@ -96,7 +113,7 @@ class BlockedDesign:
         """Balance, orthogonality and d-efficiency of the runs, computed once."""
         if not self.runs:
             raise DesignError("empty_design", "design has no runs")
-        return _diagnostics(_assignment_matrix(self), _slots(self.schema))
+        return _diagnostics(self._assignment, _slots(self.schema))
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +137,6 @@ def _slot_name(alt_id: str | None, attr: AttributeDef) -> str:
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-
-def _assignment_matrix(design: BlockedDesign) -> np.ndarray:
-    slots = _slots(design.schema)
-    A = np.empty((design.n_runs, len(slots)), dtype=np.intp)
-    for r, run in enumerate(design.runs):
-        for s, (alt_id, attr) in enumerate(slots):
-            label = run.context[attr.csv_column] if alt_id is None \
-                else run.alt_levels[alt_id][attr.csv_column]
-            A[r, s] = attr.level_index[label]
-    return A
-
 
 def _coded_matrix(A: np.ndarray, slots) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Coded run matrix and each slot's column range."""
@@ -187,7 +193,7 @@ def within_block_deviation(design: BlockedDesign) -> float:
     """Max over blocks, slots, levels of |count - block_size/L|, each block
     against its own size (a design read from CSV may have unequal blocks)."""
     slots = _slots(design.schema)
-    A = _assignment_matrix(design)
+    A = design._assignment
     n_levels = np.array([attr.n_levels for _, attr in slots], dtype=np.intp)
     s = np.arange(len(slots))
     C = np.zeros((design.n_blocks, len(slots), n_levels.max(initial=0)), dtype=np.int64)
@@ -485,7 +491,7 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesi
         raise DesignError("bad_block_count", f"n_blocks must be >= 1, got {n_blocks}")
     if n % n_blocks:
         raise DesignError("non_divisible", f"{n_blocks} blocks must divide {n} runs")
-    A = _assignment_matrix(design)
+    A = design._assignment
 
     best: tuple[int, np.ndarray] | None = None
     for restart in range(_BLOCK_RESTARTS):
@@ -558,12 +564,9 @@ def write_design_csv(design: BlockedDesign, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for r, run in enumerate(design.runs):
-            row = [str(r + 1), str(run_block[r])]
-            for alt_id, attr in slots:
-                row.append(run.context[attr.csv_column] if alt_id is None
-                           else run.alt_levels[alt_id][attr.csv_column])
-            writer.writerow(row)
+        for r, levels in enumerate(design._assignment):
+            writer.writerow([str(r + 1), str(run_block[r])]
+                            + [attr.levels[i].label for (_, attr), i in zip(slots, levels)])
 
 
 def read_design_csv(path: str | Path, schema: ExperimentSchema) -> BlockedDesign:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -97,48 +96,35 @@ class MixingSpec:
         return _first_primes(self.n_random)
 
 
-def _add_digits(rem: np.ndarray, out: np.ndarray, scale, base: int):
-    """Add ``rem``'s base-b digits to ``out``, lowest first, the j-th times
-    ``scale`` / b^j; ``rem`` ends at 0. Returns the last scale used."""
-    while np.any(rem > 0):
-        scale /= base
-        digit = rem % base
-        out += digit * scale
-        rem //= base
-    return scale
-
-
-# entries per radical-inverse table: a base's table holds the radical
-# inverses of 0 .. b^k - 1 for the largest b^k within this. A table is made
-# once per base (the last 16 bases' are kept) and, at 32 KB, is read from the
-# CPU cache; a 65,536-entry one would cost a small fit's draws more to make
-# than it saves them
+# bound on a radical-inverse table's entries (a base above it gets b). A table
+# is made once per base (the last 16 bases' are kept) and, at 32 KB, is read
+# from the CPU cache; a 65,536-entry one would cost a small fit's draws more
+# to make than it saves them
 _TABLE = 4096
 
 
 @functools.lru_cache(maxsize=16)
 def _digit_table(base: int):
-    """The radical inverses of 0 .. b^k - 1, made by the digit loop, with b^k
-    and the scale the loop reaches after k digits (k = 0 if b > _TABLE)."""
-    size = 1
-    while size * base <= _TABLE:
-        size *= base
-    table = np.zeros(size)
-    scale = _add_digits(np.arange(size), table, np.float64(1.0), base)
+    """The radical inverses of 0 .. b^k - 1, each correctly rounded (the
+    index's k digits reversed, as an integer, over b^k), and b^k: the
+    largest power of b within ``_TABLE``, and at least b."""
+    rev = np.zeros(1, dtype=np.int64)  # 0 .. b^j - 1's j digits reversed, as integers
+    while rev.size == 1 or rev.size * base <= _TABLE:
+        rev = (rev[:, None] + rev.size * np.arange(base)).ravel()
+    table = rev / rev.size
     table.flags.writeable = False
-    return table, size, scale
+    return table, rev.size
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """Base-b radical inverse of non-negative integer indices (vectorized):
-    each index's digits times b^-1, b^-2, ..., added lowest digit first. The
-    sum of the low k digits is read from ``_digit_table``, which the same
-    loop made, and the high digits are added after it in the same order, so
-    every value has the digit loop's bits."""
-    table, size, scale = _digit_table(base)
-    rem, low = np.divmod(np.asarray(indices, dtype=np.int64), size)
+    for index high * b^k + low, the table's inverse of low plus high's own
+    inverse over b^k. Each value is within about an ulp of the exact one."""
+    table, size = _digit_table(base)
+    high, low = np.divmod(np.asarray(indices, dtype=np.int64), size)
     out = table[low]
-    _add_digits(rem, out, scale, base)
+    if high.any():
+        out += _radical_inverse(high, base) / size
     return out
 
 
@@ -155,8 +141,9 @@ def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) ->
     n_draws) array, filled a slice of whole individuals at a time.
     EstimationError "bad_drop" if a sequence index would pass int64's range,
     or if a uniform is not inside (0, 1): far into the sequence, an index
-    whose low digits are all b - 1 rounds to 1.0 (in base 5 from index
-    5**22 - 1, about 2**51)."""
+    whose low digits are all b - 1 rounds to 1.0 once its exact inverse is
+    within about an ulp of 1 (in base 2 from index 2**54 - 1, base 3 from
+    3**35 - 1, base 5 from 5**24 - 1)."""
     if n_individuals < 0:
         raise ValueError("n_individuals must be >= 0")
     n_draws = config.n_draws
@@ -210,58 +197,56 @@ def normal_draws(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.nd
 # Inverse normal CDF
 # ---------------------------------------------------------------------------
 
-# Rational approximation coefficients (central region and tails), then one
-# Halley refinement against erfc. The raw approximation is good to ~1e-9;
-# the refined result is accurate to a few ulp over (1e-12, 1-1e-12).
-_ICDF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ICDF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-           6.680131188771972e+01, -1.328068155288572e+01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-           -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-           3.754408661907416e+00)
-_ICDF_SPLIT = 0.02425
+# Wichura's AS 241 (PPND16), Appl. Stat. 37:477-484, 1988, good to about
+# 1e-16 relative: each fit's numerator and denominator, lowest power first
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3))
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9))
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15))
 
 
-def _icdf_lower(u: np.ndarray) -> np.ndarray:
-    """Quantile for u in (0, 0.5]: rational approximation plus one Halley step.
-
-    Restricting to the lower half keeps the refinement's erfc call in its
-    fully accurate regime (no cancellation against 1).
-    """
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    x = np.empty_like(u)
-
-    lo = u < _ICDF_SPLIT
-    mid = ~lo
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = num * q / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(u[lo]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[lo] = num / den
-
-    # Halley refinement; x <= 0 here so erfc sees a non-negative argument.
-    # numpy has no erfc, so the C library's is called element by element.
-    e = 0.5 * np.fromiter(map(math.erfc, (-x / np.sqrt(2.0)).tolist()), np.float64, x.size) - u
-    expo = np.minimum(x * x / 2.0, 700.0)
-    t = e * np.sqrt(2.0 * np.pi) * np.exp(expo)
-    return x - t / (1.0 + x * t / 2.0)
+def _rational(r: np.ndarray, fit) -> np.ndarray:
+    """One AS 241 fit at r: numerator over denominator, each by Horner's rule."""
+    num, den = fit
+    p, q = np.full_like(r, num[-1]), np.full_like(r, den[-1])
+    for a, b in zip(num[-2::-1], den[-2::-1]):
+        p = p * r + a
+        q = q * r + b
+    return p / q
 
 
 def _quantile(u: np.ndarray) -> np.ndarray:
-    """Standard normal quantiles of a 1-D array in (0, 1), unchecked. For
-    u > 0.5 the complement 1 - u is formed first (exact in floating point
-    for u >= 0.5), so tail accuracy is symmetric."""
-    upper = u > 0.5
-    x = _icdf_lower(np.where(upper, 1.0 - u, u))
-    x[upper] = -x[upper]
+    """Standard normal quantiles of a 1-D array in (0, 1), unchecked: AS 241,
+    each region's fit evaluated on its own points. 1 - u is exact for
+    u >= 0.5, so the upper tail is as accurate as the lower."""
+    q = u - 0.5
+    x = np.empty_like(u)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    x[central] = qc * _rational(0.180625 - qc * qc, _AS241_CENTRAL)
+    ut = u[~central]
+    r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
+    near = r <= 5.0
+    r[near] = _rational(r[near] - 1.6, _AS241_NEAR)
+    r[~near] = _rational(r[~near] - 5.0, _AS241_FAR)
+    x[~central] = np.copysign(r, q[~central])
     return x
 
 

@@ -454,12 +454,22 @@ class TestSubprocess:
         assert "bad_blocking" in proc.stderr
 
     def test_imports_load_no_scipy(self):
-        # numpy is the only runtime dependency
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, dce, dce.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, cwd=SRC)
+        # numpy is the only runtime dependency, and a fit loads none of its
+        # optional submodules: numpy.polynomial alone adds ~0.6 MB of RSS
+        script = (
+            "import sys, dce, dce.cli\n"
+            "from dce import *\n"
+            "schema = table4_labels_schema()\n"
+            "design = block_design(select_fraction(schema, 32, seed=3, iters=50, restarts=1),"
+            " 4, seed=3)\n"
+            "cfg = SimConfig(schema=schema, design=design, true_params=table4_mnl().params,"
+            " n_respondents=40, seed=1)\n"
+            "estimate_mmnl(code_dataset(simulate_dataset(cfg)),"
+            " MixingSpec(halton=HaltonConfig(n_draws=8)))\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=SRC)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -1,5 +1,6 @@
 """Ingestion, screening, effects coding of long-format choice data."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -236,7 +237,9 @@ class TestScreening:
                                              ("quick", "bad_number"),
                                              ("nan", "bad_number"),
                                              ("inf", "bad_number"),
-                                             ("-inf", "bad_number")])
+                                             ("-inf", "bad_number"),
+                                             # a duration below 0 is not a fast one
+                                             ("-5", "bad_number")])
     def test_bad_response_seconds(self, panel50, value, code):
         seconds = ["300"] * 50
         seconds[7] = value
@@ -245,6 +248,12 @@ class TestScreening:
                              ScreeningRules(fast_seconds=60))
         assert err.value.code == code
         assert "r8" in err.value.message
+
+    @pytest.mark.parametrize("fast_seconds", [math.nan, math.inf, -1.0, "60", True])
+    def test_bad_fast_seconds(self, fast_seconds):
+        with pytest.raises(DatasetError) as err:
+            ScreeningRules(fast_seconds=fast_seconds)
+        assert err.value.code == "bad_number"
 
 
 def with_copied_records(dataset, copy):

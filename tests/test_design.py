@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import dce.design
 from dce import (
     DesignError,
+    Profile,
     block_design,
     default_schema,
     read_design_csv,
@@ -184,6 +185,20 @@ class TestDiagnostics:
         with pytest.raises(DesignError) as err:
             replace(design32, runs=(), blocks=()).diagnostics
         assert err.value.code == "empty_design"
+
+    @pytest.mark.parametrize("label", ["nope", None])
+    def test_unknown_or_missing_label_is_typed(self, design32, label):
+        # run 6's first design slot gets a label that is not a level, or none
+        run = design32.runs[5]
+        alt_id, column = next((a, c) for a, cols in run.alt_levels.items() for c in cols)
+        levels = {c: v for c, v in run.alt_levels[alt_id].items() if c != column}
+        if label is not None:
+            levels[column] = label
+        bad = Profile(alt_levels={**run.alt_levels, alt_id: levels}, context=run.context)
+        with pytest.raises(DesignError) as err:
+            replace(design32, runs=design32.runs[:5] + (bad,) + design32.runs[6:])
+        assert err.value.code == "unknown_level"
+        assert f"run 6, slot '{alt_id}:{column}'" in err.value.message
 
 
 class TestBlocking:

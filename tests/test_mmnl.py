@@ -92,12 +92,12 @@ class TestMixingSpec:
         z = make_draws(small_mixing(n_draws=40, antithetic=True), 3)
         np.testing.assert_array_equal(z[:, 0::2, :], -z[:, 1::2, :])
 
-    # SHA-256 of the draws' bytes, frozen from the draws made before they
-    # were built in slices: (respondents, draws, antithetic) -> digest
+    # SHA-256 of the draws' bytes, frozen from the AS 241 quantiles of the
+    # correctly rounded digit table: (respondents, draws, antithetic) -> digest
     DIGESTS = {
-        (40, 100, False): "c45ef9a8f9d57e3c0866d1459785a27f8f516e9d95da58a747fa4cb038d210d6",
-        (264, 128, False): "47211c10fa43cb26c750c0176c55cc663f25a9a1135bad9177e488d8e13bde0e",
-        (528, 500, True): "05a77fddc1ffe3582c8af064890294517c2dcc54899cbd3f4175616be0fd9df5",
+        (40, 100, False): "ec60461b996ae4fda2c74d17c871970f7043ba919077e17410527fcbc952efbe",
+        (264, 128, False): "a2e40b980c956e77e44cd116d5aedc628ac99807328f9411da314d65711af03f",
+        (528, 500, True): "9611db2e36d84ad3cca47f79b85784a27e3bcf88c751707e725044c214abc3f4",
     }
 
     @pytest.mark.parametrize("case", DIGESTS)

@@ -24,14 +24,17 @@ from helpers import finite_diff_grad, hessian_from_grad
 
 # Reference quantiles frozen from a 50-digit arbitrary-precision evaluation
 # of the inverse error function at the exact double closest to each label.
+# 0.075, 0.925, e**-25 and 1 - e**-25 are where AS 241 changes fit.
 INV_CDF_ORACLE = {
     "1e-12": -7.03448382530113192981,
+    "1.3887943864964021e-11": -6.65790464350110358372,
     "1e-9": -5.99780701500768687156,
     "1e-6": -4.75342430882289894819,
     "0.00001": -4.2648907939228246285,
     "0.001": -3.09023230616781354154,
     "0.02425": -1.97296105131188485027,
     "0.025": -1.95996398454005423552,
+    "0.075": -1.43953147093845593495,
     "0.1": -1.28155156554460046697,
     "0.2": -0.841621233572914205179,
     "0.3": -0.524400512708040784038,
@@ -40,11 +43,13 @@ INV_CDF_ORACLE = {
     "0.6827": 0.475262337515298526663,
     "0.7": 0.524400512708040784038,
     "0.9": 1.28155156554460046697,
+    "0.925": 1.43953147093845622906,
     "0.95": 1.64485362695147271486,
     "0.975": 1.95996398454005423552,
     "0.99865": 2.99997699270339312756,
     "0.999999": 4.75342430882289894819,
     "0.9999999999": 6.3613409024040562047,
+    "0.9999999999861121": 6.6579052048455474566,
 }
 
 UNIT = st.floats(min_value=1e-12, max_value=1 - 1e-12)
@@ -62,13 +67,14 @@ def halton(n_points, base, drop=0):
 
 
 def radical_inverse(i, base):
-    """Exact base-b radical inverse of the integer i."""
-    out, scale = Fraction(0), Fraction(1)
+    """Exact base-b radical inverse of the integer i: its digits reversed,
+    as an integer, over b to the digit count."""
+    reversed_digits, scale = 0, 1
     while i:
         i, digit = divmod(i, base)
-        scale /= base
-        out += digit * scale
-    return out
+        reversed_digits = reversed_digits * base + digit
+        scale *= base
+    return Fraction(reversed_digits, scale)
 
 
 class TestHalton:
@@ -130,15 +136,21 @@ class TestHalton:
             assert u[-1, -1, d] == pytest.approx(float(radical_inverse(drop + 780, base)),
                                                  rel=0, abs=1e-15)
 
-    @pytest.mark.parametrize("drop, n_dims", [(5 ** 22 - 2, 3), (2 ** 54 - 2, 1)])
+    @pytest.mark.parametrize("drop, n_dims", [(5 ** 24 - 2, 3), (2 ** 54 - 2, 1)])
     def test_draws_that_round_to_one_are_typed(self, drop, n_dims):
         # index drop + 1 has every digit b - 1 in the last dimension's base,
-        # more of them than float64 holds, so its radical inverse rounds to
-        # exactly 1.0, whose normal quantile is not finite
+        # so many that its exact inverse is within half an ulp of 1: it
+        # rounds to exactly 1.0, whose normal quantile is not finite
         for build in (halton_matrix, normal_draws):
             with pytest.raises(EstimationError) as err:
                 build(HaltonConfig(drop=drop, n_draws=1), 1, n_dims)
             assert err.value.code == "bad_drop"
+
+    def test_draws_just_below_one_are_kept(self):
+        # index 5**22 - 1 is 22 fours in base 5: 1 - 5**-22 is a double below 1
+        u = halton_matrix(HaltonConfig(drop=5 ** 22 - 2, n_draws=1), 1, 3)
+        assert u[0, 0, 2] == float(1 - Fraction(1, 5 ** 22)) < 1.0
+        assert np.isfinite(normal_draws(HaltonConfig(drop=5 ** 22 - 2, n_draws=1), 1, 3)).all()
 
     @pytest.mark.parametrize("build", [halton_matrix, normal_draws])
     def test_draws_are_a_transposed_view(self, build):
@@ -152,17 +164,13 @@ class TestHalton:
                           st.integers(2, 10_000)),
            start=st.one_of(st.integers(0, 10_000), st.integers(0, 2 ** 63 - 5_000)),
            n=st.integers(1, 5_000))
-    def test_radical_inverse_table_is_the_digit_loop(self, base, start, n):
-        # the low digits' partial sums come from a table, the high digits are
-        # added after them: each value has the loop's bits
+    def test_radical_inverse_is_within_an_ulp_of_the_exact_one(self, base, start, n):
+        # at most one double from the correctly rounded exact inverse, so
+        # within 1.5 ulp of the exact inverse itself
         indices = np.arange(n, dtype=np.int64) + start
-        rem, want = indices.copy(), np.zeros(n)
-        scale = np.float64(1.0)
-        while np.any(rem > 0):
-            scale /= base
-            want += rem % base * scale
-            rem //= base
-        assert _radical_inverse(indices, base).tobytes() == want.tobytes()
+        want = np.array([float(radical_inverse(i, base)) for i in indices.tolist()])
+        got = _radical_inverse(indices, base)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
 
     def test_matrix_slices_one_stream_per_individual(self):
         # individual i takes global indices drop + [i*D+1 .. (i+1)*D]
@@ -189,13 +197,14 @@ class TestHalton:
         np.testing.assert_array_equal(halton_matrix(HaltonConfig(drop=4, n_draws=5), 3, 2),
                                       u[:, :, :2])
 
-    @pytest.mark.parametrize("n_dims, digest", [(1, "dce061104cb11be9"),
-                                                (2, "b2a67d37fbde1da1")])
-    def test_one_and_two_dimensions_keep_their_bits(self, n_dims, digest):
-        # frozen from the draws in bases (2,) and (2, 3) before the bases
-        # were derived from the dimension count
+    # SHA-256 prefixes of the draws in bases (2,) and (2, 3), frozen from the
+    # AS 241 quantiles of the correctly rounded digit table: n_dims -> digest
+    DIGESTS = {1: "fa13ba67fdc861b1", 2: "fd6f7c8d0d3c5f2b"}
+
+    @pytest.mark.parametrize("n_dims", DIGESTS)
+    def test_one_and_two_dimensions_keep_their_bits(self, n_dims):
         z = normal_draws(HaltonConfig(drop=10, n_draws=500), 20, n_dims)
-        assert hashlib.sha256(z.tobytes()).hexdigest()[:16] == digest
+        assert hashlib.sha256(z.tobytes()).hexdigest()[:16] == self.DIGESTS[n_dims]
 
 
 class TestInverseNormalCdf:
@@ -219,6 +228,12 @@ class TestInverseNormalCdf:
         # non-decreasing up to the few-ulp accuracy of each quantile: adjacent
         # doubles can step back by up to 2 ulp of max(|z|, 1)
         z = inv_normal_cdf(np.sort(u))
+        assert np.all(np.diff(z) >= -4 * np.spacing(np.maximum(np.abs(z[1:]), 1.0)))
+
+    @pytest.mark.parametrize("edge", [0.075, 0.925, math.exp(-25), 1 - math.exp(-25)])
+    def test_monotone_across_the_fits_edges(self, edge):
+        # 2,001 consecutive doubles around where AS 241 changes fit
+        z = inv_normal_cdf(edge + np.spacing(edge) * np.arange(-1000, 1001))
         assert np.all(np.diff(z) >= -4 * np.spacing(np.maximum(np.abs(z[1:]), 1.0)))
 
     @PROPERTY
