@@ -307,13 +307,14 @@ def write_choices_csv(dataset: ChoiceDataset, path: str | Path) -> None:
 class ScreeningRules:
     """Quality screens applied respondent by respondent.
 
-    incomplete     drop respondents with fewer tasks than expected_tasks
-                   (default: the maximum task count observed)
+    incomplete     drop respondents with fewer tasks than expected_tasks, an
+                   integer >= 1 (default: the maximum task count observed)
     straight_line  drop respondents who picked the same alternative in every
                    task (two or more tasks)
     fast_seconds   drop respondents whose response_seconds passthrough value
                    is below this threshold; the threshold and each duration
-                   must be a number, finite and >= 0 (DatasetError "bad_number")
+                   must be a number, finite and >= 0
+    A rule of another kind or range is DatasetError "bad_number".
     """
 
     incomplete: bool = True
@@ -322,12 +323,18 @@ class ScreeningRules:
     expected_tasks: int | None = None
 
     def __post_init__(self):
-        value = self.fast_seconds
-        number = isinstance(value, (int, float, np.integer, np.floating)) \
-            and not isinstance(value, bool)
-        if value is not None and not (number and math.isfinite(value) and value >= 0):
-            raise DatasetError("bad_number", f"fast_seconds must be a number, finite and "
-                                             f">= 0, got {value!r}")
+        fast, tasks = self.fast_seconds, self.expected_tasks
+        real = isinstance(fast, (int, float, np.integer, np.floating)) and not isinstance(fast, bool)
+        whole = isinstance(tasks, (int, np.integer)) and not isinstance(tasks, bool)
+        for name, ok, kind in (
+                ("incomplete", isinstance(self.incomplete, bool), "True or False"),
+                ("straight_line", isinstance(self.straight_line, bool), "True or False"),
+                ("fast_seconds", fast is None or (real and math.isfinite(fast) and fast >= 0),
+                 "a number, finite and >= 0"),
+                ("expected_tasks", tasks is None or (whole and tasks >= 1), "an integer >= 1")):
+            if not ok:
+                raise DatasetError("bad_number",
+                                   f"{name} must be {kind}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -341,13 +348,11 @@ class ScreeningReport:
 def screen_responses(dataset: ChoiceDataset,
                      rules: ScreeningRules = ScreeningRules(),
                      ) -> tuple[ChoiceDataset, ScreeningReport]:
-    expected = rules.expected_tasks
-    if expected is None and dataset.respondents:
-        expected = max(r.n_tasks for r in dataset.respondents)
+    expected = rules.expected_tasks or max((r.n_tasks for r in dataset.respondents), default=0)
 
     dropped: dict[str, str] = {}
     for rec in dataset.respondents:
-        if rules.incomplete and rec.n_tasks < (expected or 0):
+        if rules.incomplete and rec.n_tasks < expected:
             dropped[rec.respondent_id] = "incomplete"
             continue
         if rules.fast_seconds is not None:
@@ -392,7 +397,7 @@ class CodedPanel:
 
     Rows are alternatives in schema order, grouped by task; tasks grouped by
     respondent in dataset order. ``task_ptr`` delimits tasks CSR-style and
-    ``row_task`` holds each row's task.
+    ``row_task`` holds each row's task. The arrays are read-only.
     """
 
     schema: ExperimentSchema
@@ -404,6 +409,11 @@ class CodedPanel:
     task_respondent: np.ndarray
     respondent_ids: tuple[str, ...]
     row_alternative: tuple[str, ...]
+    _mnl_params: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self.X, self.task_ptr, self.row_task, self.chosen_row, self.task_respondent):
+            a.setflags(write=False)
 
     @property
     def n_rows(self) -> int:

@@ -492,62 +492,55 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesi
     if n % n_blocks:
         raise DesignError("non_divisible", f"{n_blocks} blocks must divide {n} runs")
     A = design._assignment
+    match = (A[:, None] == A).sum(axis=2)  # slots where runs i and j share a level
 
-    best: tuple[int, np.ndarray] | None = None
-    for restart in range(_BLOCK_RESTARTS):
-        assign, objective = _block_once(A, n_blocks, n // n_blocks,
-                                        np.random.default_rng([seed, restart]))
-        if best is None or objective < best[0]:
-            best = (objective, assign)
-
-    blocks = tuple(tuple(int(i) for i in np.flatnonzero(best[1] == b))
+    assign = min((_block_once(match, n_blocks, n // n_blocks, np.random.default_rng([seed, r]))
+                  for r in range(_BLOCK_RESTARTS)), key=lambda once: once[1])[0]
+    blocks = tuple(tuple(int(i) for i in np.flatnonzero(assign == b))
                    for b in range(n_blocks))
     return BlockedDesign(schema=design.schema, runs=design.runs, blocks=blocks, seed=seed)
 
 
-def _block_once(A: np.ndarray, n_blocks: int, size: int, rng) -> tuple[np.ndarray, int]:
+def _block_once(match: np.ndarray, n_blocks: int, size: int, rng) -> tuple[np.ndarray, int]:
     """One restart: block of each run and the sum of squared level counts."""
-    n, n_slots = A.shape
-    s = np.arange(n_slots)
-    C = np.zeros((n_blocks, n_slots, A.max(initial=0) + 1), dtype=np.int64)
+    n, runs = len(match), np.arange(len(match))
+    K = np.zeros((n_blocks, n), dtype=np.int64)
     room = np.full(n_blocks, size)
     assign = np.empty(n, dtype=np.intp)
 
-    # greedy: place runs in seeded order where they add least imbalance
+    # with C[b, s, l] the runs of block b at level l in slot s, K[b, j], the
+    # sum of match[r, j] over the runs r in b, is C[b, s, A[j, s]] summed
+    # over s. Greedy: place runs in seeded order where they add least imbalance
     for i in rng.permutation(n):
         free = np.flatnonzero(room)
-        b = free[np.argmin(C[free[:, None], s, A[i]].sum(axis=1))]
-        assign[i] = b
+        assign[i] = b = free[np.argmin(K[free, i])]
         room[b] -= 1
-        C[b, s, A[i]] += 1
+        K[b] += match[i]
 
-    # swapping runs i and j changes sum(C^2) by 2*gain + 4 summed over the
-    # slots where their levels differ; a same-block pair scores 4 per such
-    # slot, never below zero, so it needs no mask. Swaps are taken in (i, j)
-    # order, each scored on the counts left by the last one.
+    # swapping runs i and j changes sum(C^2) by 2*gain + 4 over the slots
+    # where their levels differ: 2*gain over all slots plus apart[i, j], 4 per
+    # differing slot. A same-block pair has gain 0, so it needs no mask. Swaps
+    # are taken in (i, j) order, each scored on the counts left by the last.
+    apart = 4 * (match.diagonal()[:, None] - match)
     for _ in range(60):  # bounded improvement passes
         improved = False
         for i in range(n - 1):
             j0 = i + 1
             while j0 < n:
-                li, lj = A[i], A[j0:]
-                bi, bj = assign[i], assign[j0:, None]
-                gain = C[bi, s, lj] - C[bi, s, li] + C[bj, s, li] - C[bj, s, lj]
-                better = np.flatnonzero(((2 * gain + 4) * (li != lj)).sum(axis=1) < 0)
+                bi, bj = assign[i], assign[j0:]
+                gain = K[bi, j0:] - K[bi, i] + K[bj, i] - K[bj, runs[j0:]]
+                better = np.flatnonzero(2 * gain + apart[i, j0:] < 0)
                 if not better.size:
                     break
                 j = j0 + better[0]
                 bj = assign[j]
-                C[bi, s, li] -= 1
-                C[bi, s, A[j]] += 1
-                C[bj, s, A[j]] -= 1
-                C[bj, s, li] += 1
+                K[[bi, bj]] += match[[j, i]] - match[[i, j]]
                 assign[i], assign[j] = bj, bi
                 improved = True
                 j0 = j + 1
         if not improved:
             break
-    return assign, int(np.sum(C * C))
+    return assign, int(K[assign, runs].sum())
 
 
 # ---------------------------------------------------------------------------

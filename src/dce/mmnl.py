@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import CodedPanel
 from .errors import EstimationError
-from .mnl import _fit, _MslWork, estimate_mnl  # noqa: F401
+from .mnl import _fit, _mnl_start, _MslWork, estimate_mnl  # noqa: F401
 from .numerics import MixingSpec, normal_draws
 from .results import EstimationResult
 from .schema import build_parameter_index
@@ -96,10 +96,10 @@ def msl_gradient(params_with_sds, panel: CodedPanel, mixing: MixingSpec,
 def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec) -> EstimationResult:
     """Maximize the simulated log likelihood over means and sds.
 
-    The kernel's layout is built once: the MNL warm start is fitted on it
-    before any draws are made, and the mixed kernel adds the Halton draw
-    matrix and the random columns to it, held fixed across iterations.
-    Means warm-start at the MNL solution and sds at 0.5. The fit, sd
+    Means warm-start at the panel's MNL optimum (``_mnl_start``: the one
+    ``estimate_mnl`` recorded, else one fitted on the kernel's layout before
+    any draws are made) and sds at 0.5. The layout is built once; the mixed
+    kernel adds the Halton draws and the random columns to it. The fit, sd
     signs and standard errors are those of ``mnl._fit``: trust-region Newton
     on the analytic Hessian, sds reported as absolute values, and standard
     errors from the observed information at the reported point, None when
@@ -112,9 +112,9 @@ def estimate_mmnl(panel: CodedPanel, mixing: MixingSpec) -> EstimationResult:
                               "a mixed logit needs at least one random parameter")
     index = build_parameter_index(panel.schema, mixing.random_params)
     work = _MslWork(panel)
-    means = _fit(panel, work, panel.index, np.zeros(panel.X.shape[1]))[0].params
+    start = np.concatenate([_mnl_start(panel, work), np.full(mixing.n_random, 0.5)])
     work.mix(panel.index.positions(mixing.random_params), mixing.antithetic,
              make_draws(mixing, panel.n_respondents))
-    result, trace_ll = _fit(panel, work, index, np.concatenate([means, np.full(mixing.n_random, 0.5)]))
+    result, trace_ll = _fit(panel, work, index, start)
     trace = SimulatedLikelihoodTrace(ll=trace_ll, config={"threads": 1})
     return replace(result, model="mmnl", trace=trace, mixing=mixing)

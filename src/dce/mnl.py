@@ -12,7 +12,7 @@ from one batched product. This is exact because logit probabilities depend
 only on utility differences within a task. The layout is built once per fit,
 in place, a chunk of respondents at a time, so no copy of the coded design
 is made; the same pass records which columns vary within some task, the only
-ones a fit can identify. The MMNL fits its MNL warm start on the layout and
+ones a fit can identify. The MMNL warm-starts at the panel's MNL optimum and
 then adds its random columns and its draws, which the kernel holds without a
 copy: ``make_draws`` builds them in the kernel's layout. The kernel has two
 evaluations, ``loglik`` (the log likelihood) and ``hessian`` (it, its score
@@ -524,8 +524,20 @@ def _fit(panel: CodedPanel, work: _MslWork, index: ParameterIndex, start):
     ), tuple(path)
 
 
+def _mnl_start(panel: CodedPanel, work: _MslWork | None, result=None) -> np.ndarray:
+    """The panel's MNL optimum, recorded once, read-only like its arrays:
+    ``result``'s params, else those of the fit from zeros on ``work``."""
+    if panel._mnl_params is None:
+        result = result or _fit(panel, work, panel.index, np.zeros(panel.X.shape[1]))[0]
+        object.__setattr__(panel, "_mnl_params", result.params.copy())
+        panel._mnl_params.setflags(write=False)
+    return panel._mnl_params
+
+
 def estimate_mnl(panel: CodedPanel) -> EstimationResult:
     """Maximize the MNL log likelihood from a zero start by trust-region
-    Newton (``_fit``). Standard errors come from the observed information
-    and are None when it is singular."""
-    return _fit(panel, _MslWork(panel), panel.index, np.zeros(panel.X.shape[1]))[0]
+    Newton (``_fit``) and record its optimum on the panel (``_mnl_start``).
+    Standard errors come from the observed information, None if singular."""
+    result = _fit(panel, _MslWork(panel), panel.index, np.zeros(panel.X.shape[1]))[0]
+    _mnl_start(panel, None, result)
+    return result

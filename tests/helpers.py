@@ -114,6 +114,56 @@ def select_fraction_oracle(schema, n_runs: int, seed: int, iters: int = 5000,
                          blocks=(tuple(range(n_runs)),), seed=seed)
 
 
+def block_design_oracle(design, n_blocks: int, seed: int):
+    """block_design's blocks by the (block, slot, level) count search: each
+    restart places runs greedily on the counts C, then takes cross-block pair
+    swaps in (i, j) order while one lowers sum(C^2), each scored on the
+    counts left by the last one (a window of j at a time)."""
+    from dce.design import _BLOCK_RESTARTS
+
+    A = design._assignment
+    n, n_slots = A.shape
+    s = np.arange(n_slots)
+    best = None
+    for restart in range(_BLOCK_RESTARTS):
+        rng = np.random.default_rng([seed, restart])
+        C = np.zeros((n_blocks, n_slots, A.max(initial=0) + 1), dtype=np.int64)
+        room = np.full(n_blocks, n // n_blocks)
+        assign = np.empty(n, dtype=np.intp)
+        for i in rng.permutation(n):
+            free = np.flatnonzero(room)
+            b = free[np.argmin(C[free[:, None], s, A[i]].sum(axis=1))]
+            assign[i] = b
+            room[b] -= 1
+            C[b, s, A[i]] += 1
+        for _ in range(60):
+            improved = False
+            for i in range(n - 1):
+                j0 = i + 1
+                while j0 < n:
+                    li, lj = A[i], A[j0:]
+                    bi, bj = assign[i], assign[j0:, None]
+                    gain = C[bi, s, lj] - C[bi, s, li] + C[bj, s, li] - C[bj, s, lj]
+                    better = np.flatnonzero(((2 * gain + 4) * (li != lj)).sum(axis=1) < 0)
+                    if not better.size:
+                        break
+                    j = j0 + better[0]
+                    bj = assign[j]
+                    C[bi, s, li] -= 1
+                    C[bi, s, A[j]] += 1
+                    C[bj, s, A[j]] -= 1
+                    C[bj, s, li] += 1
+                    assign[i], assign[j] = bj, bi
+                    improved = True
+                    j0 = j + 1
+            if not improved:
+                break
+        objective = int(np.sum(C * C))
+        if best is None or objective < best[0]:
+            best = (objective, assign)
+    return tuple(tuple(int(i) for i in np.flatnonzero(best[1] == b)) for b in range(n_blocks))
+
+
 def small_labels_design(n_runs: int = 32, n_blocks: int = 4, seed: int = 3):
     """Quick fractional blocked design on the full schema."""
     from dce import block_design

@@ -255,6 +255,30 @@ class TestScreening:
             ScreeningRules(fast_seconds=fast_seconds)
         assert err.value.code == "bad_number"
 
+    @pytest.mark.parametrize("expected_tasks", [-3, 0, 2.5, True, math.nan, "8", 8.0])
+    def test_bad_expected_tasks(self, expected_tasks):
+        with pytest.raises(DatasetError) as err:
+            ScreeningRules(expected_tasks=expected_tasks)
+        assert err.value.code == "bad_number"
+        assert err.value.message.startswith("expected_tasks must be an integer >= 1")
+
+    @pytest.mark.parametrize("rule", ["incomplete", "straight_line"])
+    @pytest.mark.parametrize("value", [1, 0, None, "yes", np.bool_(True)])
+    def test_bad_screen_switch(self, rule, value):
+        with pytest.raises(DatasetError) as err:
+            ScreeningRules(**{rule: value})
+        assert err.value.code == "bad_number"
+        assert err.value.message.startswith(f"{rule} must be True or False")
+
+    def test_typed_rules_still_screen(self, panel50):
+        # an integer count, numpy's included, and None keep their meaning
+        for expected in (8, np.int64(8), None):
+            rules = ScreeningRules(incomplete=True, straight_line=False,
+                                   expected_tasks=expected)
+            assert screen_responses(panel50["dataset"], rules)[1].n_kept == 50
+        rules = ScreeningRules(expected_tasks=9)
+        assert screen_responses(panel50["dataset"], rules)[1].counts == {"incomplete": 50}
+
 
 def with_copied_records(dataset, copy):
     """``dataset`` with respondent i's task records replaced by equal but

@@ -22,7 +22,7 @@ from dce import (
     write_design_csv,
 )
 
-from helpers import linear_schema, select_fraction_oracle
+from helpers import block_design_oracle, linear_schema, select_fraction_oracle
 
 # frozen from the first verified run of select_fraction(default, 64, seed=7)
 FROZEN_D_EFF_64_SEED7 = 0.4873273045612155
@@ -267,6 +267,27 @@ class TestBlocking:
         assert blocked.blocks == tuple(
             tuple(r for r, b in enumerate(block_of) if int(b) == k) for k in range(n_blocks))
         assert within_block_deviation(blocked) == deviation
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(name=st.sampled_from(["default", "linear"]), n_runs=st.sampled_from([8, 16, 24, 32]),
+           n_blocks=st.sampled_from([1, 2, 4, 8]), balanced=st.booleans(),
+           levels_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+    def test_match_table_makes_the_count_search_blocks(self, name, n_runs, n_blocks,
+                                                       balanced, levels_seed, seed):
+        """Random level assignments, balanced as the fraction search starts
+        or drawn independently, block as the (block, slot, level) count
+        search blocks them, ties included. Blocks of 3 runs (24 runs, 8
+        blocks) cannot hold a 2- or 4-level slot's levels evenly."""
+        schema = default_schema() if name == "default" else linear_schema()
+        slots = dce.design._slots(schema)
+        rng = np.random.default_rng(levels_seed)
+        A = np.column_stack([dce.design._balanced_levels(n_runs, attr.n_levels, rng) if balanced
+                             else rng.integers(attr.n_levels, size=n_runs) for _, attr in slots])
+        design = dce.design.BlockedDesign(
+            schema=schema, runs=dce.design._profiles_from_assignment(A, slots),
+            blocks=(tuple(range(n_runs)),), seed=None)
+        assert block_design(design, n_blocks, seed).blocks == \
+            block_design_oracle(design, n_blocks, seed)
 
     def test_deviation_of_unequal_blocks(self, tmp_path):
         """Each block is measured against its own size: a wrong size (4, the

@@ -2,7 +2,7 @@
 
 import hashlib
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -463,3 +463,78 @@ class TestEstimation:
         res_index = build_parameter_index(panel.schema, ASC_MIX)
         assert list(res_index.names()[:38]) == list(panel.index.names())
 
+
+
+class TestMnlRecord:
+    """estimate_mnl records the panel's MNL optimum, and estimate_mmnl
+    warm-starts from that record instead of fitting the MNL again."""
+
+    @staticmethod
+    def fresh(fixture):
+        return code_dataset(fixture["dataset"])
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_mmnl_is_the_same_after_estimate_mnl(self, mixed_panel40, antithetic):
+        mixing = small_mixing(n_draws=32, antithetic=antithetic)
+        alone, after = self.fresh(mixed_panel40), self.fresh(mixed_panel40)
+        want = estimate_mmnl(alone, mixing)
+        mnl_fit = estimate_mnl(after)
+        got = estimate_mmnl(after, mixing)
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got.std_errors.tobytes() == want.std_errors.tobytes()
+        assert got.p_values.tobytes() == want.p_values.tobytes()
+        assert (got.ll_final, got.iterations, got.status, got.converged) == \
+            (want.ll_final, want.iterations, want.status, want.converged)
+        assert got.trace == want.trace
+        # either estimator records the same optimum: estimate_mnl's params
+        assert alone._mnl_params.tobytes() == after._mnl_params.tobytes() \
+            == mnl_fit.params.tobytes()
+
+    def test_mmnl_after_estimate_mnl_fits_no_mnl(self, mixed_panel40, monkeypatch):
+        # a one-draw Hessian call is an MNL fit's iteration; the mixed fit
+        # makes none
+        calls = []
+        block = mnl._MslWork._one_draw_block
+        monkeypatch.setattr(mnl._MslWork, "_one_draw_block",
+                            lambda work, *args: calls.append(1) or block(work, *args))
+        mixing = small_mixing(n_draws=16)
+        alone = self.fresh(mixed_panel40)
+        estimate_mmnl(alone, mixing)
+        assert calls
+        panel = self.fresh(mixed_panel40)
+        estimate_mnl(panel)
+        calls.clear()
+        estimate_mmnl(panel, mixing)
+        assert calls == []
+
+    def test_estimate_mnl_keeps_the_first_record(self, mixed_panel40):
+        panel = self.fresh(mixed_panel40)
+        first = estimate_mnl(panel)
+        record = panel._mnl_params
+        first.params[:] = 0.0  # a result is the caller's; the record is a copy
+        second = estimate_mnl(panel)
+        assert second is not first and second.params is not record
+        assert panel._mnl_params is record
+        assert record.tobytes() == second.params.tobytes()
+
+    @pytest.mark.parametrize("name", ["X", "task_ptr", "row_task", "chosen_row",
+                                      "task_respondent", "_mnl_params"])
+    def test_panel_arrays_are_read_only(self, mixed_panel40, name):
+        panel = self.fresh(mixed_panel40)
+        estimate_mnl(panel)
+        array = getattr(panel, name)
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+        with pytest.raises(ValueError):
+            array += 0
+
+    def test_replaced_panel_has_no_record(self, mixed_panel40):
+        panel = self.fresh(mixed_panel40)
+        assert panel._mnl_params is None
+        estimate_mnl(panel)
+        assert panel._mnl_params is not None
+        assert replace(panel)._mnl_params is None
+        assert replace(panel, X=panel.X.copy())._mnl_params is None
+        # nor is it an argument, or part of equality or repr
+        record = {f.name: f for f in fields(panel)}["_mnl_params"]
+        assert not (record.init or record.compare or record.repr)
