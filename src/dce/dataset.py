@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, read_csv
+from .errors import DatasetError, _integer, _real, read_csv
 from .schema import (AttributeDef, ExperimentSchema, ParameterIndex, _check_level,
                      build_parameter_index)
 
@@ -323,18 +323,17 @@ class ScreeningRules:
     expected_tasks: int | None = None
 
     def __post_init__(self):
-        fast, tasks = self.fast_seconds, self.expected_tasks
-        real = isinstance(fast, (int, float, np.integer, np.floating)) and not isinstance(fast, bool)
-        whole = isinstance(tasks, (int, np.integer)) and not isinstance(tasks, bool)
+        fast = self.fast_seconds
         for name, ok, kind in (
                 ("incomplete", isinstance(self.incomplete, bool), "True or False"),
                 ("straight_line", isinstance(self.straight_line, bool), "True or False"),
-                ("fast_seconds", fast is None or (real and math.isfinite(fast) and fast >= 0),
-                 "a number, finite and >= 0"),
-                ("expected_tasks", tasks is None or (whole and tasks >= 1), "an integer >= 1")):
+                ("fast_seconds", fast is None or (_real(fast) and math.isfinite(fast) and fast >= 0),
+                 "a number, finite and >= 0")):
             if not ok:
                 raise DatasetError("bad_number",
                                    f"{name} must be {kind}, got {getattr(self, name)!r}")
+        if self.expected_tasks is not None:
+            _integer(DatasetError, "bad_number", "expected_tasks", self.expected_tasks, 1)
 
 
 @dataclass(frozen=True)

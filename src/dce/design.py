@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DesignError, read_csv
+from .errors import DesignError, _integer, read_csv
 from .schema import AttributeDef, ExperimentSchema, _check_level
 
 __all__ = [
@@ -361,14 +361,9 @@ def _climb(A: np.ndarray, X: np.ndarray, ranges, proposals: np.ndarray) -> None:
     N = _inverse(X)
     t, w = 0, _WINDOW[0]
     while t < len(proposals):
-        if N is None:  # singular or ill-conditioned: one proposal at a time
-            s, i, j = S[t], I[t], J[t]
-            t += 1
-            if A[i, s] == A[j, s]:
-                continue
-            exact = True
-        else:
-            s, i, j = S[t:t + w], I[t:t + w], J[t:t + w]
+        s, i, j = S[t:t + w], I[t:t + w], J[t:t + w]
+        hit = A[i, s] != A[j, s]  # the proposals that move a level
+        if N is not None:  # else X'X is singular or ill-conditioned: no screen
             u = X[i] - X[j]
             du = u * mask[s]  # -d
             U, D = u @ N, du @ N
@@ -376,16 +371,16 @@ def _climb(A: np.ndarray, X: np.ndarray, ranges, proposals: np.ndarray) -> None:
             b = (U * du).sum(axis=1)  # -b
             c = (U * u).sum(axis=1)
             r = (1.0 - b) ** 2 - a * (c - 2.0)
-            hit = np.flatnonzero((r >= 1.0 - _DELTA) & (A[i, s] != A[j, s]))
-            if not hit.size:
-                t += w
-                w = min(2 * w, _WINDOW[1])
-                continue
-            f = hit[0]
-            s, i, j = s[f], i[f], j[f]
-            t += f + 1
-            exact = r[f] <= 1.0 + _DELTA
-        if exact:
+            hit &= r >= 1.0 - _DELTA
+        hit = np.flatnonzero(hit)
+        if not hit.size:
+            t += w
+            w = min(2 * w, _WINDOW[1])
+            continue
+        f = hit[0]
+        s, i, j = s[f], i[f], j[f]
+        t += f + 1
+        if N is None or r[f] <= 1.0 + _DELTA:
             if d_cur is None:
                 d_cur = _d_efficiency(X)[0]
             d_new = _exact_swap(A, X, ranges, s, i, j, d_cur)
@@ -431,10 +426,10 @@ def select_fraction(schema: ExperimentSchema, n_runs: int, seed: int,
     decision, and hence the design and its d-efficiency, is the same as
     comparing every proposal.
     """
-    if iters < 0:
-        raise DesignError("bad_iteration_count", f"iters must be >= 0, got {iters}")
-    if restarts < 1:
-        raise DesignError("bad_restart_count", f"restarts must be >= 1, got {restarts}")
+    _integer(DesignError, "bad_number", "n_runs", n_runs, 1)
+    _integer(DesignError, "bad_seed", "seed", seed, 0)
+    _integer(DesignError, "bad_iteration_count", "iters", iters, 0)
+    _integer(DesignError, "bad_restart_count", "restarts", restarts, 1)
     slots = _slots(schema)
     if not slots:
         raise DesignError("empty_design", "schema has no design attributes")
@@ -487,8 +482,8 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesi
     cross-block pair swaps to a local minimum; the lowest-objective restart
     wins, ties to the lowest restart index. Deterministic given seed."""
     n = design.n_runs
-    if n_blocks < 1:
-        raise DesignError("bad_block_count", f"n_blocks must be >= 1, got {n_blocks}")
+    _integer(DesignError, "bad_block_count", "n_blocks", n_blocks, 1)
+    _integer(DesignError, "bad_seed", "seed", seed, 0)
     if n % n_blocks:
         raise DesignError("non_divisible", f"{n_blocks} blocks must divide {n} runs")
     A = design._assignment

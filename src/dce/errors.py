@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from pathlib import Path
 
 __all__ = ["DceError", "SchemaError", "DesignError", "DatasetError",
@@ -56,6 +57,19 @@ class SimulationError(DceError):
 
 class PostestError(DceError):
     """Post-estimation request that cannot be honored."""
+
+
+def _integer(error: type[DceError], code: str, name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integer (numpy's included, bool not)
+    of at least ``least``; else ``error(code)`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(code, f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number, numpy's included and bool not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def non_utf8_line(path: str | Path) -> int | None:

@@ -7,25 +7,26 @@ both models: the mixed logit adds normal deviations ``sd*z`` on its random
 columns, and MNL is the case with no random columns and a single draw. The
 kernel holds the panel in one layout: each task's alternatives after its
 first, differenced from the first, padded to (respondent, task, cell) so
-that ragged panels need no special case and each draw chunk's utilities come
-from one batched product. This is exact because logit probabilities depend
-only on utility differences within a task. The layout is built once per fit,
-in place, a chunk of respondents at a time, so no copy of the coded design
-is made; the same pass records which columns vary within some task, the only
-ones a fit can identify. The MMNL warm-starts at the panel's MNL optimum and
-then adds its random columns and its draws, which the kernel holds without a
-copy: ``make_draws`` builds them in the kernel's layout. The kernel has two
-evaluations, ``loglik`` (the log likelihood) and ``hessian`` (it, its score
-and its Hessian in closed form), each one block of respondents at a time: a
-block's per-draw probabilities are formed, used and dropped before the next
-block's. With one draw (the MNL) a block is a fixed number of cells and its
-Hessian is sum p x x' - sum_t m_t m_t', so no call holds more than one
-block's products whatever the panel's size. Every block-sized array lives in
-a workspace that the kernel allocates once: per-call arrays of 128 KiB or
-more, glibc's default mmap threshold, would be served fresh pages on each
-call. Both estimators fit through ``_fit`` with the optimizer's fixed
-settings. The MNL log likelihood is concave, so estimation starts from zeros
-and a converged optimum is the optimum.
+that ragged panels need no special case and a block of respondents' cell
+utilities under all of their draws come from one batched product. This is
+exact because logit probabilities depend only on utility differences within
+a task. The layout is built once per fit, in place, a block of respondents
+at a time, so no copy of the coded design is made; the same pass records
+which columns vary within some task, the only ones a fit can identify. The
+MMNL warm-starts at the panel's MNL optimum and then adds its random columns
+and its draws, which the kernel holds without a copy: ``make_draws`` builds
+them in the kernel's layout. The kernel has two evaluations, ``loglik`` (the
+log likelihood) and ``hessian`` (it, its score and its Hessian in closed
+form), each one block of respondents at a time: a block's per-draw
+probabilities are formed, used and dropped before the next block's. With one
+draw (the MNL) a block is a fixed number of cells and its Hessian is
+sum p x x' - sum_t m_t m_t', so no call holds more than one block's products
+whatever the panel's size. Every block-sized array lives in a workspace that
+the kernel allocates once: per-call arrays of 128 KiB or more, glibc's
+default mmap threshold, would be served fresh pages on each call. Both
+estimators fit through ``_fit`` with the optimizer's fixed settings. The MNL
+log likelihood is concave, so estimation starts from zeros and a converged
+optimum is the optimum.
 """
 
 from __future__ import annotations
@@ -48,18 +49,15 @@ __all__ = [
 # benchmarks/spans.py patches these names when it traces a run; nothing calls them
 bfgs_minimize = hessian_from_grad = None
 
-# draws per chunk: bounds each pass's temporaries, and a fixed width fixes
-# the summation order. A fit of up to 256 draws has one chunk
-_CHUNK = 256
-
-# respondent x draw cells per mixed respondent block: 8 respondents at 256
-# draws or more, 20 at 100. Each evaluation runs block by block, so this also
+# respondent x draw cells per mixed respondent block, whose respondents
+# carry all their draws: 20 respondents at 100 draws, 16 at 128, 4 at 500
+# and 1 from 2,048 up. Each evaluation runs block by block, so this also
 # bounds the per-draw probabilities it holds. A small fit's Hessian call is
-# mostly per-chunk and per-block overhead, so wider pieces win until cache
-# misses take over. In an interleaved sweep of Hessian calls (one thread,
-# min of 31), 256-draw chunks and 2,048 cells took 1.9 ms at 40 respondents
-# x 100 draws, 15.5 at 264 x 128 and 93 at 528 x 500, against 2.5, 18.4 and
-# 105 for 64-draw chunks and 1,024 cells; 4,096 cells took 3.0 ms at 40 x 100
+# mostly per-block overhead, so wider blocks win until cache misses take
+# over. In an interleaved sweep of Hessian calls (one thread, min of 31),
+# 2,048 cells took 1.74 ms at 40 respondents x 100 draws, 11.6 at 264 x 128
+# and 71 at 528 x 500, against 1.81, 13.0 and 86 with 1,024 cells and 1.86,
+# 11.4 and 68 with 4,096
 _BLOCK_CELLS = 2048
 
 # cells (rows of the differenced layout) per one-draw (MNL) block, in whole
@@ -70,10 +68,6 @@ _BLOCK_CELLS = 2048
 # cells, against 0.42, 2.2 and 27 with 512
 _ONE_DRAW_CELLS = 1024
 
-# values per chunk of the panel's rows when the layout is filled: 128 KB of
-# float64, 26 respondents of the study's 8 tasks x 2 cells x 38 columns. Its
-# temporaries are a few times this whatever the panel's size
-_LAYOUT_VALUES = 1 << 14
 
 
 def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
@@ -108,32 +102,33 @@ class _MslWork:
     rows minus their tasks' first rows, summed over tasks, and ``Arp`` its
     random columns: the chosen cells' utilities summed over tasks are
     A mean + Arp (sd z). The layout is built once and ``mix`` keeps it. It
-    is filled in place from ``panel.X``, a chunk of whole respondents at a
-    time (``_LAYOUT_VALUES``), so the chunk's gathered rows are its only
-    temporaries, and ``A`` sums each respondent's tasks in order. The same
-    pass sets ``varies``: per column, whether some row differs from its
-    task's first (``!=``, so a nan differs even from itself). A column that
-    does not cancels out of every probability; ``mix`` keeps it too, so the
-    MMNL's warm start and mixed fit read one record. ``z`` is the draws
-    given to ``mix`` themselves, not a copy, when they are the transposed
-    view that ``make_draws`` returns.
+    is filled in place from ``panel.X``, one MNL block of whole respondents
+    at a time (``_ONE_DRAW_CELLS``), so the block's gathered rows are its
+    only temporaries, and ``A`` sums each respondent's tasks in order. The
+    same pass sets ``varies``: per column, whether some row differs from
+    its task's first (``!=``, so a nan differs even from itself). A column
+    that does not cancels out of every probability; ``mix`` keeps it too,
+    so the MMNL's warm start and mixed fit read one record. ``z`` is the
+    draws given to ``mix`` themselves, not a copy, when they are the
+    transposed view that ``make_draws`` returns.
 
     Both evaluations, ``loglik`` and ``hessian``, run over ``blocks`` of
-    respondents in order. Draw weights are per respondent, so a block's
+    respondents in order, each respondent with all of its draws
+    (``_BLOCK_CELLS``). Draw weights are per respondent, so a block's
     likelihood, weights, score and Hessian all come from its own tile of
     per-draw probabilities (``_tile``); no evaluation holds the panel's. With
     one draw and no random columns a block holds ``_ONE_DRAW_CELLS`` cells
     and its Hessian is the MNL's closed form (``_one_draw_block``).
 
-    Every array of a block's size (the tile, its chunks' maxima and
-    denominators, the Hessian's per-chunk products p w, y, y w z, y z and
-    Pm's operand, and the per-respondent stacks) is a view into a workspace
-    that ``mix`` allocates once, one buffer per role. A call then allocates
-    only arrays of a few kilobytes.
-    glibc serves an allocation of 128 KiB or more, its default mmap
-    threshold, with fresh pages unless earlier large frees have raised that
-    threshold, so per-call block arrays would be page-faulted on every call
-    and a small fit's time would depend on what the process had run before.
+    Every array of a block's size (the tile, its maxima and denominators,
+    the Hessian's products p w, y, y w z, y z and Pm's operand, and the
+    per-respondent stacks) is a view into a workspace that ``mix``
+    allocates once, one buffer per role. A call then allocates only arrays
+    of a few kilobytes. glibc serves an allocation of 128 KiB or more, its
+    default mmap threshold, with fresh pages unless earlier large frees have
+    raised that threshold, so per-call block arrays would be page-faulted on
+    every call and a small fit's time would depend on what the process had
+    run before.
     """
 
     def __init__(self, panel: CodedPanel):
@@ -155,14 +150,14 @@ class _MslWork:
         self.offset = np.full((n_r * n_t * n_d, 1), -np.inf)
         self.A = np.empty((n_r, k))
         self.varies = np.zeros(k, dtype=bool)
-        # filled a chunk of whole respondents at a time, so that the chunk's
-        # gathered rows are the only temporaries; A sums each respondent's
-        # tasks in order
-        per_chunk = max(_LAYOUT_VALUES // (n_t * n_d * k or 1), 1)
-        for n0 in range(0, n_r, per_chunk):
-            n1 = min(n0 + per_chunk, n_r)
+        # filled one MNL block of whole respondents at a time, so that the
+        # block's gathered rows are the only temporaries; A sums each
+        # respondent's tasks in order
+        block = max(_ONE_DRAW_CELLS // (n_t * n_d), 1)
+        for n0 in range(0, n_r, block):
+            n1 = min(n0 + block, n_r)
             t0, t1 = respondent_tasks[n0], respondent_tasks[n1]
-            # each task's (respondent, task) slot, counted from the chunk's first
+            # each task's (respondent, task) slot, counted from the block's first
             respondent = panel.task_respondent[t0:t1]
             slot = (respondent - n0) * n_t + np.arange(t0, t1) - respondent_tasks[respondent]
             r0, r1 = panel.task_ptr[t0], panel.task_ptr[t1]
@@ -200,30 +195,27 @@ class _MslWork:
         self.antithetic = antithetic
         # (n, rp, draw): a view, not a copy, of make_draws' draws
         self.z = np.ascontiguousarray(draws.transpose(0, 2, 1))
-        self.n_draws = draws.shape[1]
-        self.chunks = [(c0, min(c0 + _CHUNK, self.n_draws))
-                       for c0 in range(0, self.n_draws, _CHUNK)]
+        self.n_draws = n_z = draws.shape[1]
         self.Drp = np.ascontiguousarray(self.D[:, :, self.rp])
         self.Arp = self.A[:, self.rp]
         self.one_draw = self.n_draws == 1 and m == 0
-        n_c, width = n_t * n_d, min(self.n_draws, _CHUNK)
-        block = max(_ONE_DRAW_CELLS // n_c, 1) if self.one_draw \
-            else _BLOCK_CELLS // width
+        n_c = n_t * n_d
+        block = max(_ONE_DRAW_CELLS // n_c if self.one_draw else _BLOCK_CELLS // n_z, 1)
         self.blocks = [(n0, min(n0 + block, n_r)) for n0 in range(0, n_r, block)]
         # each role's buffer size per respondent. "tmp" holds a value only
         # until the statement that fills it has used it
-        roles = {"p": n_c * self.n_draws, "top": n_t * width, "denom": n_t * width,
-                 "tmp": max(n_c, n_t * m) * width, "y": n_t * m * width,
-                 "yw": n_t * m * width, "ops": (1 + 2 * m + m * m) * width,
+        roles = {"p": n_c * n_z, "top": n_t * n_z, "denom": n_t * n_z,
+                 "tmp": max(n_c, n_t * m) * n_z, "y": n_t * m * n_z,
+                 "yw": n_t * m * n_z, "ops": (1 + 2 * m + m * m) * n_z,
                  "xbar": n_t * k, "XV": n_c * k, "stack": k * k}
         self._buffers = {}  # the previous workspace goes before this one is made
         for role, size in roles.items():
             self._buffers[role] = np.empty(min(block, n_r) * size)
         return self
 
-    def _view(self, role, shape, start=0):
-        """A C-contiguous ``shape`` of ``role``'s workspace buffer from ``start``."""
-        return self._buffers[role][start:start + math.prod(shape)].reshape(shape)
+    def _view(self, role, shape):
+        """A C-contiguous ``shape`` from the start of ``role``'s workspace buffer."""
+        return self._buffers[role][:math.prod(shape)].reshape(shape)
 
     def _split(self, params):
         params = np.asarray(params, dtype=np.float64).reshape(-1)
@@ -249,49 +241,44 @@ class _MslWork:
                                                     f"{self.respondent_tasks[respondent] + slot}")
 
     def _tile(self, mean, sds, n0, n1):
-        """Respondents [n0, n1)'s (respondent, draw) log products and, per
-        draw chunk, their cells' probabilities shaped (respondent,
-        task * cell, chunk draws), views into the workspace that the next
-        block's tile overwrites. Per chunk, every cell's utility comes from
-        one batched product, then a log-softmax over each task's cells and
-        its reference's 0 is summed over tasks, each sum in a fixed order."""
+        """Respondents [n0, n1)'s (respondent, draw) log products and their
+        cells' probabilities shaped (respondent, task * cell, draw), a view
+        into the workspace that the next block's tile overwrites. Every
+        cell's utility comes from one batched product, then a log-softmax
+        over each task's cells and its reference's 0 is summed over tasks,
+        each sum in a fixed order."""
         _, n_t, n_d = self.shape
-        nb, n_c = n1 - n0, n_t * n_d
-        Drp, z = self.Drp[n0:n1], self.z[n0:n1]
+        nb, n_c, n_z = n1 - n0, n_t * n_d, self.n_draws
+        z = self.z[n0:n1]
         # einsum, not BLAS: OpenBLAS runs this product on two threads from
         # ~10,000 rows, which buys no time and burns a second core
         u_base = self.offset[n0 * n_c:n1 * n_c] \
             + np.einsum("rk,k->r", self.D[n0:n1].reshape(-1, mean.size), mean)[:, None]
         # each respondent's chosen cells' utilities summed over tasks, per draw
-        chosen = np.einsum("rk,k->r", self.A[n0:n1], mean)[:, None] \
+        log_pr = np.einsum("rk,k->r", self.A[n0:n1], mean)[:, None] \
             + np.einsum("rm,rmc->rc", self.Arp[n0:n1] * sds, z)
-        log_pr, probs = np.empty((nb, self.n_draws)), []
-        for c0, c1 in self.chunks:
-            width = c1 - c0
-            cells = np.matmul(Drp, z[:, :, c0:c1] * sds[:, None],
-                              out=self._view("p", (nb, n_c, width), nb * n_c * c0))
-            probs.append(cells)
-            cells = cells.reshape(-1, width)
-            cells += u_base
-            u = cells.reshape(nb, n_t, n_d, width)
-            # loops over the few cells are faster than max and sum over axis 2
-            top = np.maximum(u[:, :, 0], 0.0, out=self._view("top", (nb, n_t, width)))
-            for j in range(1, n_d):
-                np.maximum(top, u[:, :, j], out=top)
-            if not np.isfinite(top).all():
-                self._non_finite(np.isfinite(cells).all(axis=1), n0)
-            u -= top[:, :, None]
-            e = np.exp(u, out=u)
-            denom = self._view("denom", (nb, n_t, width))
-            np.copyto(denom, e[:, :, 0])
-            for j in range(1, n_d):
-                denom += e[:, :, j]
-            tmp = self._view("tmp", (nb, n_t, width))
-            denom += np.exp(np.negative(top, out=tmp), out=tmp)
-            np.divide(e, denom[:, :, None], out=e)
-            top += np.log(denom, out=tmp)
-            log_pr[:, c0:c1] = chosen[:, c0:c1] - top.sum(axis=1)
-        return log_pr, probs
+        p = np.matmul(self.Drp[n0:n1], z * sds[:, None], out=self._view("p", (nb, n_c, n_z)))
+        cells = p.reshape(-1, n_z)
+        cells += u_base
+        u = cells.reshape(nb, n_t, n_d, n_z)
+        # loops over the few cells are faster than max and sum over axis 2
+        top = np.maximum(u[:, :, 0], 0.0, out=self._view("top", (nb, n_t, n_z)))
+        for j in range(1, n_d):
+            np.maximum(top, u[:, :, j], out=top)
+        if not np.isfinite(top).all():
+            self._non_finite(np.isfinite(cells).all(axis=1), n0)
+        u -= top[:, :, None]
+        e = np.exp(u, out=u)
+        denom = self._view("denom", (nb, n_t, n_z))
+        np.copyto(denom, e[:, :, 0])
+        for j in range(1, n_d):
+            denom += e[:, :, j]
+        tmp = self._view("tmp", (nb, n_t, n_z))
+        denom += np.exp(np.negative(top, out=tmp), out=tmp)
+        np.divide(e, denom[:, :, None], out=e)
+        top += np.log(denom, out=tmp)
+        log_pr -= top.sum(axis=1)
+        return log_pr, p
 
     def respondent_ll(self, log_pr):
         """log mean over draws, pairing antithetic columns first for exact
@@ -348,7 +335,7 @@ class _MslWork:
         any E constant within tasks; with E each task's first row, the
         reference cell's row is zero and drops out. Each respondent block's
         tile feeds its likelihood, weights, score and Hessian in one pass;
-        blocks and draw chunks are summed in a fixed order.
+        blocks are summed in a fixed order.
         """
         mean, sds = self._split(params)
         ll_i = np.empty(self.shape[0])
@@ -370,7 +357,7 @@ class _MslWork:
         sum_tj p_j x_j x_j' - sum_t m_t m_t' = sum_tj x_j (p_j (x_j - m_t))',
         over the differenced cells (the reference's row is zero). Its
         per-respondent products are batched, as in ``_hessian_block``."""
-        log_pr, (p,) = self._tile(mean, sds, n0, n1)
+        log_pr, p = self._tile(mean, sds, n0, n1)
         ll_i[n0:n1] = self.respondent_ll(log_pr)
         _, n_t, n_d = self.shape
         nb, k = n1 - n0, mean.size
@@ -387,43 +374,37 @@ class _MslWork:
     def _hessian_block(self, mean, sds, n0, n1, ll_i):
         """Respondents [n0, n1)'s share of the score and of the Hessian of
         the negative log likelihood; fills their ``ll_i``. Their tile, draw
-        weights and per-chunk products live until the next block's.
+        weights and products live until the next block's.
         Every product is batched per respondent and summed afterwards: one
         product over the block would be large enough to wake OpenBLAS's
         threads, which then spin through the estimator's serial work."""
-        log_pr, probs = self._tile(mean, sds, n0, n1)
+        log_pr, p = self._tile(mean, sds, n0, n1)
         ll_i[n0:n1] = self.respondent_ll(log_pr)
         w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         k, m = self.panel.X.shape[1], len(self.rp)
         _, n_t, n_d = self.shape
-        nb, n_c = n1 - n0, n_t * n_d
+        nb, n_c, n_z = n1 - n0, n_t * n_d, self.n_draws
         X, x, a, a_rp = self.D[n0:n1], self.Drp[n0:n1], self.A[n0:n1].sum(axis=0), self.Arp[n0:n1]
         x_task = x.reshape(nb, n_t, n_d, m).transpose(0, 1, 3, 2)
-        G = np.zeros((nb, n_c, n_c))
-        Pm = np.zeros((nb, n_c, 1 + 2 * m + m * m))  # P [w, v_d, w z_d, w z_d z_e]
-        Py, g = np.zeros((nb, n_c, m)), np.zeros((nb, m))  # (P y_d)(w z_d); g_d
-        sd = np.zeros((nb, m, m))  # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
-        for (c0, c1), p in zip(self.chunks, probs):
-            width = c1 - c0
-            p_task = p.reshape(nb, n_t, n_d, width)
-            wc, z = w[:, None, c0:c1], self.z[n0:n1, :, c0:c1]
-            G += np.multiply(p, wc, out=self._view("tmp", p.shape)) @ p.transpose(0, 2, 1)
-            y = np.matmul(x_task, p_task, out=self._view("y", (nb, n_t, m, width)))
-            f = a_rp[:, :, None] - y.sum(axis=1)
-            # Pm's operand [w, v_d, w z_d, w z_d z_e], written in place
-            ops = self._view("ops", (nb, 1 + 2 * m + m * m, width))
-            ops[:, :1] = wc
-            wz = np.multiply(wc, z, out=ops[:, 1 + m:1 + 2 * m])
-            v = np.multiply(wz, f, out=ops[:, 1:1 + m])
-            yw = np.multiply(y, wz[:, None], out=self._view("yw", y.shape))
-            g += v.sum(axis=2)
-            np.multiply(wz[:, :, None], z[:, None], out=ops[:, 1 + 2 * m:].reshape(nb, m, m, width))
-            Pm += p @ ops.transpose(0, 2, 1)
-            Py += (p_task @ yw.transpose(0, 1, 3, 2)).reshape(nb, n_c, m)
-            yz = np.multiply(y, z[:, None], out=self._view("tmp", y.shape))
-            sd += v @ (z * f).transpose(0, 2, 1) \
-                + (yw @ yz.transpose(0, 1, 3, 2)).sum(axis=1)
+        p_task = p.reshape(nb, n_t, n_d, n_z)
+        w, z = w[:, None], self.z[n0:n1]
+        G = np.multiply(p, w, out=self._view("tmp", p.shape)) @ p.transpose(0, 2, 1)
+        y = np.matmul(x_task, p_task, out=self._view("y", (nb, n_t, m, n_z)))
+        f = a_rp[:, :, None] - y.sum(axis=1)
+        # Pm's operand [w, v_d, w z_d, w z_d z_e], written in place
+        ops = self._view("ops", (nb, 1 + 2 * m + m * m, n_z))
+        ops[:, :1] = w
+        wz = np.multiply(w, z, out=ops[:, 1 + m:1 + 2 * m])
+        v = np.multiply(wz, f, out=ops[:, 1:1 + m])
+        yw = np.multiply(y, wz[:, None], out=self._view("yw", y.shape))
+        g = v.sum(axis=2)  # g_d
+        np.multiply(wz[:, :, None], z[:, None], out=ops[:, 1 + 2 * m:].reshape(nb, m, m, n_z))
+        Pm = p @ ops.transpose(0, 2, 1)  # P [w, v_d, w z_d, w z_d z_e]
+        Py = (p_task @ yw.transpose(0, 1, 3, 2)).reshape(nb, n_c, m)  # (P y_d)(w z_d)
+        yz = np.multiply(y, z[:, None], out=self._view("tmp", y.shape))
+        # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
+        sd = v @ (z * f).transpose(0, 2, 1) + (yw @ yz.transpose(0, 1, 3, 2)).sum(axis=1)
         xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(nb, n_c, m * m)
         sd -= (xx * Pm[:, :, 1 + 2 * m:]).sum(axis=1).reshape(nb, m, m)  # sum_c p x_d x_e
         q = Pm[:, :, 0]

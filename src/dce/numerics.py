@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, _integer
 
 __all__ = [
     "HaltonConfig",
@@ -49,12 +49,8 @@ class HaltonConfig:
 
     def __post_init__(self):
         for name, code, least in (("drop", "bad_drop", 0), ("n_draws", "bad_draw_count", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < least:
-                raise EstimationError(code, f"{name} must be an integer >= {least}, "
-                                            f"got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(EstimationError, code, name,
+                                                    getattr(self, name), least))
 
 
 def _first_primes(n: int) -> tuple[int, ...]:

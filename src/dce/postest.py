@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PostestError
+from .errors import PostestError, _integer, _real
 from .results import EstimationResult
 from .schema import AttributeDef, ExperimentSchema, _block_prefix
 
@@ -39,15 +39,15 @@ class LrTest(NamedTuple):
 
 
 def fit_stats(ll_final: float, ll_null: float, k: int) -> FitStats:
-    """rho2 = 1 - ll_final/ll_null; adjusted subtracts k from ll_final first."""
+    """rho2 = 1 - ll_final/ll_null; adjusted subtracts k, an integer >= 0,
+    from ll_final first."""
     if not (math.isfinite(ll_final) and math.isfinite(ll_null)):
         raise PostestError("bad_loglik", "log likelihoods must be finite")
     if ll_null >= 0:
         raise PostestError("bad_loglik", "ll_null must be negative")
     if ll_final > 0:
         raise PostestError("bad_loglik", "ll_final must be <= 0")
-    if k < 0:
-        raise PostestError("bad_k", "k must be >= 0")
+    _integer(PostestError, "bad_k", "k", k, 0)
     return FitStats(1.0 - ll_final / ll_null, 1.0 - (ll_final - k) / ll_null)
 
 
@@ -64,8 +64,9 @@ def _chi2_sf(x: float, df: int) -> float:
 
 
 def lr_test(ll_restricted: float, ll_full: float, df: int) -> LrTest:
-    """Likelihood-ratio test of nested models, chi-square upper tail."""
-    if not float(df).is_integer() or df < 1:
+    """Likelihood-ratio test of nested models, chi-square upper tail; df is
+    a whole number >= 1, an integral float included."""
+    if not (_real(df) and float(df).is_integer() and df >= 1):
         raise PostestError("bad_df", f"df must be an integer >= 1, got {df!r}")
     if not (math.isfinite(ll_restricted) and math.isfinite(ll_full)):
         raise PostestError("bad_loglik", "log likelihoods must be finite")
@@ -267,7 +268,7 @@ class ElasticityEntry:
 
 def _check_price(price) -> None:
     """A price is a finite positive number of yen; NaN fails both bounds."""
-    if not (0.0 < price < math.inf):
+    if not (_real(price) and 0.0 < price < math.inf):
         raise PostestError("bad_price", f"price must be finite and positive, got {price}")
 
 
@@ -277,7 +278,7 @@ def own_cost_elasticity(result: EstimationResult, schema: ExperimentSchema,
     """Own-price point elasticity slope * price * (1 - P) with the
     linearized cost utility. A computed extension, flagged in the entry."""
     _check_price(price)
-    if not (0.0 < probability < 1.0):
+    if not (_real(probability) and 0.0 < probability < 1.0):
         raise PostestError("bad_probability",
                            f"baseline probability must be inside (0, 1), "
                            f"got {probability}")
@@ -294,9 +295,11 @@ def elasticity_grid(slope: float, price0: float, prob0: float,
     anchored at (price0, prob0): only the own utility moves with price, so
     the log-odds are logit(prob0) + slope * (price - price0). Each
     probability is their logistic, taken through exp of a non-positive
-    argument, so it is finite and in [0, 1] at any price."""
+    argument, so it is finite and in [0, 1] at any price and finite slope."""
+    if not (_real(slope) and math.isfinite(slope)):
+        raise PostestError("bad_slope", f"slope must be a finite number, got {slope!r}")
     _check_price(price0)
-    if not (0.0 < prob0 < 1.0):
+    if not (_real(prob0) and 0.0 < prob0 < 1.0):
         raise PostestError("bad_probability",
                            "anchor probability must be inside (0, 1)")
     logit0 = math.log(prob0 / (1.0 - prob0))

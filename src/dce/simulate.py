@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import ChoiceDataset, CodedPanel, Observation, RespondentRecord, code_dataset
 from .design import BlockedDesign
-from .errors import DceError, SimulationError
+from .errors import DceError, SimulationError, _integer
 from .fixtures import table3_demographic_weights
 from .mmnl import MixingSpec, estimate_mmnl
 from .mnl import estimate_mnl
@@ -48,9 +48,8 @@ class SimConfig:
     block_assignment: str = "balanced"
 
     def __post_init__(self):
-        if self.n_respondents < 1:
-            raise SimulationError("bad_respondent_count",
-                                  "n_respondents must be >= 1")
+        _integer(SimulationError, "bad_respondent_count", "n_respondents", self.n_respondents, 1)
+        _integer(SimulationError, "bad_seed", "seed", self.seed, 0)
         if self.block_assignment not in ("balanced", "uniform"):
             raise SimulationError(
                 "bad_block_assignment",

@@ -274,7 +274,7 @@ def hessian_oracle(work, params):
     p p' products under each draw moment (1, z_d and z_d z_e), summed one
     block of respondents at a time. The per-draw log products, the log
     likelihood and the draw weights come from the same cells; only the
-    layout (``shape``, ``blocks``, ``chunks``), ``rp`` and the draws ``z``
+    layout (``shape``, ``blocks``), ``rp`` and the draws ``z``
     are read from the kernel. Returns the log likelihood, its score and the
     Hessian of the negative log likelihood."""
     panel, rp = work.panel, work.rp
@@ -308,41 +308,34 @@ def hessian_oracle(work, params):
         nb = n1 - n0
         X_resp, a = X_all[n0:n1], a_all[n0:n1]
 
-        # per chunk, every cell's probability and each draw's log product
-        # of the chosen cells' probabilities
-        probs, log_pr = [], np.empty((nb, work.n_draws))
-        for c0, c1 in work.chunks:
-            u = X_resp @ mean[:, None] + X_resp[:, :, rp] @ (work.z[n0:n1, :, c0:c1] * sds[:, None])
-            u = np.where(real[n0:n1], u, -np.inf).reshape(nb, n_t, n_j, -1)
-            u = u - u.max(axis=2, keepdims=True)
-            e = np.exp(u)
-            denom = e.sum(axis=2, keepdims=True)
-            probs.append(e / denom)
-            log_p = (u - np.log(denom)).reshape(nb, n_t * n_j, -1)
-            log_pr[:, c0:c1] = np.take_along_axis(log_p, chosen[n0:n1, :, None], axis=1).sum(axis=1)
+        # every cell's probability under each draw and each draw's log
+        # product of the chosen cells' probabilities
+        u = X_resp @ mean[:, None] + X_resp[:, :, rp] @ (work.z[n0:n1] * sds[:, None])
+        u = np.where(real[n0:n1], u, -np.inf).reshape(nb, n_t, n_j, -1)
+        u = u - u.max(axis=2, keepdims=True)
+        e = np.exp(u)
+        denom = e.sum(axis=2, keepdims=True)
+        p = e / denom
+        log_p = (u - np.log(denom)).reshape(nb, n_t * n_j, -1)
+        log_pr = np.take_along_axis(log_p, chosen[n0:n1, :, None], axis=1).sum(axis=1)
         top = log_pr.max(axis=1, keepdims=True)
         w = np.exp(log_pr - top)
         ll += (top[:, 0] + np.log(w.sum(axis=1)) - np.log(work.n_draws)).sum()
         w /= w.sum(axis=1, keepdims=True)
 
-        outer = np.zeros((n_par, n_par))
-        score = np.zeros((nb, n_par))
+        p_resp = p.reshape(nb, n_t * n_j, -1)
+        z = work.z[n0:n1].transpose(0, 2, 1)
+        f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
+        s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, draw, n_par)
+        ws = s * w[..., None]
+        outer = (ws.transpose(0, 2, 1) @ s).sum(axis=0)
+        score = ws.sum(axis=1)
         # per task, diag(q) - M for each draw moment (last axis)
-        cov = np.zeros((nb, n_t, n_j, n_j, 1 + m + len(pairs)))
-        for (c0, c1), p in zip(work.chunks, probs):
-            p_resp = p.reshape(nb, n_t * n_j, -1)
-            wc = w[:, c0:c1]
-            z = work.z[n0:n1, :, c0:c1].transpose(0, 2, 1)
-            f = a[:, None, :] - p_resp.transpose(0, 2, 1) @ X_resp
-            s = np.concatenate([f, f[:, :, rp] * z], axis=2)  # S_nr, (nb, c, n_par)
-            ws = s * wc[..., None]
-            outer += (ws.transpose(0, 2, 1) @ s).sum(axis=0)
-            score += ws.sum(axis=1)
-            moments = np.stack([wc] + [wc * z[..., d] for d in range(m)]
-                               + [wc * z[..., d] * z[..., e] for d, e in pairs], axis=2)
-            pp = p[:, :, :, None, :] * p[:, :, None, :, :]
-            cov -= (pp.reshape(nb, n_t * n_j * n_j, -1) @ moments).reshape(cov.shape)
-            cov[:, :, diag, diag, :] += (p_resp @ moments).reshape(nb, n_t, n_j, -1)
+        moments = np.stack([w] + [w * z[..., d] for d in range(m)]
+                           + [w * z[..., d] * z[..., e] for d, e in pairs], axis=2)
+        pp = p[:, :, :, None, :] * p[:, :, None, :, :]
+        cov = -(pp.reshape(nb, n_t * n_j * n_j, -1) @ moments).reshape(nb, n_t, n_j, n_j, -1)
+        cov[:, :, diag, diag, :] += (p_resp @ moments).reshape(nb, n_t, n_j, -1)
 
         X_task = X_resp.reshape(nb * n_t, n_j, k)
         X_rp = X_task[:, :, rp]

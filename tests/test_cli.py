@@ -239,6 +239,16 @@ class TestErrors:
         assert "bad_price" in err and str(float(price)) in err
         assert not grid.exists()
 
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_negative_seed(self, pipeline, workdir, capsys, command):
+        inputs = (["--schema", LABELS_SCHEMA, "--runs", "32", "--blocks", "4"]
+                  if command == "design" else
+                  ["--design", str(pipeline["paths"]["design"]), "--params", MMNL_FIXTURE,
+                   "--n", "5"])
+        code = main([command, *inputs, "--seed", "-1", "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert "bad_seed" in capsys.readouterr().err
+
     def test_simulate_zero_respondents(self, pipeline, workdir, capsys):
         code = main(["simulate", "--design", str(pipeline["paths"]["design"]),
                      "--params", MMNL_FIXTURE, "--n", "0",

@@ -65,6 +65,27 @@ class TestSelectFraction:
             select_fraction(schema_default, 32, seed=5, iters=iters, restarts=restarts)
         assert err.value.code == code
 
+    @pytest.mark.parametrize("setting, code", [
+        ({"iters": "5"}, "bad_iteration_count"), ({"iters": 2.5}, "bad_iteration_count"),
+        ({"iters": True}, "bad_iteration_count"), ({"restarts": 1.5}, "bad_restart_count"),
+        ({"n_runs": 32.0}, "bad_number"), ({"n_runs": 0}, "bad_number"),
+        ({"seed": 1.5}, "bad_seed"), ({"seed": -1}, "bad_seed")])
+    def test_non_integer_settings_are_typed(self, schema_default, setting, code):
+        settings = {"n_runs": 32, "seed": 5, "iters": 10, "restarts": 1, **setting}
+        with pytest.raises(DesignError) as err:
+            select_fraction(schema_default, **settings)
+        assert err.value.code == code
+        name, value = next(iter(setting.items()))
+        assert err.value.message.startswith(f"{name} must be an integer >= ")
+        assert err.value.message.endswith(f"got {value!r}")
+
+    def test_numpy_integer_settings_search_as_ints(self, schema_default):
+        want = select_fraction(schema_default, 32, seed=5, iters=50, restarts=2)
+        got = select_fraction(schema_default, np.int64(32), seed=np.int64(5),
+                              iters=np.int64(50), restarts=np.int64(2))
+        assert got == want
+        assert block_design(got, np.int64(4), seed=np.int64(1)) == block_design(want, 4, seed=1)
+
     def test_linear_slots_code_their_values(self):
         """Diagnostics of a design with linear slots use the level values."""
         schema = linear_schema()
@@ -226,6 +247,15 @@ class TestBlocking:
         with pytest.raises(DesignError) as err:
             block_design(design32, 0, seed=0)
         assert err.value.code == "bad_block_count"
+
+    @pytest.mark.parametrize("setting, code", [
+        ({"n_blocks": 2.0}, "bad_block_count"), ({"n_blocks": True}, "bad_block_count"),
+        ({"n_blocks": "4"}, "bad_block_count"), ({"seed": 1.5}, "bad_seed"),
+        ({"seed": -2}, "bad_seed")])
+    def test_non_integer_settings_are_typed(self, design32, setting, code):
+        with pytest.raises(DesignError) as err:
+            block_design(design32, **{"n_blocks": 4, "seed": 0, **setting})
+        assert err.value.code == code
 
     def test_deterministic(self, schema_default):
         design = select_fraction(schema_default, 32, seed=5, iters=100,

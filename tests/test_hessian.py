@@ -104,6 +104,8 @@ ORACLE_CASES = {
     "mixed40-antithetic100": ("mixed_panel40", MixingSpec(halton=HaltonConfig(n_draws=100),
                                                           antithetic=True)),
     "study264-mmnl128": ("study_panel264", MixingSpec(halton=HaltonConfig(n_draws=128))),
+    "mixed40-antithetic300": ("mixed_panel40", MixingSpec(halton=HaltonConfig(n_draws=300),
+                                                          antithetic=True)),
 }
 
 
@@ -188,7 +190,7 @@ def test_a_call_holds_no_full_panel_probability_store(design32):
 
 
 def test_a_steady_state_call_allocates_no_block_sized_array(study_panel264):
-    """A second Hessian call on a kernel writes its tile and every per-chunk
+    """A second Hessian call on a kernel writes its tile and every per-block
     product into the kernel's workspace: 0.35 MB traced, against 1.34 MB
     when each block allocated its own."""
     work = kernel(study_panel264["panel"], ORACLE_CASES["study264-mmnl128"][1])
@@ -245,14 +247,14 @@ def whole_panel_layout(panel, shape):
     return D.reshape(n_r, n_t * n_d, k), A.reshape(n_r, n_t, k).sum(axis=1), offset
 
 
-@pytest.mark.parametrize("layout_values", [1, 700, 1 << 14])
+@pytest.mark.parametrize("block_cells", [1, 700, 1 << 14])
 @pytest.mark.parametrize("panel_fixture", ["ragged_panel", "droneless_panel", "panel150"])
-def test_layout_in_chunks_has_the_whole_panel_bits(panel_fixture, layout_values, request,
+def test_layout_in_chunks_has_the_whole_panel_bits(panel_fixture, block_cells, request,
                                                    monkeypatch):
-    # one respondent per chunk, a few, and all of them in one chunk
+    # one respondent per block, a few, and all of them in one block
     panel = request.getfixturevalue(panel_fixture)
     panel = panel if panel_fixture == "droneless_panel" else panel["panel"]
-    monkeypatch.setattr(mnl, "_LAYOUT_VALUES", layout_values)
+    monkeypatch.setattr(mnl, "_ONE_DRAW_CELLS", block_cells)
     work = _MslWork(panel)
     D, A, offset = whole_panel_layout(panel, work.shape)
     assert work.D.tobytes() == D.tobytes()

@@ -213,8 +213,8 @@ VALUES = st.sampled_from([0.0, 1.0, -2.5, np.nan, np.inf])
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_identification_names_the_columns_constant_within_tasks(data):
-    # small random panels, ragged ones included, laid out in chunks of one
-    # row up to all of them; the kernel records the columns, and _fit names
+    # small random panels, ragged ones included, laid out in blocks of one
+    # respondent up to all of them; the kernel records the columns, and _fit names
     # them before it looks at its start
     tasks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))  # per respondent
     sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=sum(tasks),
@@ -239,7 +239,7 @@ def test_identification_names_the_columns_constant_within_tasks(data):
         respondent_ids=tuple(f"r{i}" for i in range(len(tasks))),
         row_alternative=("a",) * row_task.size)
     dead = np.flatnonzero(np.all(X == X[task_ptr[row_task]], axis=0))
-    with mock.patch.object(mnl, "_LAYOUT_VALUES", data.draw(st.integers(1, 2 * X.size))):
+    with mock.patch.object(mnl, "_ONE_DRAW_CELLS", data.draw(st.integers(1, 2 * X.size))):
         with np.errstate(invalid="ignore"):  # the layout differences inf - inf
             work = _MslWork(panel)
     np.testing.assert_array_equal(np.flatnonzero(~work.varies), dead)

@@ -97,6 +97,15 @@ class TestFitStats:
             fit_stats(-10.0, -20.0, k=-1)
         assert err.value.code == "bad_k"
 
+    @pytest.mark.parametrize("k", ["3", True, 1.5, None])
+    def test_non_integer_k(self, k):
+        with pytest.raises(PostestError) as err:
+            fit_stats(-10.0, -20.0, k=k)
+        assert err.value.code == "bad_k"
+
+    def test_numpy_integer_k(self):
+        assert fit_stats(-10.0, -20.0, k=np.int64(3)) == fit_stats(-10.0, -20.0, k=3)
+
 
 class TestLrTest:
     def test_published_heterogeneity_statistic(self):
@@ -136,6 +145,12 @@ class TestLrTest:
 
     @pytest.mark.parametrize("df", [1.5, 2.25, float("nan"), float("inf"), -1])
     def test_non_integer_df(self, df):
+        with pytest.raises(PostestError) as err:
+            lr_test(-60.0, -50.0, df=df)
+        assert err.value.code == "bad_df"
+
+    @pytest.mark.parametrize("df", ["3", None, True, np.bool_(True)])
+    def test_df_that_is_not_a_number(self, df):
         with pytest.raises(PostestError) as err:
             lr_test(-60.0, -50.0, df=df)
         assert err.value.code == "bad_df"
@@ -289,6 +304,27 @@ class TestElasticity:
             with pytest.raises(PostestError) as err:
                 call()
             assert err.value.code == "bad_price"
+
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), -float("inf"), "-0.004",
+                                       None, True])
+    def test_grid_slope_is_a_finite_number(self, slope):
+        with pytest.raises(PostestError) as err:
+            elasticity_grid(slope, 680.0, 1 / 3, [340.0, 680.0])
+        assert err.value.code == "bad_slope"
+
+    @pytest.mark.parametrize("price, probability, code", [
+        ("680", 1 / 3, "bad_price"), (None, 1 / 3, "bad_price"), (True, 1 / 3, "bad_price"),
+        (680.0, "0.3", "bad_probability"), (680.0, None, "bad_probability")])
+    def test_inputs_that_are_not_numbers(self, mmnl_fix, labels, price, probability, code):
+        for call in (lambda: own_cost_elasticity(mmnl_fix, labels, "drone", price, probability),
+                     lambda: elasticity_grid(-0.004, price, probability, [680.0])):
+            with pytest.raises(PostestError) as err:
+                call()
+            assert err.value.code == code
+        if code == "bad_price":
+            with pytest.raises(PostestError) as err:
+                elasticity_grid(-0.004, 680.0, 1 / 3, [340.0, price])
+            assert err.value.code == code
 
     def test_grid_follows_logit_curve(self, mmnl_fix, labels):
         slope = cost_slope(mmnl_fix, labels, "drone").slope

@@ -194,6 +194,18 @@ class TestValidation:
                       true_params=cfg.true_params, n_respondents=0, seed=0)
         assert err.value.code == "bad_respondent_count"
 
+    @pytest.mark.parametrize("setting, code", [
+        ({"n_respondents": "5"}, "bad_respondent_count"),
+        ({"n_respondents": 2.5}, "bad_respondent_count"),
+        ({"n_respondents": True}, "bad_respondent_count"),
+        ({"seed": 1.5}, "bad_seed"), ({"seed": -1}, "bad_seed"), ({"seed": "0"}, "bad_seed")])
+    def test_non_integer_settings_are_typed(self, panel50, setting, code):
+        cfg = panel50["cfg"]
+        with pytest.raises(SimulationError) as err:
+            SimConfig(schema=cfg.schema, design=cfg.design, true_params=cfg.true_params,
+                      **{"n_respondents": 5, "seed": 0, **setting})
+        assert err.value.code == code
+
     def test_bad_block_assignment(self, design32, panel50):
         cfg = panel50["cfg"]
         with pytest.raises(SimulationError) as err:
