@@ -451,6 +451,8 @@ class CodedPanel:
         # fill; a record has at most one row per alternative
         task_counts = [len(rec.observations) for rec in dataset.respondents]
         n_tasks = sum(task_counts)
+        if not n_tasks:
+            raise DatasetError("empty_dataset", "dataset has no tasks")
         levels = {n: [] if a.scope in ("context", "demographic") else [-1] * (n_tasks * len(alt_ids))
                   for n, a in attrs.items()}
         per = {scope: [(a.csv_column, a.level_index, levels[a.name], a)

@@ -21,12 +21,14 @@ form), each one block of respondents at a time: a block's per-draw
 probabilities are formed, used and dropped before the next block's. With one
 draw (the MNL) a block is a fixed number of cells and its Hessian is
 sum p x x' - sum_t m_t m_t', so no call holds more than one block's products
-whatever the panel's size. Every block-sized array lives in a workspace that
-the kernel allocates once: per-call arrays of 128 KiB or more, glibc's
-default mmap threshold, would be served fresh pages on each call. Both
-estimators fit through ``_fit`` with the optimizer's fixed settings. The MNL
-log likelihood is concave, so estimation starts from zeros and a converged
-optimum is the optimum.
+whatever the panel's size. ``hessian`` adds the respondents' own score and
+Hessian terms in one sum in their order, so no result depends on the block
+sizes. Every block-sized array lives in a workspace that the kernel allocates
+once: per-call arrays of 128 KiB or more, glibc's default mmap threshold,
+would be served fresh pages on each call. Both estimators fit through
+``_fit`` with the optimizer's fixed settings. The MNL log likelihood is
+concave, so estimation starts from zeros and a converged optimum is the
+optimum.
 """
 
 from __future__ import annotations
@@ -52,22 +54,21 @@ bfgs_minimize = hessian_from_grad = None
 # respondent x draw cells per mixed respondent block, whose respondents
 # carry all their draws: 20 respondents at 100 draws, 16 at 128, 4 at 500
 # and 1 from 2,048 up. Each evaluation runs block by block, so this also
-# bounds the per-draw probabilities it holds. A small fit's Hessian call is
-# mostly per-block overhead, so wider blocks win until cache misses take
-# over. In an interleaved sweep of Hessian calls (one thread, min of 31),
-# 2,048 cells took 1.74 ms at 40 respondents x 100 draws, 11.6 at 264 x 128
-# and 71 at 528 x 500, against 1.81, 13.0 and 86 with 1,024 cells and 1.86,
-# 11.4 and 68 with 4,096
+# bounds the per-draw probabilities it holds; no result depends on it. A
+# small fit's Hessian call is mostly per-block overhead, so wider blocks win
+# until cache misses take over. In an interleaved sweep of Hessian calls
+# (one thread, min of 31), 2,048 cells took 1.74 ms at 40 respondents x 100
+# draws, 11.6 at 264 x 128 and 71 at 528 x 500, against 1.81, 13.0 and 86
+# with 1,024 cells and 1.86, 11.4 and 68 with 4,096
 _BLOCK_CELLS = 2048
 
 # cells (rows of the differenced layout) per one-draw (MNL) block, in whole
-# respondents: 64 of the study's 8 tasks x 2 cells. Wider blocks make fewer
-# calls per pass but a larger workspace, whose (respondent, k, k) stack is
-# 0.74 MB at 64 respondents and 38 columns. Hessian calls (one thread, min of
-# 31) took 0.25 ms at 40 respondents, 1.2 at 264 and 26 at 5,000 with 1,024
-# cells, against 0.42, 2.2 and 27 with 512
+# respondents: 64 of the study's 8 tasks x 2 cells; no result depends on it.
+# Wider blocks make fewer calls per pass but a larger workspace, whose (1 +
+# respondent, k, k + 1) stack is 0.77 MB at 64 respondents and 38 columns.
+# Hessian calls (one thread, min of 31) took 0.25 ms at 40 respondents, 1.2
+# at 264 and 26 at 5,000 with 1,024 cells, against 0.42, 2.2 and 27 with 512
 _ONE_DRAW_CELLS = 1024
-
 
 
 def _finite(params: np.ndarray, where: str = "") -> np.ndarray:
@@ -118,17 +119,18 @@ class _MslWork:
     likelihood, weights, score and Hessian all come from its own tile of
     per-draw probabilities (``_tile``); no evaluation holds the panel's. With
     one draw and no random columns a block holds ``_ONE_DRAW_CELLS`` cells
-    and its Hessian is the MNL's closed form (``_one_draw_block``).
+    and its Hessian is the MNL's closed form (``_one_draw_block``). A block
+    writes each respondent's own terms; only ``hessian`` sums them.
 
     Every array of a block's size (the tile, its maxima and denominators,
     the Hessian's products p w, y, y w z, y z and Pm's operand, and the
-    per-respondent stacks) is a view into a workspace that ``mix``
-    allocates once, one buffer per role. A call then allocates only arrays
-    of a few kilobytes. glibc serves an allocation of 128 KiB or more, its
-    default mmap threshold, with fresh pages unless earlier large frees have
-    raised that threshold, so per-call block arrays would be page-faulted on
-    every call and a small fit's time would depend on what the process had
-    run before.
+    stack of per-respondent [Hessian | score] terms behind the running
+    total) is a view into a workspace that ``mix`` allocates once, one
+    buffer per role. A call then allocates only arrays of a few kilobytes.
+    glibc serves an allocation of 128 KiB or more, its default mmap
+    threshold, with fresh pages unless earlier large frees have raised that
+    threshold, so per-call block arrays would be page-faulted on every call
+    and a small fit's time would depend on what the process had run before.
     """
 
     def __init__(self, panel: CodedPanel):
@@ -202,15 +204,16 @@ class _MslWork:
         n_c = n_t * n_d
         block = max(_ONE_DRAW_CELLS // n_c if self.one_draw else _BLOCK_CELLS // n_z, 1)
         self.blocks = [(n0, min(n0 + block, n_r)) for n0 in range(0, n_r, block)]
-        # each role's buffer size per respondent. "tmp" holds a value only
-        # until the statement that fills it has used it
+        # each role's buffer size per respondent; "stack" has one slot more,
+        # for the running total. "tmp" holds a value only until the
+        # statement that fills it has used it
         roles = {"p": n_c * n_z, "top": n_t * n_z, "denom": n_t * n_z,
                  "tmp": max(n_c, n_t * m) * n_z, "y": n_t * m * n_z,
                  "yw": n_t * m * n_z, "ops": (1 + 2 * m + m * m) * n_z,
-                 "xbar": n_t * k, "XV": n_c * k, "stack": k * k}
+                 "xbar": n_t * k, "XV": n_c * k, "stack": (k + m) * (k + m + 1)}
         self._buffers = {}  # the previous workspace goes before this one is made
         for role, size in roles.items():
-            self._buffers[role] = np.empty(min(block, n_r) * size)
+            self._buffers[role] = np.empty((min(block, n_r) + (role == "stack")) * size)
         return self
 
     def _view(self, role, shape):
@@ -334,29 +337,34 @@ class _MslWork:
         M's rows sums to 0 within each task, so X'MX = (X - E)'M(X - E) for
         any E constant within tasks; with E each task's first row, the
         reference cell's row is zero and drops out. Each respondent block's
-        tile feeds its likelihood, weights, score and Hessian in one pass;
-        blocks are summed in a fixed order.
+        tile feeds its likelihood, weights, score and Hessian in one pass,
+        writing each respondent's [Hessian | score] into the "stack" after
+        the running total in its slot 0. numpy reduces the stack's first axis
+        slot by slot, so this is one sum in respondent order, whatever the
+        blocks.
         """
         mean, sds = self._split(params)
-        ll_i = np.empty(self.shape[0])
-        grad = h = 0
+        n = mean.size + sds.size
+        ll_i, total = np.empty(self.shape[0]), np.zeros((n, n + 1))
         evaluate = self._one_draw_block if self.one_draw else self._hessian_block
         for n0, n1 in self.blocks:
-            score, block = evaluate(mean, sds, n0, n1, ll_i)
-            grad += score
-            h += block
+            stack = self._view("stack", (n1 - n0 + 1, n, n + 1))
+            stack[0] = total
+            evaluate(mean, sds, n0, n1, ll_i, stack[1:])
+            stack.sum(axis=0, out=total)
+        h = total[:, :n]
         if not np.all(np.isfinite(h)):
             raise EstimationError("hessian_non_finite",
                                   "analytic Hessian contains non-finite entries")
-        return float(ll_i.sum()), grad, 0.5 * (h + h.T)
+        return float(ll_i.sum()), total[:, n].copy(), 0.5 * (h + h.T)
 
-    def _one_draw_block(self, mean, sds, n0, n1, ll_i):
+    def _one_draw_block(self, mean, sds, n0, n1, ll_i, out):
         """``_hessian_block`` with one draw and no random columns, in closed
-        form: with m_t = sum_j p_j x_j each task's expected row, the score is
-        a - sum_t m_t and the Hessian of the negative log likelihood
+        form: with m_t = sum_j p_j x_j each task's expected row, a score
+        a - sum_t m_t and a Hessian of the negative log likelihood
         sum_tj p_j x_j x_j' - sum_t m_t m_t' = sum_tj x_j (p_j (x_j - m_t))',
-        over the differenced cells (the reference's row is zero). Its
-        per-respondent products are batched, as in ``_hessian_block``."""
+        over the differenced cells (the reference's row is zero), batched
+        and written to ``out`` per respondent as in ``_hessian_block``."""
         log_pr, p = self._tile(mean, sds, n0, n1)
         ll_i[n0:n1] = self.respondent_ll(log_pr)
         _, n_t, n_d = self.shape
@@ -367,17 +375,17 @@ class _MslWork:
         xbar = np.einsum("tj,tjk->tk", p, X_task, out=self._view("xbar", (nb * n_t, k)))
         V = np.subtract(X_task, xbar[:, None], out=self._view("XV", (nb * n_t, n_d, k)))
         V *= p[:, :, None]
-        stack = np.matmul(X.transpose(0, 2, 1), V.reshape(nb, n_t * n_d, k),
-                          out=self._view("stack", (nb, k, k)))
-        return self.A[n0:n1].sum(axis=0) - xbar.sum(axis=0), stack.sum(axis=0)
+        np.matmul(X.transpose(0, 2, 1), V.reshape(nb, n_t * n_d, k), out=out[:, :, :k])
+        m_sum = np.einsum("rtk->rk", xbar.reshape(nb, n_t, k))  # half .sum(axis=1)'s time
+        np.subtract(self.A[n0:n1], m_sum, out=out[:, :, k])
 
-    def _hessian_block(self, mean, sds, n0, n1, ll_i):
-        """Respondents [n0, n1)'s share of the score and of the Hessian of
-        the negative log likelihood; fills their ``ll_i``. Their tile, draw
-        weights and products live until the next block's.
-        Every product is batched per respondent and summed afterwards: one
-        product over the block would be large enough to wake OpenBLAS's
-        threads, which then spin through the estimator's serial work."""
+    def _hessian_block(self, mean, sds, n0, n1, ll_i, out):
+        """Respondents [n0, n1)'s own Hessians of the negative log likelihood
+        and scores, written to ``out`` as (respondent, k + m, [Hessian | score]);
+        fills their ``ll_i``. Their tile, draw weights and products live until
+        the next block's. Every product is batched per respondent: one over
+        the block would wake OpenBLAS's threads, which then spin through the
+        estimator's serial work."""
         log_pr, p = self._tile(mean, sds, n0, n1)
         ll_i[n0:n1] = self.respondent_ll(log_pr)
         w = np.exp(log_pr - log_pr.max(axis=1, keepdims=True))
@@ -385,44 +393,42 @@ class _MslWork:
         k, m = self.panel.X.shape[1], len(self.rp)
         _, n_t, n_d = self.shape
         nb, n_c, n_z = n1 - n0, n_t * n_d, self.n_draws
-        X, x, a, a_rp = self.D[n0:n1], self.Drp[n0:n1], self.A[n0:n1].sum(axis=0), self.Arp[n0:n1]
+        X, x, a_rp = self.D[n0:n1], self.Drp[n0:n1], self.Arp[n0:n1]
         x_task = x.reshape(nb, n_t, n_d, m).transpose(0, 1, 3, 2)
         p_task = p.reshape(nb, n_t, n_d, n_z)
         w, z = w[:, None], self.z[n0:n1]
         G = np.multiply(p, w, out=self._view("tmp", p.shape)) @ p.transpose(0, 2, 1)
         y = np.matmul(x_task, p_task, out=self._view("y", (nb, n_t, m, n_z)))
         f = a_rp[:, :, None] - y.sum(axis=1)
-        # Pm's operand [w, v_d, w z_d, w z_d z_e], written in place
+        # Pm's operand [v_d, w, w z_d, w z_d z_e], written in place
         ops = self._view("ops", (nb, 1 + 2 * m + m * m, n_z))
-        ops[:, :1] = w
+        ops[:, m:m + 1] = w
         wz = np.multiply(w, z, out=ops[:, 1 + m:1 + 2 * m])
-        v = np.multiply(wz, f, out=ops[:, 1:1 + m])
+        v = np.multiply(wz, f, out=ops[:, :m])
         yw = np.multiply(y, wz[:, None], out=self._view("yw", y.shape))
         g = v.sum(axis=2)  # g_d
         np.multiply(wz[:, :, None], z[:, None], out=ops[:, 1 + 2 * m:].reshape(nb, m, m, n_z))
-        Pm = p @ ops.transpose(0, 2, 1)  # P [w, v_d, w z_d, w z_d z_e]
+        Pm = p @ ops.transpose(0, 2, 1)  # P [v_d, w, w z_d, w z_d z_e]
         Py = (p_task @ yw.transpose(0, 1, 3, 2)).reshape(nb, n_c, m)  # (P y_d)(w z_d)
         yz = np.multiply(y, z[:, None], out=self._view("tmp", y.shape))
         # sum_r w z_d z_e (f_d f_e + sum_t y_d y_e)
         sd = v @ (z * f).transpose(0, 2, 1) + (yw @ yz.transpose(0, 1, 3, 2)).sum(axis=1)
         xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(nb, n_c, m * m)
         sd -= (xx * Pm[:, :, 1 + 2 * m:]).sum(axis=1).reshape(nb, m, m)  # sum_c p x_d x_e
-        q = Pm[:, :, 0]
+        q = Pm[:, :, m]
         M = q[:, :, None] * q[:, None, :] - G  # -M from here on
         M_task, t = M.reshape(nb, n_t, n_d, n_t, n_d), np.arange(n_t)
         M_task[:, t, :, t] -= G.reshape(M_task.shape)[:, t, :, t]
         M.reshape(nb, -1)[:, ::n_c + 1] += q
-        # X'q, then the negated fixed x sd columns
+        # the negated fixed x sd columns, then X'q, and the fixed score a - X'q
+        Pm[:, :, :m] = Pm[:, :, :m] - Py - q[:, :, None] * g[:, None] + x * Pm[:, :, 1 + m:1 + 2 * m]
         Xt = X.transpose(0, 2, 1)
-        Xc = (Xt @ np.concatenate([Pm[:, :, :1], Pm[:, :, 1:1 + m] - Py - q[:, :, None] * g[:, None]
-                                   + x * Pm[:, :, 1 + m:1 + 2 * m]], axis=2)).sum(axis=0)
-        MX = np.matmul(M, X, out=self._view("XV", X.shape))
-        h = np.empty((k + m, k + m))
-        h[:k, :k] = np.matmul(Xt, MX, out=self._view("stack", (nb, k, k))).sum(axis=0)
-        h[:k, k:] = Xc[:, 1:]
-        h[k:, :k] = Xc[:, 1:].T
-        h[k:, k:] = g.T @ g - sd.sum(axis=0)
-        return np.concatenate([a - Xc[:, 0], g.sum(axis=0)]), h
+        np.matmul(Xt, Pm[:, :, :m + 1], out=out[:, :k, k:])
+        np.subtract(self.A[n0:n1], out[:, :k, -1], out=out[:, :k, -1])
+        np.matmul(Xt, np.matmul(M, X, out=self._view("XV", X.shape)), out=out[:, :k, :k])
+        out[:, k:, :k] = out[:, :k, k:-1].transpose(0, 2, 1)
+        np.subtract(g[:, :, None] * g[:, None], sd, out=out[:, k:, k:-1])
+        out[:, k:, -1] = g
 
 
 def mnl_loglik(params: np.ndarray, panel: CodedPanel) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,9 +26,7 @@ __all__ = [
     "HaltonConfig",
     "MixingSpec",
     "OptimResult",
-    "halton_matrix",
     "normal_draws",
-    "inv_normal_cdf",
     "trust_newton_minimize",
 ]
 
@@ -64,13 +63,25 @@ def _first_primes(n: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class MixingSpec:
     """Which coefficients are random, and how their draws are generated:
-    random parameter d draws in the d-th prime base, ``primes[d - 1]``."""
+    random parameter d draws in the d-th prime base, ``primes[d - 1]``.
+    EstimationError "bad_random_params", "bad_halton" or "bad_antithetic"
+    unless those are a sequence of names (not one bare string), a
+    ``HaltonConfig`` and a bool."""
 
     random_params: tuple[str, ...] = ("asc_drone", "asc_truck")
     halton: HaltonConfig = field(default_factory=HaltonConfig)
     antithetic: bool = False
 
     def __post_init__(self):
+        rps = self.random_params
+        for name, ok, want in (
+                ("random_params", isinstance(rps, Sequence) and not isinstance(rps, str)
+                 and all(isinstance(rp, str) for rp in rps), "a sequence of names"),
+                ("halton", isinstance(self.halton, HaltonConfig), "a HaltonConfig"),
+                ("antithetic", isinstance(self.antithetic, bool), "a bool")):
+            if not ok:
+                raise EstimationError(f"bad_{name}", f"{name} must be {want}, "
+                                                     f"got {getattr(self, name)!r}")
         object.__setattr__(self, "random_params", tuple(self.random_params))
         if len(set(self.random_params)) != len(self.random_params):
             raise EstimationError("duplicate_random_param",
@@ -132,16 +143,21 @@ _SLICE = 4096
 
 
 def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) -> np.ndarray:
-    """``transform`` of the uniform draws, shaped (n_individuals, n_draws,
-    n_dims): the transposed view of a C-contiguous (n_individuals, n_dims,
-    n_draws) array, filled a slice of whole individuals at a time.
-    EstimationError "bad_drop" if a sequence index would pass int64's range,
-    or if a uniform is not inside (0, 1): far into the sequence, an index
-    whose low digits are all b - 1 rounds to 1.0 once its exact inverse is
-    within about an ulp of 1 (in base 2 from index 2**54 - 1, base 3 from
-    3**35 - 1, base 5 from 5**24 - 1)."""
-    if n_individuals < 0:
-        raise ValueError("n_individuals must be >= 0")
+    """``transform`` of the uniform Halton draws, shaped (n_individuals,
+    n_draws, n_dims): the transposed view of a C-contiguous (n_individuals,
+    n_dims, n_draws) array, filled a slice of about ``_SLICE`` points, whole
+    individuals, at a time. There is one global sequence per dimension,
+    dimension d in the d-th prime base; individual ``i`` takes the
+    contiguous index slice ``[drop + i*n_draws + 1, drop + (i+1)*n_draws]``,
+    so growing the individual count never changes earlier individuals'
+    draws. EstimationError "bad_respondent_count" unless ``n_individuals``
+    is an integer >= 0; "bad_drop" if a sequence index would pass int64's
+    range, or if a uniform is not inside (0, 1): far into the sequence, an
+    index whose low digits are all b - 1 rounds to 1.0 once its exact
+    inverse is within about an ulp of 1 (in base 2 from index 2**54 - 1,
+    base 3 from 3**35 - 1, base 5 from 5**24 - 1)."""
+    n_individuals = _integer(EstimationError, "bad_respondent_count", "n_individuals",
+                             n_individuals, 0)
     n_draws = config.n_draws
     if config.drop + n_individuals * n_draws > np.iinfo(np.int64).max:
         raise EstimationError(
@@ -163,29 +179,13 @@ def _halton(config: HaltonConfig, n_individuals: int, n_dims: int, transform) ->
     return out.transpose(0, 2, 1)
 
 
-def halton_matrix(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
-    """Uniform draws shaped (n_individuals, n_draws, n_dims).
-
-    A single global sequence per dimension, dimension d in the d-th prime
-    base; individual ``i`` takes the contiguous index slice
-    ``[drop + i*n_draws + 1, drop + (i+1)*n_draws]``.
-    Growing the individual count therefore never changes earlier
-    individuals' draws. The matrix is the transposed view of a C-contiguous
-    (n_individuals, n_dims, n_draws) array, built a slice of about
-    ``_SLICE`` points, whole individuals, at a time. EstimationError
-    "bad_drop" if an index would pass int64's range or a draw would round
-    out of (0, 1).
-    """
-    return _halton(config, n_individuals, n_dims, lambda u: u)
-
-
 def normal_draws(config: HaltonConfig, n_individuals: int, n_dims: int) -> np.ndarray:
-    """Standard-normal draws (n_individuals, n_draws, n_dims): the inverse CDF
-    of ``halton_matrix``'s draws, taken one slice of whole individuals at a
-    time, so that no uniform matrix is held beside the result. Like
-    ``halton_matrix``'s, the matrix is the transposed view of a C-contiguous
-    (n_individuals, n_dims, n_draws) array. The values are byte-identical to
-    ``inv_normal_cdf(halton_matrix(...))``."""
+    """Standard-normal draws (n_individuals, n_draws, n_dims): the AS 241
+    quantiles (``_quantile``) of ``_halton``'s uniform draws, taken one
+    slice of whole individuals at a time, so that no uniform matrix is held
+    beside the result. The matrix is the transposed view of a C-contiguous
+    (n_individuals, n_dims, n_draws) array. Raises what ``_halton``
+    raises."""
     return _halton(config, n_individuals, n_dims, _quantile)
 
 
@@ -244,22 +244,6 @@ def _quantile(u: np.ndarray) -> np.ndarray:
     r[~near] = _rational(r[~near] - 5.0, _AS241_FAR)
     x[~central] = np.copysign(r, q[~central])
     return x
-
-
-def inv_normal_cdf(u):
-    """Standard normal quantile function.
-
-    Accepts a scalar or array with every element in the open interval (0, 1);
-    absolute error is a few ulp over (1e-12, 1 - 1e-12), far inside the 1e-9
-    contract. Values outside (0, 1) raise ValueError.
-    """
-    arr = np.asarray(u, dtype=np.float64)
-    if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0) | np.any(~np.isfinite(arr))):
-        raise ValueError("inv_normal_cdf requires u in the open interval (0, 1)")
-    x = _quantile(arr.reshape(-1))
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(x[0])
-    return x.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

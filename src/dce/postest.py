@@ -38,11 +38,16 @@ class LrTest(NamedTuple):
     p_value: float
 
 
+def _finite_logliks(*lls) -> None:
+    """PostestError "bad_loglik" unless each is a finite real (bool not)."""
+    if not all(_real(ll) and math.isfinite(ll) for ll in lls):
+        raise PostestError("bad_loglik", f"log likelihoods must be finite reals, got {lls!r}")
+
+
 def fit_stats(ll_final: float, ll_null: float, k: int) -> FitStats:
     """rho2 = 1 - ll_final/ll_null; adjusted subtracts k, an integer >= 0,
     from ll_final first."""
-    if not (math.isfinite(ll_final) and math.isfinite(ll_null)):
-        raise PostestError("bad_loglik", "log likelihoods must be finite")
+    _finite_logliks(ll_final, ll_null)
     if ll_null >= 0:
         raise PostestError("bad_loglik", "ll_null must be negative")
     if ll_final > 0:
@@ -68,8 +73,7 @@ def lr_test(ll_restricted: float, ll_full: float, df: int) -> LrTest:
     a whole number >= 1, an integral float included."""
     if not (_real(df) and float(df).is_integer() and df >= 1):
         raise PostestError("bad_df", f"df must be an integer >= 1, got {df!r}")
-    if not (math.isfinite(ll_restricted) and math.isfinite(ll_full)):
-        raise PostestError("bad_loglik", "log likelihoods must be finite")
+    _finite_logliks(ll_restricted, ll_full)
     if ll_full < ll_restricted:
         raise PostestError(
             "misordered_models",

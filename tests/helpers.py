@@ -223,6 +223,28 @@ def mnl_probabilities(params, task_rows):
     return e / e.sum()
 
 
+def halton_matrix(config, n_individuals, n_dims):
+    """Uniform Halton draws shaped (n_individuals, n_draws, n_dims): the
+    points that ``normal_draws`` takes the quantiles of, by ``_halton``
+    with the identity transform."""
+    from dce.numerics import _halton
+
+    return _halton(config, n_individuals, n_dims, lambda u: u)
+
+
+def inv_normal_cdf(u):
+    """Standard normal quantiles of a scalar or an array, every element in
+    the open interval (0, 1), by ``normal_draws``' AS 241 (``_quantile``);
+    ValueError outside it."""
+    from dce.numerics import _quantile
+
+    arr = np.asarray(u, dtype=np.float64)
+    if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("inv_normal_cdf requires u in the open interval (0, 1)")
+    x = _quantile(arr.reshape(-1))
+    return float(x[0]) if arr.ndim == 0 else x.reshape(arr.shape)
+
+
 def mnl_score(params, panel):
     """The MNL log likelihood's score, sum over tasks of x_chosen - E[x]:
     the kernel's Hessian pass's score."""
@@ -272,11 +294,11 @@ def hessian_oracle(work, params):
     here from ``panel.X``, every draw's score S_nr is formed as a
     (draws x parameters) array and the within-task covariances as per-task
     p p' products under each draw moment (1, z_d and z_d z_e), summed one
-    block of respondents at a time. The per-draw log products, the log
-    likelihood and the draw weights come from the same cells; only the
-    layout (``shape``, ``blocks``), ``rp`` and the draws ``z``
-    are read from the kernel. Returns the log likelihood, its score and the
-    Hessian of the negative log likelihood."""
+    respondent at a time, whatever the kernel's blocks. The per-draw log
+    products, the log likelihood and the draw weights come from the same
+    cells; only the layout's ``shape``, ``rp`` and the draws ``z`` are read
+    from the kernel. Returns the log likelihood, its score and the Hessian
+    of the negative log likelihood."""
     panel, rp = work.panel, work.rp
     k, m = panel.X.shape[1], len(rp)
     mean, sds = params[:k], params[k:]
@@ -304,8 +326,8 @@ def hessian_oracle(work, params):
     ll = 0.0
     grad = np.zeros(n_par)
     h = np.zeros((n_par, n_par))
-    for n0, n1 in work.blocks:
-        nb = n1 - n0
+    for n0 in range(n_r):
+        n1, nb = n0 + 1, 1
         X_resp, a = X_all[n0:n1], a_all[n0:n1]
 
         # every cell's probability under each draw and each draw's log
@@ -320,7 +342,7 @@ def hessian_oracle(work, params):
         log_pr = np.take_along_axis(log_p, chosen[n0:n1, :, None], axis=1).sum(axis=1)
         top = log_pr.max(axis=1, keepdims=True)
         w = np.exp(log_pr - top)
-        ll += (top[:, 0] + np.log(w.sum(axis=1)) - np.log(work.n_draws)).sum()
+        ll += (top[:, 0] + np.log(w.sum(axis=1)) - np.log(work.z.shape[2])).sum()
         w /= w.sum(axis=1, keepdims=True)
 
         p_resp = p.reshape(nb, n_t * n_j, -1)

@@ -432,6 +432,16 @@ class TestCoding:
         assert err.value.code == "missing_chosen"
         assert repr(obs.task_id) in err.value.message
 
+    def test_respondents_without_tasks_are_typed(self):
+        """Records with no observations code to no tasks; that is refused
+        before a fit meets an empty panel."""
+        dataset = binary_asc_dataset(3, 1)
+        respondents = tuple(replace(r, observations=()) for r in dataset.respondents)
+        with pytest.raises(DatasetError) as err:
+            code_dataset(replace(dataset, respondents=respondents))
+        assert err.value.code == "empty_dataset"
+        assert "no tasks" in err.value.message
+
     def test_linear_coding(self):
         """A linear attribute codes its level's value on the rows it reaches
         and 0 elsewhere."""

@@ -19,7 +19,6 @@ from dce import (
     code_dataset,
     estimate_mmnl,
     estimate_mnl,
-    inv_normal_cdf,
     lr_test,
     make_draws,
     mnl_loglik,
@@ -34,7 +33,8 @@ from dce import (
 from dce import mnl
 from dce.mmnl import _work
 from dce.mnl import _fit, _inference
-from helpers import finite_diff_grad, mnl_probabilities, mnl_score, simulated_panel, traced_peak
+from helpers import (finite_diff_grad, inv_normal_cdf, mnl_probabilities, mnl_score, simulated_panel,
+                     traced_peak)
 
 ASC_MIX = ("asc_drone", "asc_truck")
 
@@ -60,6 +60,33 @@ def oracle_toy(design32):
     return {"panel": panel, "truth": truth}
 
 
+def blocked_outputs(dataset, mixing, x):
+    """The bytes of ``loglik``'s and ``hessian``'s outputs at ``x`` and of
+    a fit's params, SEs and ll, for the MNL when ``mixing`` is None, each
+    from a freshly coded panel under the kernel's current block sizes."""
+    panel = code_dataset(dataset)
+    if mixing is None:
+        work, fit = mnl._MslWork(panel), estimate_mnl(code_dataset(dataset))
+    else:
+        work, fit = _work(panel, mixing, None), estimate_mmnl(code_dataset(dataset), mixing)
+    return [np.asarray(v).tobytes() for v in (work.loglik(x), *work.hessian(x), fit.params,
+                                              fit.std_errors, fit.ll_final)]
+
+
+@pytest.fixture(scope="module")
+def blocking_cases(panel50, mixed_panel40, ragged_panel):
+    """Case -> (dataset, mixing, parameters, ``blocked_outputs`` at the
+    default block sizes). Each mixed case spans two default blocks."""
+    cases = {"mnl": (panel50, None, panel50["truth"]),
+             "mmnl": (mixed_panel40, small_mixing(n_draws=100), mixed_panel40["truth"]),
+             "antithetic": (mixed_panel40, small_mixing(n_draws=100, antithetic=True),
+                            mixed_panel40["truth"]),
+             "ragged": (ragged_panel, small_mixing(n_draws=64),
+                        np.concatenate([ragged_panel["truth"], [1.2, 0.8]]))}
+    return {case: (fixture["dataset"], mixing, x, blocked_outputs(fixture["dataset"], mixing, x))
+            for case, (fixture, mixing, x) in cases.items()}
+
+
 class TestMixingSpec:
     def test_validation_codes(self):
         with pytest.raises(EstimationError) as err:
@@ -70,6 +97,37 @@ class TestMixingSpec:
             MixingSpec(antithetic=True,
                        halton=HaltonConfig(n_draws=501))
         assert err.value.code == "odd_draw_count"
+
+    @pytest.mark.parametrize("kwargs, code", [
+        # a fit would run and save, and then its result file would not load
+        ({"antithetic": "yes"}, "bad_antithetic"),
+        ({"antithetic": 1}, "bad_antithetic"),
+        # the result would not save
+        ({"antithetic": np.bool_(True)}, "bad_antithetic"),
+        ({"halton": None}, "bad_halton"),
+        ({"halton": {"n_draws": 10}}, "bad_halton"),
+        # a bare string would be read as one-letter names
+        ({"random_params": "asc_drone"}, "bad_random_params"),
+        ({"random_params": ("asc_drone", 2)}, "bad_random_params"),
+        ({"random_params": None}, "bad_random_params"),
+    ])
+    def test_fields_of_the_wrong_type_are_typed(self, kwargs, code):
+        with pytest.raises(EstimationError) as err:
+            MixingSpec(**kwargs)
+        assert err.value.code == code
+
+    def test_a_list_of_names_is_held_as_a_tuple(self):
+        assert MixingSpec(random_params=list(ASC_MIX)) == MixingSpec(random_params=ASC_MIX)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("n", [-1, 2.5, "3"])
+    def test_make_draws_refuses_a_bad_respondent_count(self, n, antithetic):
+        with pytest.raises(EstimationError) as err:
+            make_draws(small_mixing(n_draws=4, antithetic=antithetic), n)
+        assert err.value.code == "bad_respondent_count"
+
+    def test_make_draws_of_no_respondents(self):
+        assert make_draws(small_mixing(n_draws=4), np.int64(0)).shape == (0, 4, 2)
 
     def test_make_draws_shape(self):
         z = make_draws(small_mixing(n_draws=40), 7)
@@ -244,6 +302,21 @@ class TestInvariances:
         assert msl_loglik(x, head, mixing) + msl_loglik(x, tail, mixing, draws=later) \
             == pytest.approx(msl_loglik(x, panel, mixing), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("case", ["mnl", "mmnl", "antithetic", "ragged"])
+    @settings(derandomize=True, max_examples=10, deadline=None, database=None)
+    @given(data=st.data())
+    def test_block_sizes_do_not_move_bits(self, blocking_cases, case, data):
+        # the score and Hessian are one sum over respondents in order, so
+        # any blocking, from one respondent per block to the whole panel in
+        # one, gives the default sizes' bytes
+        dataset, mixing, x, want = blocking_cases[case]
+        n_r, n_z = len(dataset.respondents), 1 if mixing is None else mixing.halton.n_draws
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mnl, "_BLOCK_CELLS", data.draw(st.integers(1, n_r * n_z)))
+            # every panel here has 8 tasks x 2 cells per respondent
+            patch.setattr(mnl, "_ONE_DRAW_CELLS", data.draw(st.integers(1, n_r * 16)))
+            assert blocked_outputs(dataset, mixing, x) == want
+
     def test_thread_env_is_not_read(self, mixed_panel40, monkeypatch):
         panel, truth = mixed_panel40["panel"], mixed_panel40["truth"]
         unset_ll = msl_loglik(truth, panel, small_mixing())
@@ -348,6 +421,21 @@ def fitted(mixed_panel40):
 
 
 class TestEstimation:
+    # the 528 x 500 fit's optimum, frozen: 38 fixed coefficients, then the
+    # two ASC sds
+    PAPER_SCALE_PARAMS = [
+        -0.5770552074509644, -0.5102205716647024, 0.24653131777261278, 0.04477985024905986,
+        0.06777548700138981, -0.2791366976561968, -0.36548318764575805, 0.7049838885286842,
+        0.39377249805105335, 0.1355481654467569, 0.014894548170979178, 0.1723587943881477,
+        0.4368114666477615, 0.08512975929636786, -2.3374381130745405, -0.4792188547515104,
+        0.6451529809529749, -2.1159018733920214, -0.30454877391064045, 0.36475679778755943,
+        -1.5409684741327738, -0.6445978602847949, 0.4756706380618925, -0.01676101860983739,
+        0.06973060915594785, -0.0781047703404101, 0.20633564430150145, 0.13785630704947205,
+        0.09313782991341868, -0.3389595515120791, 0.007306568762295907, 0.15612123646553833,
+        -0.07505266103354202, -0.16325050366815821, 0.1571561822620583, -0.11446555055864352,
+        0.17547670343016486, -0.15553755349602305, 1.1973370296379964, 0.9535099825592352,
+    ]
+
     def test_paper_scale_fit_peaks_under_11_mb(self, design32):
         # 528 x 8 tasks x 500 draws: the draws are 4.2 MB and the layout 2.6;
         # the MNL warm start shares the layout, the kernel holds the draws
@@ -358,6 +446,9 @@ class TestEstimation:
         result, peak = traced_peak(lambda: estimate_mmnl(panel, mixing))
         assert result.converged
         assert peak <= 11e6
+        assert (result.iterations, result.status) == (5, "gradient_converged")
+        assert result.ll_final == pytest.approx(-3129.5922954791504, rel=1e-10, abs=0)
+        np.testing.assert_allclose(result.params, self.PAPER_SCALE_PARAMS, rtol=0, atol=1e-10)
 
     def test_layout_is_built_once(self, mixed_panel40, monkeypatch):
         # the warm start and the mixed fit share one kernel: one pass over

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from dce import (
     EstimationError,
     HaltonConfig,
-    halton_matrix,
-    inv_normal_cdf,
     normal_draws,
     trust_newton_minimize,
 )
 from dce.numerics import _radical_inverse, _trust_region_step
 
-from helpers import finite_diff_grad, hessian_from_grad
+from helpers import finite_diff_grad, halton_matrix, hessian_from_grad, inv_normal_cdf
 
 # Reference quantiles frozen from a 50-digit arbitrary-precision evaluation
 # of the inverse error function at the exact double closest to each label.
@@ -110,6 +108,12 @@ class TestHalton:
         with pytest.raises(EstimationError) as err:
             HaltonConfig(**kwargs)
         assert err.value.code == code
+
+    @pytest.mark.parametrize("n", [-1, 2.5, "3", True, None])
+    def test_respondent_count_errors_are_typed(self, n):
+        with pytest.raises(EstimationError) as err:
+            normal_draws(HaltonConfig(n_draws=4), n, 2)
+        assert err.value.code == "bad_respondent_count"
 
     def test_numpy_integers_are_held_as_ints(self):
         cfg = HaltonConfig(drop=np.int64(3), n_draws=np.int32(7))

@@ -103,6 +103,13 @@ class TestFitStats:
             fit_stats(-10.0, -20.0, k=k)
         assert err.value.code == "bad_k"
 
+    @pytest.mark.parametrize("ll", ["-10", None, True, np.bool_(False)])
+    def test_loglik_that_is_not_a_number(self, ll):
+        for lls in ((ll, -20.0), (-10.0, ll)):
+            with pytest.raises(PostestError) as err:
+                fit_stats(*lls, k=1)
+            assert err.value.code == "bad_loglik"
+
     def test_numpy_integer_k(self):
         assert fit_stats(-10.0, -20.0, k=np.int64(3)) == fit_stats(-10.0, -20.0, k=3)
 
@@ -157,6 +164,14 @@ class TestLrTest:
 
     def test_integral_float_df(self):
         assert lr_test(-60.0, -50.0, df=2.0) == lr_test(-60.0, -50.0, df=2)
+
+    @pytest.mark.parametrize("ll", ["-10", None, True, np.bool_(True)])
+    def test_loglik_that_is_not_a_number(self, ll):
+        # lr_test(True, 0.0, 1) was read as ll 1 above 0, so misordered
+        for lls in ((ll, 0.0), (-60.0, ll)):
+            with pytest.raises(PostestError) as err:
+                lr_test(*lls, df=1)
+            assert err.value.code == "bad_loglik"
 
     def test_non_finite_loglik(self):
         for lls in ((-np.inf, -50.0), (-60.0, np.nan)):
