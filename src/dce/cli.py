@@ -1,11 +1,13 @@
 """Command-line entry point: design -> simulate -> estimate -> postest.
 
-Every command writes a sidecar manifest (<output>.manifest.json) recording
-the run id, arguments, input/output digests, and timing. The run id is a
-digest of the command, its arguments, the tool version, and the input file
-digests, deterministic, so rerunning with identical inputs yields
-byte-identical primary outputs. Exit codes: 0 success, 2 invalid input,
-3 estimation did not converge (the result file is still written).
+``design``, ``simulate``, ``estimate``, ``postest wtp -o`` and ``postest
+elasticity --emit-grid`` write a sidecar manifest (<output>.manifest.json)
+recording the run id, arguments, input/output digests, and timing; ``postest
+fit`` writes none. The run id is a digest of the command, its arguments, the
+tool version, and the input file digests, deterministic, so rerunning with
+identical inputs yields byte-identical primary outputs. Exit codes: 0
+success, 2 invalid input (an invalid schema with its first fault's code), 3
+estimation did not converge (the result file is still written).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .numerics import HaltonConfig
 from .postest import (cost_slope, elasticity_grid, fit_stats,
                       own_cost_elasticity, render_wtp_table, wtp_report)
 from .results import EstimationResult, render_table
-from .schema import ExperimentSchema, validate_schema
+from .schema import ExperimentSchema
 from .simulate import SimConfig, simulate_dataset
 
 EXIT_OK = 0
@@ -96,18 +98,11 @@ class _Manifest:
 def _load_schema(value: str) -> ExperimentSchema:
     p = Path(value)
     if p.exists():
-        schema = ExperimentSchema.load(p)
-    else:
-        try:
-            schema = builtin_schema(value)
-        except KeyError:
-            raise DceError("unknown_schema",
-                           f"no schema file or builtin named {value!r}")
-    issues = validate_schema(schema)
-    if issues:
-        report = "; ".join(f"{i.code}: {i.message}" for i in issues)
-        raise DceError("invalid_schema", report)
-    return schema
+        return ExperimentSchema.load(p)
+    try:
+        return builtin_schema(value)
+    except KeyError:
+        raise DceError("unknown_schema", f"no schema file or builtin named {value!r}")
 
 
 def _load_result(args) -> EstimationResult:

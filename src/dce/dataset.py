@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, _integer, _real, read_csv
-from .schema import (AttributeDef, ExperimentSchema, ParameterIndex, _check_level,
-                     build_parameter_index)
+from .schema import (_CORE_COLUMNS, ExperimentSchema, ParameterIndex,
+                     _check_level, build_parameter_index)
 
 __all__ = [
     "Observation",
@@ -60,8 +60,6 @@ __all__ = [
     "screen_responses",
     "code_dataset",
 ]
-
-_CORE_COLUMNS = ("respondent_id", "task_id", "block_id", "alt_id", "chosen")
 
 
 @dataclass(frozen=True)
@@ -156,14 +154,10 @@ def ingest_choices(path: str | Path, schema: ExperimentSchema,
     known = set(_CORE_COLUMNS) | set(context_cols) | set(design_cols) | set(demo_cols)
     extra_cols = [c for c in rows[0] if c not in known]
 
-    # each alternative's design columns, in design_cols order, with the
-    # attribute that fills each: the first applicable one in schema order
-    alt_design: dict[str, list[tuple[str, AttributeDef]]] = {}
-    for alt_id in schema.alternative_ids():
-        fills: dict[str, AttributeDef] = {}
-        for attr in schema.design_attributes(alt_id):
-            fills.setdefault(attr.csv_column, attr)
-        alt_design[alt_id] = [(col, fills[col]) for col in design_cols if col in fills]
+    # each alternative's design columns, each with the one attribute of the
+    # alternative that reads it
+    alt_design = {alt_id: [(a.csv_column, a) for a in schema.design_attributes(alt_id)]
+                  for alt_id in schema.alternative_ids()}
     task_level_attrs = [(a.csv_column, a) for a in schema.context_attributes()]
     # respondent -> task -> accumulated rows; insertion order preserved
     per_resp: dict[str, dict[str, dict]] = {}
@@ -291,9 +285,7 @@ def write_choices_csv(dataset: ChoiceDataset, path: str | Path) -> None:
                     row = [rec.respondent_id, obs.task_id, obs.block_id, aid,
                            "1" if aid == obs.chosen else "0"]
                     row += [obs.task_values.get(c, "") for c in context_cols]
-                    vals = obs.alt_values[aid]
-                    for c in design_cols:
-                        row.append(vals.get(c, obs.task_values.get(c, "")))
+                    row += [obs.alt_values[aid].get(c, "") for c in design_cols]
                     row += [rec.demographics.get(c, "") for c in demo_cols]
                     row += [rec.extra.get(c, "") for c in extra_cols]
                     writer.writerow(row)

@@ -98,7 +98,7 @@ def _cost_attribute(schema: ExperimentSchema, mode: str) -> AttributeDef:
     if mode not in schema.alternative_ids():
         raise PostestError("unknown_mode", f"no alternative named {mode!r}")
     numeric = [a for a in schema.design_attributes(mode)
-               if a.levels and all(l.value is not None for l in a.levels)]
+               if all(l.value is not None for l in a.levels)]
     if not numeric:
         raise PostestError("no_cost_attribute",
                            f"no numeric-valued attribute applies to {mode!r}")
@@ -123,9 +123,6 @@ def cost_slope(result: EstimationResult, schema: ExperimentSchema, mode: str) ->
     effects coding the coefficients sum to zero, so the intercept is ~0.
     """
     attr = _cost_attribute(schema, mode)
-    if attr.n_levels < 2:
-        raise PostestError("too_few_levels",
-                           f"{attr.name!r} needs >= 2 levels for a slope")
     yen = np.array([l.value for l in attr.levels], dtype=np.float64)
     if np.ptp(yen) == 0:
         raise PostestError("zero_cost_variance",

@@ -20,18 +20,24 @@ Effects coding: an L-level attribute spans L - 1 columns; the base level is
 the last level listed and codes -1 in every column, so each column's codes
 sum to zero across levels and the implied base coefficient is the negated
 sum of the estimated ones.
+
+A schema that constructs is valid: ``AttributeDef`` and ``ExperimentSchema``
+check themselves when built, and nothing checks a schema again. Each raises
+one SchemaError whose code is its first fault's and whose message lists all.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, read_json
+from .errors import SchemaError, _real, read_json
 
 __all__ = [
     "Level",
@@ -40,13 +46,27 @@ __all__ = [
     "ExperimentSchema",
     "ParamInfo",
     "ParameterIndex",
-    "SchemaIssue",
     "build_parameter_index",
-    "validate_schema",
 ]
 
 SCOPES = ("alternative_specific", "shared", "context", "demographic")
 CODINGS = ("effects", "linear")
+# the long-format CSV's own columns, which no attribute may read
+_CORE_COLUMNS = ("respondent_id", "task_id", "block_id", "alt_id", "chosen")
+
+
+def _repeats(items) -> list:
+    """The items that occur more than once in ``items``, sorted."""
+    return sorted({x for x in items if items.count(x) > 1})
+
+
+def _raise_faults(where: str, faults) -> None:
+    """Raise one SchemaError for the (code, message) pairs ``faults`` found in
+    ``where``: its code is the first fault's, and its message lists each later
+    fault with its code. No faults, no error."""
+    if faults := list(faults):
+        (code, text), *rest = faults
+        raise SchemaError(code, f"{where}: " + "; ".join([text, *(f"{c}: {m}" for c, m in rest)]))
 
 
 @dataclass(frozen=True)
@@ -89,10 +109,11 @@ class AttributeDef:
     """One attribute. ``applies_to`` empty means all alternatives.
 
     ``column`` is the CSV column carrying this attribute's level labels in
-    long-format data and design exports; it defaults to ``name``. Several
-    alternative-specific attributes may share a column (one per alternative)
-    when they represent the same underlying quantity with different level
-    sets, e.g. per-mode delivery cost.
+    long-format data and design exports; it defaults to ``name``. Design
+    attributes of disjoint alternatives may share a column when they
+    represent the same underlying quantity with different level sets, e.g.
+    per-mode delivery cost. An attribute has at least 2 levels with distinct
+    labels, and a linear one a finite value on each.
     """
 
     name: str
@@ -103,10 +124,16 @@ class AttributeDef:
     column: str | None = None
 
     def __post_init__(self):
-        if self.scope not in SCOPES:
-            raise SchemaError("bad_scope", f"attribute {self.name}: unknown scope {self.scope!r}")
-        if self.coding not in CODINGS:
-            raise SchemaError("bad_coding", f"attribute {self.name}: unknown coding {self.coding!r}")
+        labels = self.level_labels()
+        no_value = [l.label for l in self.levels if not (_real(l.value) and math.isfinite(l.value))]
+        _raise_faults(f"attribute {self.name}", [(code, message) for fault, code, message in (
+            (self.scope not in SCOPES, "bad_scope", f"unknown scope {self.scope!r}"),
+            (self.coding not in CODINGS, "bad_coding", f"unknown coding {self.coding!r}"),
+            (len(labels) < 2, "degenerate_attribute", "fewer than 2 levels"),
+            (_repeats(labels), "duplicate_level", f"level labels {_repeats(labels)} repeat"),
+            (self.coding == "linear" and no_value, "missing_value",
+             f"linear coding needs a finite value on levels {no_value}"),
+        ) if fault])
 
     @property
     def csv_column(self) -> str:
@@ -143,10 +170,6 @@ class AttributeDef:
         if self.coding == "effects":
             table = np.vstack([np.eye(self.n_levels - 1), -np.ones(self.n_levels - 1)])
         else:
-            for l in self.levels:
-                if l.value is None:
-                    raise SchemaError("missing_value", f"attribute {self.name}: level "
-                                                       f"{l.label!r} has no numeric value")
             table = np.array([[l.value] for l in self.levels], dtype=np.float64)
         table.flags.writeable = False
         return table
@@ -172,6 +195,48 @@ class ExperimentSchema:
     context_interactions: tuple[tuple[str, str], ...] = ()
     demographic_interactions: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        _raise_faults(f"schema {self.name}", self._faults())
+        build_parameter_index(self)  # its coefficient names are unique
+
+    def _faults(self):
+        """(code, message) per fault of the declarations, in check order."""
+        alt_ids = self.alternative_ids()
+        refs = [a.id for a in self.alternatives if a.is_reference]
+        scopes = {a.name: a.scope for a in self.attributes}
+        if _repeats(alt_ids):
+            yield "duplicate_alternative", f"alternative ids {_repeats(alt_ids)} repeat"
+        if len(refs) != 1:
+            yield "multiple_reference" if refs else "no_reference", f"reference alternatives {refs}"
+        if _repeats(names := [a.name for a in self.attributes]):
+            yield "duplicate_attribute", f"attribute names {_repeats(names)} repeat"
+        for a in self.attributes:
+            for alt in a.applies_to:
+                if alt not in alt_ids:
+                    yield "unknown_alternative", f"{a.name} applies to unknown alternative {alt!r}"
+        for kind, pairs in (("context", self.context_interactions),
+                            ("demographic", self.demographic_interactions)):
+            for attr, alt in pairs:
+                what = f"{kind} interaction ({attr}, {alt})"
+                if attr not in scopes:
+                    yield "unknown_interaction_attribute", f"{what}: no attribute {attr!r}"
+                elif scopes[attr] != kind:
+                    yield "interaction_scope", f"{what}: {attr} has scope {scopes[attr]!r}"
+                if alt not in alt_ids:
+                    yield "interaction_unknown_alternative", f"{what}: no alternative {alt!r}"
+                elif alt in refs:
+                    yield "interaction_with_reference", f"{what}: {alt} is the reference"
+        for a in self.attributes:
+            if a.csv_column in _CORE_COLUMNS:
+                yield "duplicate_column", f"{a.name} reads the core column {a.csv_column!r}"
+        # one column on a row means one attribute: a context or demographic
+        # column is on every row, a design column on its alternatives' rows
+        for a, b in combinations(self.attributes, 2):
+            if a.csv_column == b.csv_column and (
+                    {a.scope, b.scope} & {"context", "demographic"}
+                    or any(self.applies(a, alt) and self.applies(b, alt) for alt in alt_ids)):
+                yield "duplicate_column", f"{a.name} and {b.name} both read {a.csv_column!r}"
+
     # -- lookups ----------------------------------------------------------
 
     def alternative_ids(self) -> tuple[str, ...]:
@@ -179,11 +244,7 @@ class ExperimentSchema:
 
     @property
     def reference(self) -> AlternativeDef:
-        refs = [a for a in self.alternatives if a.is_reference]
-        if len(refs) != 1:
-            raise SchemaError("reference", f"schema {self.name}: need exactly one reference "
-                                           f"alternative, found {len(refs)}")
-        return refs[0]
+        return next(a for a in self.alternatives if a.is_reference)
 
     def attribute(self, name: str) -> AttributeDef:
         for a in self.attributes:
@@ -249,9 +310,9 @@ class ExperimentSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSchema":
-        """Rebuild a schema from its JSON dict. Every field must hold its own
-        JSON type, else SchemaError "schema_json": nothing is coerced, so
-        ``"false"`` is not a boolean nor ``"drone"`` a list of alternatives."""
+        """Rebuild a schema from its JSON dict. A field not of its own JSON type
+        raises SchemaError "schema_json" (nothing is coerced: ``"false"`` is no
+        boolean); a well-typed schema with faults raises its checks' error."""
         checked = partial(_checked, "schema_json")
 
         def strings(value, what):
@@ -329,9 +390,7 @@ class ParameterIndex:
     random_params: tuple[str, ...] = ()
 
     def __post_init__(self):
-        names = [e.name for e in self.entries]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+        if dupes := _repeats([e.name for e in self.entries]):
             raise SchemaError("duplicate_parameter", f"duplicate parameter names: {dupes}")
 
     @property
@@ -375,7 +434,6 @@ def build_parameter_index(schema: ExperimentSchema,
     blocks (declared order), then one sd column per entry of
     ``random_params``. Identical schemas produce identical orderings.
     """
-    ref = schema.reference
     entries: list[ParamInfo] = []
 
     for alt in schema.alternatives:
@@ -416,81 +474,3 @@ def build_parameter_index(schema: ExperimentSchema,
         entries.append(ParamInfo(f"sd:{rp}", "sd", attribute=None, alternative=None, level=rp))
 
     return ParameterIndex(schema.name, tuple(entries), tuple(random_params))
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SchemaIssue:
-    code: str
-    message: str
-
-
-def validate_schema(schema: ExperimentSchema) -> list[SchemaIssue]:
-    """Collect all schema violations; returns an empty list when valid.
-
-    Never raises: callers decide whether issues are fatal.
-    """
-    issues: list[SchemaIssue] = []
-    alt_ids = [a.id for a in schema.alternatives]
-
-    if len(alt_ids) != len(set(alt_ids)):
-        issues.append(SchemaIssue("duplicate_alternative", "alternative ids are not unique"))
-    refs = [a.id for a in schema.alternatives if a.is_reference]
-    if len(refs) == 0:
-        issues.append(SchemaIssue("no_reference", "no reference alternative declared"))
-    elif len(refs) > 1:
-        issues.append(SchemaIssue("multiple_reference",
-                                  f"multiple reference alternatives: {refs}"))
-
-    names = [a.name for a in schema.attributes]
-    if len(names) != len(set(names)):
-        issues.append(SchemaIssue("duplicate_attribute", "attribute names are not unique"))
-
-    for attr in schema.attributes:
-        if attr.n_levels < 2:
-            issues.append(SchemaIssue("degenerate_attribute",
-                                      f"attribute {attr.name}: fewer than 2 levels"))
-        labels = attr.level_labels()
-        if len(labels) != len(set(labels)):
-            issues.append(SchemaIssue("duplicate_level",
-                                      f"attribute {attr.name}: duplicate level labels"))
-        for alt_id in attr.applies_to:
-            if alt_id not in alt_ids:
-                issues.append(SchemaIssue("unknown_alternative",
-                                          f"attribute {attr.name}: applies_to references "
-                                          f"unknown alternative {alt_id!r}"))
-        if attr.coding == "linear":
-            for lv in attr.levels:
-                if lv.value is None:
-                    issues.append(SchemaIssue("missing_value",
-                                              f"attribute {attr.name}: linear coding needs a "
-                                              f"numeric value for level {lv.label!r}"))
-
-    ref_id = refs[0] if len(refs) == 1 else None
-    known = set(names)
-    for kind, pairs, want_scope in (
-        ("context", schema.context_interactions, "context"),
-        ("demographic", schema.demographic_interactions, "demographic"),
-    ):
-        for attr_name, alt_id in pairs:
-            if attr_name not in known:
-                issues.append(SchemaIssue("unknown_interaction_attribute",
-                                          f"{kind} interaction references unknown attribute "
-                                          f"{attr_name!r}"))
-                continue
-            if schema.attribute(attr_name).scope != want_scope:
-                issues.append(SchemaIssue("interaction_scope",
-                                          f"{kind} interaction with {attr_name!r}, whose scope "
-                                          f"is {schema.attribute(attr_name).scope!r}"))
-            if alt_id not in alt_ids:
-                issues.append(SchemaIssue("interaction_unknown_alternative",
-                                          f"{kind} interaction references unknown alternative "
-                                          f"{alt_id!r}"))
-            elif ref_id is not None and alt_id == ref_id:
-                issues.append(SchemaIssue("interaction_with_reference",
-                                          f"{kind} interaction with the reference "
-                                          f"alternative {alt_id!r}"))
-    return issues

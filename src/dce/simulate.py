@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import ChoiceDataset, CodedPanel, Observation, RespondentRecord, code_dataset
 from .design import BlockedDesign
-from .errors import DceError, SimulationError, _integer
+from .errors import DceError, SimulationError, _integer, _real
 from .fixtures import table3_demographic_weights
 from .mmnl import MixingSpec, estimate_mmnl
 from .mnl import estimate_mnl
@@ -58,12 +58,18 @@ class SimConfig:
         object.__setattr__(
             self, "true_params",
             np.asarray(self.true_params, dtype=np.float64).reshape(-1))
+        if not np.isfinite(self.true_params).all():
+            raise SimulationError("non_finite_params", "true_params must all be finite")
 
 
 def _resolve_weights(schema: ExperimentSchema,
                      overrides: dict[str, dict[str, float]] | None):
-    """Cumulative sampling tables per demographic attribute, in schema order."""
+    """Cumulative sampling tables per demographic attribute, in schema order;
+    ``overrides`` of other names or of weights that are not finite reals
+    raise SimulationError("bad_weights")."""
     defaults = table3_demographic_weights()
+    if unknown := set(overrides or ()) - {a.name for a in schema.demographic_attributes()}:
+        raise SimulationError("bad_weights", f"no demographic attributes {sorted(unknown)}")
     tables = []
     for attr in schema.demographic_attributes():
         labels = attr.level_labels()
@@ -75,16 +81,16 @@ def _resolve_weights(schema: ExperimentSchema,
         if weights is None:
             probs = np.full(len(labels), 1.0 / len(labels))
         else:
-            if set(weights) != set(labels):
+            if set(weights) != set(labels) or not all(map(_real, weights.values())):
                 raise SimulationError(
                     "bad_weights",
-                    f"weights for {attr.name!r} must cover exactly its levels")
+                    f"weights for {attr.name!r} must be numbers covering exactly its levels")
             probs = np.array([float(weights[l]) for l in labels])
             # published proportions are rounded; tolerate that, then renormalize
-            if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-3:
+            if not (np.isfinite(probs).all() and probs.min() >= 0 and abs(probs.sum() - 1) <= 1e-3):
                 raise SimulationError(
                     "bad_weights",
-                    f"weights for {attr.name!r} must be >= 0 and sum to 1")
+                    f"weights for {attr.name!r} must be finite, >= 0 and sum to 1")
             probs = probs / probs.sum()
         tables.append((attr.csv_column, labels, np.cumsum(probs)))
     return tables

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import dce
 from dce.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +39,9 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, shlex.join(argv)
     for name in ("design.csv", "choices.csv", "mnl.json", "mmnl.json", "grid.csv"):
         assert (tmp_path / name).is_file(), name
+
+
+def test_public_name_count_is_the_packages():
+    stated = re.search(r"`dce\.__all__` holds the package's (\d+) public names",
+                       README.read_text(encoding="utf-8")).group(1)
+    assert int(stated) == len(dce.__all__)

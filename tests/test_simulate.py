@@ -236,6 +236,35 @@ class TestValidation:
                 demographic_weights=bad))
         assert err.value.code == "bad_weights"
 
+    @pytest.mark.parametrize("weight", [float("nan"), "x", None, True])
+    def test_weights_that_are_not_finite_numbers(self, schema_labels, panel50, weight):
+        """A NaN weight once made every respondent male, and "x" raised a raw
+        ValueError."""
+        cfg = panel50["cfg"]
+        bad = {**degenerate_weights(schema_labels), "gender": {"male": weight, "female": 0.0}}
+        with pytest.raises(SimulationError) as err:
+            simulate_dataset(replace(cfg, n_respondents=5, demographic_weights=bad))
+        assert err.value.code == "bad_weights"
+
+    @pytest.mark.parametrize("name", ["gendr", "delivery_date_drone"])
+    def test_weights_for_an_attribute_that_is_no_demographic(self, panel50, name):
+        """A misspelled attribute was ignored, and the published shares used."""
+        cfg = panel50["cfg"]
+        with pytest.raises(SimulationError) as err:
+            simulate_dataset(replace(cfg, n_respondents=5, demographic_weights={
+                name: {"male": 1.0, "female": 0.0}}))
+        assert err.value.code == "bad_weights"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_true_params(self, panel50, value):
+        """A NaN made every task choose the same alternative."""
+        cfg = panel50["cfg"]
+        truth = cfg.true_params.copy()
+        truth[3] = value
+        with pytest.raises(SimulationError) as err:
+            replace(cfg, true_params=truth)
+        assert err.value.code == "non_finite_params"
+
     def test_parameter_count_mismatch(self, design32, schema_labels,
                                       panel50):
         cfg = panel50["cfg"]
