@@ -2,12 +2,13 @@
 
 ``design``, ``simulate``, ``estimate``, ``postest wtp -o`` and ``postest
 elasticity --emit-grid`` write a sidecar manifest (<output>.manifest.json)
-recording the run id, arguments, input/output digests, and timing; ``postest
-fit`` writes none. The run id is a digest of the command, its arguments, the
-tool version, and the input file digests, deterministic, so rerunning with
-identical inputs yields byte-identical primary outputs. Exit codes: 0
-success, 2 invalid input (an invalid schema with its first fault's code), 3
-estimation did not converge (the result file is still written).
+recording the run id, arguments, input/output digests, timing and the build
+(Python, numpy, numpy's SIMD targets and BLAS; not part of the run id);
+``postest fit`` writes none. The run id is a digest of the command, its
+arguments, the tool version, and the input file digests, deterministic, so
+rerunning with identical inputs yields byte-identical primary outputs. Exit
+codes: 0 success, 2 invalid input (an invalid schema with its first fault's
+code), 3 estimation did not converge (the result file is still written).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
@@ -47,6 +49,21 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _build() -> dict:
+    """What can move a fit's last bits between hosts: the Python and numpy
+    versions, numpy's SIMD targets and its BLAS, these four null where
+    numpy's show_config takes no mode."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    simd = config.get("SIMD Extensions", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "simd_baseline": simd.get("baseline"), "simd_found": simd.get("found"),
+            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
 
 
 class _Manifest:
@@ -87,6 +104,7 @@ class _Manifest:
             "inputs": self.inputs,
             "outputs": self.outputs,
             "elapsed_seconds": round(time.monotonic() - self.t0, 3),
+            "build": _build(),
         }
         doc.update(self.extra)
         path = Path(str(anchor_output) + ".manifest.json")

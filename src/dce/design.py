@@ -172,17 +172,23 @@ def _max_cross_correlation(X: np.ndarray, ranges) -> float:
     return float(np.max(np.abs(C[mask]))) if mask.any() else 0.0
 
 
+def _level_imbalance(rows: list[list[int]], slots) -> list[float]:
+    """Per slot, max over its L levels of |count - len(rows)/L|, counting the
+    levels of the runs whose level indices are rows."""
+    counts = [[0] * attr.n_levels for _, attr in slots]
+    for row in rows:
+        for slot, level in zip(counts, row):
+            slot[level] += 1
+    return [max(abs(c - len(rows) / len(slot)) for c in slot) for slot in counts]
+
+
 def _diagnostics(A: np.ndarray, slots) -> DesignDiagnostics:
     """Diagnostics of the runs whose level indices are A (runs x slots)."""
     X, ranges = _coded_matrix(A, slots)
-    balance = {}
-    n = A.shape[0]
-    for s, (alt_id, attr) in enumerate(slots):
-        counts = np.bincount(A[:, s], minlength=attr.n_levels)
-        balance[_slot_name(alt_id, attr)] = float(np.max(np.abs(counts - n / attr.n_levels)))
     d_eff, singular = _d_efficiency(X)
     return DesignDiagnostics(
-        level_balance=balance,
+        level_balance=dict(zip((_slot_name(alt_id, attr) for alt_id, attr in slots),
+                               _level_imbalance(A.tolist(), slots))),
         max_abs_column_correlation=_max_cross_correlation(X, ranges),
         d_efficiency=d_eff,
         singular=singular,
@@ -193,15 +199,9 @@ def within_block_deviation(design: BlockedDesign) -> float:
     """Max over blocks, slots, levels of |count - block_size/L|, each block
     against its own size (a design read from CSV may have unequal blocks)."""
     slots = _slots(design.schema)
-    A = design._assignment
-    n_levels = np.array([attr.n_levels for _, attr in slots], dtype=np.intp)
-    s = np.arange(len(slots))
-    C = np.zeros((design.n_blocks, len(slots), n_levels.max(initial=0)), dtype=np.int64)
-    for b, members in enumerate(design.blocks):
-        np.add.at(C[b], (s, A[list(members)]), 1)
-    sizes = np.array([len(members) for members in design.blocks])
-    dev = np.abs(C - sizes[:, None, None] / n_levels[:, None])
-    return float(dev[:, np.arange(C.shape[2]) < n_levels[:, None]].max(initial=0.0))
+    rows = design._assignment.tolist()
+    return max((d for members in design.blocks
+                for d in _level_imbalance([rows[r] for r in members], slots)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,64 +478,62 @@ def block_design(design: BlockedDesign, n_blocks: int, seed: int) -> BlockedDesi
     near-misses). With equal blocks every (block, slot) count row sums to the
     block size, so this equals the sum of squared counts less a constant, and
     the search compares exact integers: no tolerances. Each restart runs
-    seeded greedy sequential placement (ties to the lowest block), then
-    cross-block pair swaps to a local minimum; the lowest-objective restart
-    wins, ties to the lowest restart index. Deterministic given seed."""
+    seeded greedy sequential placement (ties to the lowest block), then a
+    plain scan of cross-block pair swaps to a local minimum, on a run-by-run
+    match table of Python ints; the lowest-objective restart wins, ties to
+    the lowest restart index. Deterministic given seed."""
     n = design.n_runs
     _integer(DesignError, "bad_block_count", "n_blocks", n_blocks, 1)
     _integer(DesignError, "bad_seed", "seed", seed, 0)
     if n % n_blocks:
         raise DesignError("non_divisible", f"{n_blocks} blocks must divide {n} runs")
     A = design._assignment
-    match = (A[:, None] == A).sum(axis=2)  # slots where runs i and j share a level
+    match = (A[:, None] == A).sum(axis=2).tolist()  # slots where runs i and j share a level
 
     assign = min((_block_once(match, n_blocks, n // n_blocks, np.random.default_rng([seed, r]))
                   for r in range(_BLOCK_RESTARTS)), key=lambda once: once[1])[0]
-    blocks = tuple(tuple(int(i) for i in np.flatnonzero(assign == b))
-                   for b in range(n_blocks))
+    blocks = tuple(tuple(r for r in range(n) if assign[r] == b) for b in range(n_blocks))
     return BlockedDesign(schema=design.schema, runs=design.runs, blocks=blocks, seed=seed)
 
 
-def _block_once(match: np.ndarray, n_blocks: int, size: int, rng) -> tuple[np.ndarray, int]:
-    """One restart: block of each run and the sum of squared level counts."""
-    n, runs = len(match), np.arange(len(match))
-    K = np.zeros((n_blocks, n), dtype=np.int64)
-    room = np.full(n_blocks, size)
-    assign = np.empty(n, dtype=np.intp)
+def _block_once(match: list[list[int]], n_blocks: int, size: int, rng) -> tuple[list[int], int]:
+    """One restart: block of each run and the sum of squared level counts.
 
-    # with C[b, s, l] the runs of block b at level l in slot s, K[b, j], the
-    # sum of match[r, j] over the runs r in b, is C[b, s, A[j, s]] summed
-    # over s. Greedy: place runs in seeded order where they add least imbalance
-    for i in rng.permutation(n):
-        free = np.flatnonzero(room)
-        assign[i] = b = free[np.argmin(K[free, i])]
+    With C[b][s][l] the runs of block b at level l in slot s, K[b][j], the
+    sum of match[r][j] over the runs r in b, is C[b][s][A[j][s]] summed over
+    s, so sum(C^2) is the sum over runs r of K[block of r][r]. Moving runs
+    i and j between their blocks' rows Ki and Kj changes sum(C^2) by 2*gain,
+    gain = Ki[j] - Ki[i] + Kj[i] - Kj[j], plus 4 per slot where their levels
+    differ, 4 * (match[i][i] - match[i][j]); a same-block pair has gain 0,
+    so it needs no test. Pairs are scanned in (i, j) order, each scored on
+    the counts left by the last swap, and a swap updates its two K rows."""
+    n = len(match)
+    K = [[0] * n for _ in range(n_blocks)]
+    room = [size] * n_blocks
+    assign = [0] * n
+    # place runs in seeded order where they add least imbalance, ties to the
+    # lowest block (min returns the first least)
+    for i in rng.permutation(n).tolist():
+        assign[i] = b = min((b for b in range(n_blocks) if room[b]), key=lambda b: K[b][i])
         room[b] -= 1
-        K[b] += match[i]
+        K[b] = [k + m for k, m in zip(K[b], match[i])]
 
-    # swapping runs i and j changes sum(C^2) by 2*gain + 4 over the slots
-    # where their levels differ: 2*gain over all slots plus apart[i, j], 4 per
-    # differing slot. A same-block pair has gain 0, so it needs no mask. Swaps
-    # are taken in (i, j) order, each scored on the counts left by the last.
-    apart = 4 * (match.diagonal()[:, None] - match)
     for _ in range(60):  # bounded improvement passes
         improved = False
         for i in range(n - 1):
-            j0 = i + 1
-            while j0 < n:
-                bi, bj = assign[i], assign[j0:]
-                gain = K[bi, j0:] - K[bi, i] + K[bj, i] - K[bj, runs[j0:]]
-                better = np.flatnonzero(2 * gain + apart[i, j0:] < 0)
-                if not better.size:
-                    break
-                j = j0 + better[0]
-                bj = assign[j]
-                K[[bi, bj]] += match[[j, i]] - match[[i, j]]
-                assign[i], assign[j] = bj, bi
-                improved = True
-                j0 = j + 1
+            mi, Ki = match[i], K[assign[i]]
+            for j in range(i + 1, n):
+                Kj = K[assign[j]]
+                if Ki[j] - Ki[i] + Kj[i] - Kj[j] + 2 * (mi[i] - mi[j]) < 0:
+                    for r, (x, y) in enumerate(zip(mi, match[j])):
+                        Ki[r] += y - x
+                        Kj[r] += x - y
+                    assign[i], assign[j] = assign[j], assign[i]
+                    Ki = Kj  # run i's block is now j's old one
+                    improved = True
         if not improved:
             break
-    return assign, int(K[assign, runs].sum())
+    return assign, sum(K[b][r] for r, b in enumerate(assign))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ plus optional per-respondent normal deviations on the random coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,14 @@ class SimConfig:
                 "bad_block_assignment",
                 f"block_assignment must be balanced or uniform, "
                 f"got {self.block_assignment!r}")
+        if self.mixing is not None and not isinstance(self.mixing, MixingSpec):
+            raise SimulationError("bad_mixing", f"mixing must be a MixingSpec or None, "
+                                                f"got {type(self.mixing).__name__}")
+        weights = self.demographic_weights
+        if weights is not None and not (isinstance(weights, Mapping) and all(
+                isinstance(w, Mapping) for w in weights.values())):
+            raise SimulationError("bad_weights", "demographic_weights must map attribute "
+                                                 "names to mappings of level label to weight")
         object.__setattr__(
             self, "true_params",
             np.asarray(self.true_params, dtype=np.float64).reshape(-1))

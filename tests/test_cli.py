@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -9,10 +10,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dce import (EstimationResult, ExperimentSchema, read_design_csv, within_block_deviation,
                  write_choices_csv)
+import dce.cli
 from dce.cli import main
 
 from helpers import simulated_panel
@@ -87,6 +90,25 @@ class TestPipeline:
             "within_block_deviation": within_block_deviation(design),
             "singular": diag.singular,
         }
+
+    def test_manifest_records_the_build(self, pipeline, workdir, monkeypatch):
+        """The build is recorded outside the run id: another build gives the
+        same run id and the same design bytes."""
+        first = manifest_of(pipeline["paths"]["design"])
+        assert set(first["build"]) == {"python", "numpy", "simd_baseline", "simd_found",
+                                       "blas_name", "blas_version"}
+        assert first["build"]["python"] == platform.python_version()
+        assert first["build"]["numpy"] == np.__version__
+        other = {key: None for key in first["build"]}
+        monkeypatch.setattr(dce.cli, "_build", lambda: other)
+        path = workdir / "design_other_build.csv"
+        shutil.copyfile(pipeline["paths"]["design"], path)
+        assert main(["design", "--schema", LABELS_SCHEMA, "--runs", "32", "--blocks", "4",
+                     "--seed", "3", "--iters", "300", "-o", str(pipeline["paths"]["design"])]) == 0
+        again = manifest_of(pipeline["paths"]["design"])
+        assert again["build"] == other
+        assert again["run_id"] == first["run_id"]
+        assert pipeline["paths"]["design"].read_bytes() == path.read_bytes()
 
     def test_simulate_line_count(self, pipeline):
         lines = pipeline["paths"]["choices"].read_text().splitlines()

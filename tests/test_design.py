@@ -299,7 +299,7 @@ class TestBlocking:
         assert within_block_deviation(blocked) == deviation
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-    @given(name=st.sampled_from(["default", "linear"]), n_runs=st.sampled_from([8, 16, 24, 32]),
+    @given(name=st.sampled_from(["default", "linear"]), n_runs=st.sampled_from([8, 16, 24, 32, 64]),
            n_blocks=st.sampled_from([1, 2, 4, 8]), balanced=st.booleans(),
            levels_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16))
     def test_match_table_makes_the_count_search_blocks(self, name, n_runs, n_blocks,
@@ -318,6 +318,23 @@ class TestBlocking:
             blocks=(tuple(range(n_runs)),), seed=None)
         assert block_design(design, n_blocks, seed).blocks == \
             block_design_oracle(design, n_blocks, seed)
+
+    @pytest.mark.parametrize("levels_seed", [0, 1, 2])
+    def test_level_balance_counts_levels(self, schema_default, levels_seed):
+        """Per slot, the largest |count - n/L| over its levels, on levels
+        drawn independently (so unbalanced), against bincount's counts."""
+        slots = dce.design._slots(schema_default)
+        rng = np.random.default_rng(levels_seed)
+        A = np.column_stack([rng.integers(attr.n_levels, size=20) for _, attr in slots])
+        design = dce.design.BlockedDesign(
+            schema=schema_default, runs=dce.design._profiles_from_assignment(A, slots),
+            blocks=(tuple(range(20)),), seed=None)
+        expected = {dce.design._slot_name(alt_id, attr):
+                    float(np.abs(np.bincount(A[:, s], minlength=attr.n_levels)
+                                 - 20 / attr.n_levels).max())
+                    for s, (alt_id, attr) in enumerate(slots)}
+        assert design.diagnostics.level_balance == expected
+        assert design.diagnostics.max_level_imbalance > 0
 
     def test_deviation_of_unequal_blocks(self, tmp_path):
         """Each block is measured against its own size: a wrong size (4, the

@@ -255,6 +255,21 @@ class TestValidation:
                 name: {"male": 1.0, "female": 0.0}}))
         assert err.value.code == "bad_weights"
 
+    @pytest.mark.parametrize("weights", [
+        ["gender"], {"gender": ["male", "female"]}, {"gender": 0.5}, "gender"])
+    def test_weights_that_are_not_a_mapping_of_mappings(self, panel50, weights):
+        """These escaped as raw AttributeError or TypeError, and "gender" was
+        read as the attribute names g, e, n, d, e, r."""
+        with pytest.raises(SimulationError) as err:
+            replace(panel50["cfg"], n_respondents=5, demographic_weights=weights)
+        assert err.value.code == "bad_weights"
+
+    @pytest.mark.parametrize("mixing", [("asc_drone",), {"random_params": ["asc_drone"]}, 500])
+    def test_mixing_that_is_no_mixing_spec(self, panel50, mixing):
+        with pytest.raises(SimulationError) as err:
+            replace(panel50["cfg"], n_respondents=5, mixing=mixing)
+        assert err.value.code == "bad_mixing"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_true_params(self, panel50, value):
         """A NaN made every task choose the same alternative."""
